@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from multiprocessing.connection import wait
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -147,33 +148,54 @@ def _map_blocks(worker, count: int, threads: int) -> list:
     except ValueError:
         return [worker(start, stop) for start, stop in blocks]
     workers = min(threads, len(blocks))
-    queue = ctx.SimpleQueue()
+    reader, writer = ctx.Pipe(duplex=False)
+    send_lock = ctx.Lock()
 
     def run_chunk(chunk: int) -> None:
         # round-robin over blocks so chunks are balanced; closures and the
         # problem's coefficient callables reach the child via fork, and only
-        # the small result arrays travel back through the queue
+        # the small result arrays travel back through the pipe, one whole
+        # message at a time under the lock
         try:
             for index in range(chunk, len(blocks), workers):
-                queue.put((index, worker(*blocks[index])))
+                message = (index, worker(*blocks[index]))
+                with send_lock:
+                    writer.send(message)
         except BaseException as exc:  # surfaced in the parent below
-            queue.put((None, repr(exc)))
+            with send_lock:
+                writer.send((None, repr(exc)))
 
     procs = [ctx.Process(target=run_chunk, args=(chunk,)) for chunk in range(workers)]
     for proc in procs:
         proc.start()
+    # wait on the pipe and on every child's sentinel together, so a child
+    # that dies without reporting (killed, os._exit) fails the run instead
+    # of leaving the parent blocked on the pipe forever
+    running = {proc.sentinel: proc for proc in procs}
     results: dict = {}
     failure = None
-    for _ in range(len(blocks)):
-        index, payload = queue.get()
-        if index is None:
-            failure = payload
-            break
-        results[index] = payload
+    while failure is None and len(results) < len(blocks):
+        ready = wait([reader, *running])
+        if reader in ready:
+            index, payload = reader.recv()
+            if index is None:
+                failure = payload
+            else:
+                results[index] = payload
+            continue
+        for sentinel in ready:
+            proc = running.pop(sentinel)
+            proc.join()
+            if proc.exitcode != 0:
+                failure = f"worker exited with code {proc.exitcode}"
+        if failure is None and not running and not reader.poll():
+            failure = "workers exited without reporting every block"
     for proc in procs:
         if failure is not None:
             proc.terminate()
         proc.join()
+    reader.close()
+    writer.close()
     if failure is not None:
         raise RuntimeError(f"worker process failed: {failure}")
     return [results[index] for index in range(len(blocks))]

@@ -46,6 +46,16 @@ _HEADERS = {
 }
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int: never a count or level
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment record; one JSON document, one experiment."""
@@ -77,20 +87,22 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     def validate(self) -> None:
-        if self.problem not in model.BUILTIN_FACTORIES:
+        if not isinstance(self.problem, str) or self.problem not in model.BUILTIN_FACTORIES:
             raise ConfigError(
                 f"unknown problem id {self.problem!r}; "
                 f"known: {sorted(set(model.BUILTIN_FACTORIES))}"
             )
-        if self.scheme not in _SCHEME_IDS:
+        if not isinstance(self.scheme, str) or self.scheme not in _SCHEME_IDS:
             raise ConfigError(
                 f"unknown scheme {self.scheme!r}; known: {sorted(_SCHEME_IDS)}"
             )
         if not isinstance(self.problem_params, dict):
             raise ConfigError("problem_params must be a JSON object")
+        if not all(_is_real(v) for v in self.problem_params.values()):
+            raise ConfigError("problem_params values must be finite numbers")
         levels = self.levels
         if (not isinstance(levels, list) or not levels
-                or any(not isinstance(l, int) or l < 0 for l in levels)):
+                or any(not _is_int(l) or l < 0 for l in levels)):
             raise ConfigError("levels must be a nonempty list of nonnegative integers")
         if sorted(levels) != levels or len(set(levels)) != len(levels):
             raise ConfigError("levels must be strictly increasing")
@@ -98,23 +110,31 @@ class ExperimentConfig:
         if isinstance(ref, str):
             if ref != "exact":
                 raise ConfigError("reference must be an integer level or 'exact'")
-        elif isinstance(ref, int):
+        elif _is_int(ref):
             if ref <= max(levels):
                 raise ConfigError("reference level must exceed every coarse level")
         else:
             raise ConfigError("reference must be an integer level or 'exact'")
+        for name in ("p", "q", "audit_radius"):
+            if not _is_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number")
+        for name in ("paths", "master_seed", "audit_samples"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer")
         if self.p < 1:
             raise ConfigError("p must be >= 1")
         if self.q < 2:
             raise ConfigError("q must be >= 2")
         if self.paths < 1:
             raise ConfigError("paths must be >= 1")
-        if not 0 <= int(self.master_seed) < 2 ** 64:
+        if not 0 <= self.master_seed < 2 ** 64:
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
-        if self.level is not None and (not isinstance(self.level, int) or self.level < 0):
+        if not isinstance(self.outdir, str):
+            raise ConfigError("outdir must be a string")
+        if self.level is not None and (not _is_int(self.level) or self.level < 0):
             raise ConfigError("level must be a nonnegative integer")
         if (not isinstance(self.audit_n_values, list) or not self.audit_n_values
-                or any(not isinstance(n, int) or n < 1 for n in self.audit_n_values)):
+                or any(not _is_int(n) or n < 1 for n in self.audit_n_values)):
             raise ConfigError("audit_n_values must be a nonempty list of positive integers")
         if self.audit_samples < 1:
             raise ConfigError("audit_samples must be >= 1")

@@ -83,7 +83,7 @@ class TamingSplit:
 
     def norm(self, x: np.ndarray) -> np.ndarray:
         sel = np.asarray(x, dtype=float)[..., list(self.norm_indices)]
-        return np.sqrt(np.sum(sel * sel, axis=-1))
+        return np.sqrt((sel * sel).sum(axis=-1))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,19 @@ endpoint; only the drift time is randomized.
 Everything here is a pure function of its inputs.  The batch variants step
 ``(B, d)`` blocks of states with elementwise numpy ops only, so per-path
 results are bit-identical however paths are grouped into batches.
+
+:func:`simulate_batch` walks the grid in chunks of ``_CHUNK`` steps.  What
+depends only on the noise is prepared once per chunk: a contiguous
+``(C, B, m)`` copy of the increments, the iterated integrals of that whole
+block (Milstein kinds) and the randomized drift times.  The per-step loop
+then runs only the state-dependent work.  Each step writes its state into a
+``(C, B, d)`` buffer, and one vectorised scan per chunk finds the first
+non-finite step of each path.  That scan is exact because every step
+computes ``x + ...`` and a non-finite component stays non-finite under
+addition, so a path that overflows stays non-finite for the rest of the
+chunk.  The same buffer feeds ``keep_path`` with one copy per chunk.  The
+arithmetic of each step is unchanged, so results are bit-identical for any
+chunk size.
 """
 
 from __future__ import annotations
@@ -77,6 +90,10 @@ _MILSTEIN_KINDS = frozenset(
     {SchemeKind.TAMED_MILSTEIN, SchemeKind.RANDOMIZED_TAMED_MILSTEIN}
 )
 
+# Steps per chunk in simulate_batch: noise-only inputs are prepared and the
+# overflow scan runs once per chunk.  Results never depend on this value.
+_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class StepContext:
@@ -127,43 +144,55 @@ def tame_drift(mu_value, x, n: int, xi: float):
         raise ValueError("xi must be nonnegative")
     mu = np.asarray(mu_value, dtype=float)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    nrm = np.sqrt(np.sum(xa * xa, axis=-1))
+    nrm = np.sqrt((xa * xa).sum(axis=-1))
     denom = 1.0 + nrm ** (2.0 * xi) / n
     if mu.ndim > 0 and np.ndim(denom) > 0:
         denom = np.asarray(denom)[..., None]
     return mu / denom
 
 
-def _tamed_drift_value(problem: SdeProblem, t_drift, x, n: int):
-    """Drift after taming, honouring an optional per-summand split."""
+def _tamed_drift(problem: SdeProblem, n: int):
+    """Return ``b(t, x)``, the drift after taming, honouring an optional
+    per-summand split."""
     split = problem.taming_split
+    drift, xi = problem.drift, problem.xi
     if split is None:
-        return tame_drift(problem.drift(t_drift, x), x, n, problem.xi)
-    denom = 1.0 + split.norm(x) ** (2.0 * problem.xi) / n
-    return split.superlinear(t_drift, x) / np.asarray(denom)[..., None] \
-        + split.remainder(t_drift, x)
+        return lambda t, x: tame_drift(drift(t, x), x, n, xi)
+    superlinear, remainder, norm = split.superlinear, split.remainder, split.norm
+    two_xi = 2.0 * xi
+
+    def tamed(t, x):
+        denom = 1.0 + norm(x) ** two_xi / n
+        return superlinear(t, x) / denom[..., None] + remainder(t, x)
+
+    return tamed
 
 
-def _step_batch(problem, kind, x, t_left, dt, dW, iter_ints, u, n):
-    """Advance a (B, d) block of states by one step.
+def _step_batch(problem: SdeProblem, kind: SchemeKind, dt: float, n: int):
+    """The stepping kernel shared by :func:`step` and :func:`simulate_batch`.
 
-    ``u`` is a (B,) array of uniforms (randomized kind only), ``iter_ints``
-    a (B, m, m) block of iterated integrals (Milstein kinds only).
+    Returns ``advance(x, t_left, t_drift, dw, iw)``, which moves a (B, d)
+    block of states by one step of size ``dt`` with taming parameter ``n``.
+    The noise inputs arrive in broadcast form: ``t_drift`` is the drift
+    time (``t_left``, or a (B,) array for the randomized kind), ``dw`` the
+    increments as (B, 1, m) and ``iw`` the iterated integrals as
+    (B, 1, m, m) (Milstein kinds; None otherwise).  The coefficient
+    callables are looked up once, here.
     """
-    if kind is SchemeKind.RANDOMIZED_TAMED_MILSTEIN:
-        t_drift = t_left + dt * u
-    else:
-        t_drift = t_left
     if kind is SchemeKind.EULER_MARUYAMA:
-        b = problem.drift(t_drift, x)
+        drift = problem.drift
     else:
-        b = _tamed_drift_value(problem, t_drift, x, n)
-    rho = problem.diffusion(t_left, x)
-    out = x + b * dt + np.sum(rho * dW[..., None, :], axis=-1)
-    if kind in _MILSTEIN_KINDS:
-        lam = problem.milstein_tensor(t_left, x)
-        out = out + np.sum(lam * iter_ints[..., None, :, :], axis=(-2, -1))
-    return out
+        drift = _tamed_drift(problem, n)
+    diffusion = problem.diffusion
+    milstein_tensor = problem.milstein_tensor if kind in _MILSTEIN_KINDS else None
+
+    def advance(x, t_left, t_drift, dw, iw):
+        out = x + drift(t_drift, x) * dt + (diffusion(t_left, x) * dw).sum(axis=-1)
+        if milstein_tensor is not None:
+            out = out + (milstein_tensor(t_left, x) * iw).sum(axis=(-2, -1))
+        return out
+
+    return advance
 
 
 def step(problem: SdeProblem, kind: SchemeKind, x, ctx: StepContext) -> np.ndarray:
@@ -187,21 +216,15 @@ def step(problem: SdeProblem, kind: SchemeKind, x, ctx: StepContext) -> np.ndarr
             )
         if ctx.I is None:
             raise ValueError("Milstein kinds require iterated integrals in ctx.I")
-        iter_ints = np.asarray(ctx.I, dtype=float).reshape(1, problem.m, problem.m)
+        iw = np.asarray(ctx.I, dtype=float).reshape(1, 1, problem.m, problem.m)
     else:
-        iter_ints = None
-    out = _step_batch(
-        problem,
-        kind,
-        xa[None, :],
-        ctx.t_left,
-        ctx.dt,
-        dw[None, :],
-        iter_ints,
-        np.array([ctx.u]),
-        ctx.n,
-    )
-    return out[0]
+        iw = None
+    if kind is SchemeKind.RANDOMIZED_TAMED_MILSTEIN:
+        t_drift = ctx.t_left + ctx.dt * np.array([ctx.u])
+    else:
+        t_drift = ctx.t_left
+    advance = _step_batch(problem, kind, ctx.dt, ctx.n)
+    return advance(xa[None, :], ctx.t_left, t_drift, dw.reshape(1, 1, -1), iw)[0]
 
 
 def simulate_batch(problem: SdeProblem, kind: SchemeKind, increments,
@@ -240,27 +263,43 @@ def simulate_batch(problem: SdeProblem, kind: SchemeKind, increments,
         if uniforms.shape != (batch, n_steps):
             raise DimensionError(f"uniforms must have shape ({batch}, {n_steps})")
     dt = problem.horizon / n_steps
+    advance = _step_batch(problem, kind, dt, n_steps)
     x = np.repeat(problem.initial_state[None, :], batch, axis=0)
     overflow = np.full(batch, -1, dtype=np.int64)
     path = None
     if keep_path:
         path = np.empty((batch, n_steps + 1, problem.d))
         path[:, 0] = x
+    states = np.empty((min(_CHUNK, n_steps), batch, problem.d))
     with np.errstate(all="ignore"):
-        for j in range(n_steps):
-            dW = inc[:, j, :]
-            iter_ints = (
-                iterated_integrals(dW, dt, problem.noise_structure)
+        for j0 in range(0, n_steps, _CHUNK):
+            j1 = min(j0 + _CHUNK, n_steps)
+            t_left = [j * dt for j in range(j0, j1)]
+            dw = np.ascontiguousarray(inc[:, j0:j1].transpose(1, 0, 2))
+            iw = (
+                iterated_integrals(dw, dt, problem.noise_structure)[:, :, None]
                 if needs_integrals
-                else None
+                else [None] * (j1 - j0)
             )
-            u = uniforms[:, j] if randomized else None
-            x = _step_batch(problem, kind, x, j * dt, dt, dW, iter_ints, u, n_steps)
-            fresh = (overflow < 0) & ~np.isfinite(x).all(axis=1)
+            t_drift = (
+                (np.arange(j0, j1) * dt)[:, None]
+                + dt * np.ascontiguousarray(uniforms[:, j0:j1].T)
+                if randomized
+                else t_left
+            )
+            for c, inputs in enumerate(zip(t_left, t_drift, dw[:, :, None, :], iw)):
+                x = advance(x, *inputs)
+                states[c] = x
+            # one scan per chunk: a non-finite component stays non-finite
+            # under ``x + ...``, so a path's last state in the chunk tells
+            # whether it overflowed and argmax finds the first such step
+            chunk = states[: j1 - j0]
+            bad = ~np.isfinite(chunk).all(axis=2)
+            fresh = (overflow < 0) & bad[-1]
             if fresh.any():
-                overflow[fresh] = j
+                overflow[fresh] = j0 + bad[:, fresh].argmax(axis=0)
             if keep_path:
-                path[:, j + 1] = x
+                path[:, j0 + 1:j1 + 1] = chunk.transpose(1, 0, 2)
     return x, overflow, path
 
 

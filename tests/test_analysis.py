@@ -1,8 +1,14 @@
+import multiprocessing
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sde_rtm import analysis
 from sde_rtm import (
     DegenerateDataError,
     ErrorRow,
@@ -222,3 +228,31 @@ def test_simulate_terminals_matches_strong_error_reference():
     terminals, overflow = simulate_terminals(problem, TM, 4, 25, SeedPolicy(4))
     assert terminals == pytest.approx(np.full((25, 1), 3.0))
     assert np.all(overflow == -1)
+
+
+# --- worker pool ---------------------------------------------------------------
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods()
+    or not hasattr(signal, "SIGALRM"),
+    reason="needs fork-based workers and SIGALRM",
+)
+def test_dead_worker_raises_instead_of_hanging():
+    def worker(start, stop):
+        if start == analysis._BLOCK:
+            os._exit(3)  # the child dies without reporting its block
+        return np.zeros(stop - start)
+
+    def hung(signum, frame):
+        raise TimeoutError("_map_blocks still waiting on a dead worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    started = time.monotonic()
+    try:
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            analysis._map_blocks(worker, 3 * analysis._BLOCK, 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - started < 5.0

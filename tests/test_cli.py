@@ -110,6 +110,20 @@ def test_cli_overrides_apply(tmp_path):
     ({"p": 0.5}, "p must"),
     ({"unknown_key": 1}, "unknown"),
     ({"problem_params": {"sigma": -1.0}}, "sigma"),
+    ({"paths": "10"}, "paths"),
+    ({"paths": 1.5}, "paths"),
+    ({"paths": True}, "paths"),
+    ({"p": "2"}, "p must"),
+    ({"p": float("nan")}, "p must"),
+    ({"q": float("inf")}, "q must"),
+    ({"levels": [True, 2]}, "levels"),
+    ({"reference": True, "levels": [0]}, "reference"),
+    ({"master_seed": "424242"}, "master_seed"),
+    ({"problem": ["gbm"]}, "problem"),
+    ({"outdir": 7}, "outdir"),
+    ({"audit_radius": float("nan")}, "audit_radius"),
+    ({"problem_params": {"sigma": "0.5"}}, "problem_params"),
+    ({"problem_params": {"sigma": float("nan")}}, "problem_params"),
 ])
 def test_config_validation_exits_2(tmp_path, capsys, overrides, fragment):
     path, _ = write_config(tmp_path, **overrides)

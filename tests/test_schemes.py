@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sde_rtm import schemes
 from sde_rtm import (
     DimensionError,
     NoiseStructure,
@@ -23,6 +24,7 @@ from sde_rtm import (
     make_builtin,
     sample_brownian_grid,
     sample_randomization,
+    simulate_batch,
     step,
     tame_drift,
 )
@@ -278,6 +280,105 @@ def test_integrate_validation(fhn):
                                 derive_substream(POLICY, 0, StreamRole.BROWNIAN))
     with pytest.raises(DimensionError):
         integrate_path(fhn, SchemeKind.TAMED_EULER, 4, wide)
+
+
+# --- batch kernel against single steps -----------------------------------------
+
+def _late_blowup_problem():
+    # x' = x^3 from 0.8 blows up near t = 0.78, so explicit Euler on 512
+    # steps overflows well past the first 256-step chunk
+    def drift(t, x):
+        return np.asarray(x, dtype=float) ** 3
+
+    return SdeProblem(
+        d=1, m=1, horizon=1.0, initial_state=[0.8],
+        drift=drift,
+        diffusion=lambda t, x: np.full(np.asarray(x).shape + (1,), 0.5),
+        milstein_tensor=lambda t, x: np.zeros(np.asarray(x).shape + (1, 1)),
+        noise_structure=NoiseStructure.SCALAR, xi=1.0, beta=1.0,
+    )
+
+
+def _stepped_reference(problem, kind, inc, uniforms):
+    """Path-by-path loop over step(), checking finiteness after every step."""
+    batch, n, _ = inc.shape
+    dt = problem.horizon / n
+    paths = np.empty((batch, n + 1, problem.d))
+    overflow = np.full(batch, -1, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        for b in range(batch):
+            x = problem.initial_state
+            paths[b, 0] = x
+            for j in range(n):
+                ctx = StepContext(
+                    t_left=j * dt, dt=dt, dW=inc[b, j],
+                    I=iterated_integrals(inc[b, j], dt, problem.noise_structure),
+                    u=uniforms[b, j], n=n,
+                )
+                x = step(problem, kind, x, ctx)
+                paths[b, j + 1] = x
+                if overflow[b] < 0 and not np.isfinite(x).all():
+                    overflow[b] = j
+    return paths[:, -1], overflow, paths
+
+
+def _batch_inputs(problem, batch, n, seed):
+    rng = np.random.default_rng(seed)
+    inc = rng.standard_normal((batch, n, problem.m)) * np.sqrt(problem.horizon / n)
+    return inc, rng.random((batch, n))
+
+
+def _assert_same(actual, expected):
+    for got, want in zip(actual, expected):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("params,n", [({}, 40), ({"sigma": 3.0, "i_amp": 60.0}, 16)])
+def test_simulate_batch_independent_of_chunk_size(monkeypatch, kind, params, n):
+    problem = make_builtin("fhn", **params)
+    inc, uniforms = _batch_inputs(problem, 24, n, seed=n)
+    u = uniforms if kind is SchemeKind.RANDOMIZED_TAMED_MILSTEIN else None
+    expected = _stepped_reference(problem, kind, inc, uniforms)
+    if params and kind is SchemeKind.EULER_MARUYAMA:
+        assert (expected[1] >= 0).any()  # the overflow scan has work to do
+    # 1, 3 and 7 divide neither step count; n and 2n hold the whole grid
+    for chunk in (1, 3, 7, n, 2 * n):
+        monkeypatch.setattr(schemes, "_CHUNK", chunk)
+        _assert_same(simulate_batch(problem, kind, inc, u, keep_path=True), expected)
+        terminal, overflow, path = simulate_batch(problem, kind, inc, u)
+        _assert_same((terminal, overflow), expected[:2])
+        assert path is None
+
+
+def test_overflow_steps_past_first_chunk_match_stepping():
+    problem = _late_blowup_problem()
+    inc, uniforms = _batch_inputs(problem, 12, 512, seed=3)
+    kind = SchemeKind.EULER_MARUYAMA
+    expected = _stepped_reference(problem, kind, inc, uniforms)
+    assert (expected[1] >= schemes._CHUNK).sum() >= 6
+    _assert_same(simulate_batch(problem, kind, inc, keep_path=True), expected)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_step_rejects_general_noise_and_bad_increments(fhn, kind):
+    general = dataclasses.replace(
+        dataclasses.replace(fhn, taming_split=None),
+        noise_structure=NoiseStructure.GENERAL,
+    )
+    ctx = StepContext(t_left=0.0, dt=0.1, dW=np.array([0.1]), I=np.zeros((1, 1)),
+                      u=0.5, n=10)
+    if kind in (SchemeKind.TAMED_MILSTEIN, SchemeKind.RANDOMIZED_TAMED_MILSTEIN):
+        with pytest.raises(UnsupportedNoiseStructureError):
+            step(general, kind, [1.0, 2.0], ctx)
+    else:
+        assert np.isfinite(step(general, kind, [1.0, 2.0], ctx)).all()
+    wide = dataclasses.replace(ctx, dW=np.array([0.1, 0.2]), I=np.zeros((2, 2)))
+    with pytest.raises(DimensionError):
+        step(fhn, kind, [1.0, 2.0], wide)
+    with pytest.raises(DimensionError):
+        step(fhn, kind, [1.0, 2.0, 3.0], ctx)
 
 
 # --- taming audit ------------------------------------------------------------
