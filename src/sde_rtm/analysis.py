@@ -10,10 +10,24 @@ coarse run consume fresh uniforms from the path's randomization substream
 (reference first, then levels in ascending order), while the Brownian path
 is the only thing shared across levels.
 
-Paths are processed in fixed-size blocks; per-path statistics land in
-preallocated slots and are reduced once, in path-index order, so results
-are bit-identical regardless of the worker-thread count (the
-``SDE_RTM_THREADS`` environment variable, 0 = auto).
+One streaming sweep serves every experiment.  Workers split the paths
+into contiguous slabs of ``min(4096, ceil(paths / workers))`` paths.  A
+slab draws its fine Brownian increments a power-of-two chunk of steps at a
+time, coarsens each chunk to every level in play (a binary carry finishes
+coarse steps that span several chunks, in the same pairwise order as
+``noise.coarsen``) and feeds the reference and every coarse level to
+resumable steppers in the same pass, so no increment, uniform or state
+buffer outgrows (slab x chunk).  Each run draws its uniforms from its own
+copy of the randomization substream, moved past the draws of the runs
+before it in the order above.  Moment tracking reduces every chunk of
+states to ``|x_t|^q`` as it is stepped and never holds whole paths, but
+its per-path rows of powers stay O(slab x n): the parent sums them in path
+order, so each worker returns them whole.
+
+Each path's result depends only on the seed policy and its index, never on
+its slab; the parent reduces per-path results in path order, so outputs
+are bit-identical regardless of the worker count (the ``SDE_RTM_THREADS``
+environment variable, 0 = auto).
 
 A note on norms: with p the error norm order and q the moment order, the
 theoretical rate statement is proved under the sufficient condition
@@ -35,11 +49,13 @@ from .model import NoiseStructure, SdeProblem
 from .noise import (
     SeedPolicy,
     StreamRole,
+    brownian_chunks,
+    coarsen_chunks,
     derive_substream,
-    sample_brownian_grid,
-    sample_randomization,
+    skip_uniforms,
+    uniform_chunks,
 )
-from .schemes import SchemeKind, simulate_batch
+from .schemes import BatchStepper, SchemeKind
 
 __all__ = [
     "ErrorRow",
@@ -55,9 +71,12 @@ __all__ = [
     "simulate_terminals",
 ]
 
-# Fixed block size: results must not depend on how many workers run, so the
-# partition of paths into blocks is a constant of the implementation.
-_BLOCK = 256
+# Widest slab of paths one worker steps at a time.
+_SLAB = 4096
+# Path-steps per draw chunk: a slab draws, coarsens and steps
+# max(1, _DRAW_BUDGET // width) fine steps at a time (rounded down to a
+# power of two), so every per-slab buffer is O(width x chunk).
+_DRAW_BUDGET = 1 << 18
 
 
 class DegenerateDataError(ValueError):
@@ -131,16 +150,19 @@ def _resolve_threads(threads: Optional[int]) -> int:
 
 
 def _map_blocks(worker, count: int, threads: int) -> list:
-    """Run ``worker(start, stop)`` over fixed-size path blocks.
+    """Run ``worker(start, stop)`` over contiguous slabs of paths.
 
-    Returns the workers' results in block order.  With more than one worker
-    the blocks run in forked processes (path simulation is CPU-bound numpy
-    work on small arrays, which the GIL would serialise); the block
-    partition never depends on the worker count, and each block's result is
-    a pure function of the seed policy, so outputs are identical however
-    many workers run.  Platforms without fork fall back to serial execution.
+    The slab width is ``min(_SLAB, ceil(count / threads))``, so each worker
+    steps as wide a block as it can.  Returns the workers' results in slab
+    order.  With more than one worker the slabs run in forked processes
+    (path simulation is CPU-bound numpy work, which the GIL would
+    serialise).  Each path's result is a pure function of the seed policy
+    and the path index, whatever slab it lands in, and callers reduce in
+    path order, so outputs are identical however many workers run.
+    Platforms without fork fall back to serial execution.
     """
-    blocks = [(start, min(start + _BLOCK, count)) for start in range(0, count, _BLOCK)]
+    width = min(_SLAB, -(-count // threads))
+    blocks = [(start, min(start + width, count)) for start in range(0, count, width)]
     if threads <= 1 or len(blocks) == 1:
         return [worker(start, stop) for start, stop in blocks]
     try:
@@ -152,7 +174,7 @@ def _map_blocks(worker, count: int, threads: int) -> list:
     send_lock = ctx.Lock()
 
     def run_chunk(chunk: int) -> None:
-        # round-robin over blocks so chunks are balanced; closures and the
+        # round-robin over slabs so chunks are balanced; closures and the
         # problem's coefficient callables reach the child via fork, and only
         # the small result arrays travel back through the pipe, one whole
         # message at a time under the lock
@@ -201,6 +223,69 @@ def _map_blocks(worker, count: int, threads: int) -> list:
     return [results[index] for index in range(len(blocks))]
 
 
+def _split(blocks, piece: int):
+    # consecutive time-major slices of ``piece`` steps from each block
+    for block in blocks:
+        for p0 in range(0, len(block), piece):
+            yield block[p0:p0 + piece]
+
+
+def _uniform_pieces(substreams: list, run_levels: list, pieces: list, chunk: int):
+    """One iterator per run over its uniforms, ``pieces[i]`` steps at a time.
+
+    Run ``i`` takes draws ``offset`` to ``offset + 2**level - 1`` of each
+    path's randomization substream, where ``offset`` counts the draws of
+    every earlier run.  Each run draws from its own copy of the substream,
+    moved past ``offset`` draws, at most ``chunk`` per path at a time.
+    """
+    out = []
+    offset = 0
+    for level, piece in zip(run_levels, pieces):
+        total = 1 << level
+        own = [skip_uniforms(s, offset) for s in substreams]
+        out.append(_split(uniform_chunks(own, total, min(total, chunk)), piece))
+        offset += total
+    return out
+
+
+def _sweep(problem: SdeProblem, kind: SchemeKind, policy: SeedPolicy,
+           start: int, stop: int, gen_level: int, run_levels: list, *,
+           terminal: bool = False, observe=None):
+    """Integrate paths ``start`` to ``stop - 1`` on coupled grids, chunk by chunk.
+
+    Each path draws one Brownian grid at ``gen_level`` from its Brownian
+    substream, ``chunk`` fine steps at a time.  Every chunk is coarsened to
+    each level in ``run_levels`` and fed to that level's stepper, so no
+    buffer outgrows (paths x chunk).  The randomized kind draws run ``i``'s
+    uniforms from the path's randomization substream right after the
+    ``2**level`` draws of every earlier run.  Returns the steppers in run
+    order and, with ``terminal``, the terminal Brownian values (B, m).
+    ``observe`` is passed to every :meth:`BatchStepper.feed`.
+    """
+    batch = stop - start
+    paths = range(start, stop)
+    chunk = min(1 << gen_level,
+                1 << (max(1, _DRAW_BUDGET // batch).bit_length() - 1))
+    steppers = [BatchStepper(problem, kind, 1 << level, batch) for level in run_levels]
+    pieces = [max(1, chunk >> (gen_level - level)) for level in run_levels]
+    uniforms = [None] * len(run_levels)
+    if kind is SchemeKind.RANDOMIZED_TAMED_MILSTEIN:
+        substreams = [derive_substream(policy, i, StreamRole.RANDOMIZATION)
+                      for i in paths]
+        uniforms = _uniform_pieces(substreams, run_levels, pieces, chunk)
+    streams = [derive_substream(policy, i, StreamRole.BROWNIAN) for i in paths]
+    fine = brownian_chunks(streams, gen_level, problem.m, problem.horizon, chunk)
+    w_terminal = None
+    targets = set(run_levels) | ({0} if terminal else set())
+    for coarse in coarsen_chunks(fine, gen_level, targets):
+        for stepper, level, u in zip(steppers, run_levels, uniforms):
+            if level in coarse:
+                stepper.feed(coarse[level], None if u is None else next(u), observe)
+        if terminal and 0 in coarse:
+            w_terminal = coarse[0][0]
+    return steppers, w_terminal
+
+
 def _checked_levels(levels) -> list:
     out = sorted(int(l) for l in levels)
     if not out:
@@ -245,64 +330,31 @@ def strong_error_experiment(problem: SdeProblem, kind: SchemeKind, levels,
             raise ValueError("every level must lie below the reference level")
         gen_level = ref
     horizon = problem.horizon
-    m = problem.m
     n_rows = len(levels)
-    randomized = kind is SchemeKind.RANDOMIZED_TAMED_MILSTEIN
+    run_levels = levels if exact else [ref] + levels
 
     def worker(start: int, stop: int):
-        batch = stop - start
-        n_gen = 1 << gen_level
-        inc = np.empty((batch, n_gen, m))
-        ref_uniforms = np.empty((batch, n_gen)) if randomized and not exact else None
-        level_uniforms = (
-            {l: np.empty((batch, 1 << l)) for l in levels} if randomized else None
-        )
-        for bi, path_index in enumerate(range(start, stop)):
-            bstream = derive_substream(policy, path_index, StreamRole.BROWNIAN)
-            inc[bi] = sample_brownian_grid(gen_level, m, horizon, bstream).increments
-            if randomized:
-                rstream = derive_substream(policy, path_index, StreamRole.RANDOMIZATION)
-                if not exact:
-                    ref_uniforms[bi] = sample_randomization(n_gen, rstream).uniforms
-                for l in levels:
-                    level_uniforms[l][bi] = sample_randomization(1 << l, rstream).uniforms
-        block_err = np.empty((n_rows, batch))
-        block_ok = np.empty((n_rows, batch), dtype=bool)
+        steppers, w_terminal = _sweep(problem, kind, policy, start, stop,
+                                      gen_level, run_levels, terminal=exact)
+        block_err = np.empty((n_rows, stop - start))
+        block_ok = np.empty((n_rows, stop - start), dtype=bool)
         with np.errstate(all="ignore"):
             if exact:
-                acc = inc
-                while acc.shape[1] > 1:
-                    acc = acc[:, 0::2] + acc[:, 1::2]
-                ref_term = np.asarray(problem.exact_terminal(acc[:, 0, :]), dtype=float)
+                ref_term = np.asarray(problem.exact_terminal(w_terminal), dtype=float)
                 ref_ok = np.isfinite(ref_term).all(axis=1)
             else:
-                ref_term, ref_ovf, _ = simulate_batch(problem, kind, inc, ref_uniforms)
-                ref_ok = ref_ovf < 0
-            current = inc
-            current_level = gen_level
-            for row in range(n_rows - 1, -1, -1):
-                level = levels[row]
-                while current_level > level:
-                    current = current[:, 0::2] + current[:, 1::2]
-                    current_level -= 1
-                term, ovf, _ = simulate_batch(
-                    problem, kind, current,
-                    level_uniforms[level] if randomized else None,
-                )
-                delta = ref_term - term
+                reference, *steppers = steppers
+                ref_term, ref_ok = reference.x, reference.overflow < 0
+            for row, stepper in enumerate(steppers):
+                delta = ref_term - stepper.x
                 dist = np.sqrt(np.sum(delta * delta, axis=1))
                 block_err[row] = dist ** p
-                block_ok[row] = ref_ok & (ovf < 0)
+                block_ok[row] = ref_ok & (stepper.overflow < 0)
         return block_err, block_ok
 
-    err_pow = np.zeros((n_rows, paths))
-    included = np.zeros((n_rows, paths), dtype=bool)
     results = _map_blocks(worker, paths, _resolve_threads(threads))
-    for (start, block_err, block_ok) in (
-        (index * _BLOCK, *res) for index, res in enumerate(results)
-    ):
-        err_pow[:, start:start + block_err.shape[1]] = block_err
-        included[:, start:start + block_ok.shape[1]] = block_ok
+    err_pow = np.concatenate([block_err for block_err, _ in results], axis=1)
+    included = np.concatenate([block_ok for _, block_ok in results], axis=1)
 
     rows = []
     for row, level in enumerate(levels):
@@ -366,50 +418,50 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
     if paths < 1:
         raise ValueError("paths must be >= 1")
     levels = _checked_levels(levels)
-    randomized = kind is SchemeKind.RANDOMIZED_TAMED_MILSTEIN
-    horizon = problem.horizon
-    m = problem.m
     threads_n = _resolve_threads(threads)
     all_rows = []
     overflows = {}
     for level in levels:
         n = 1 << level
 
-        def worker(start: int, stop: int, _n=n, _level=level):
-            batch = stop - start
-            inc = np.empty((batch, _n, m))
-            uniforms = np.empty((batch, _n)) if randomized else None
-            for bi, path_index in enumerate(range(start, stop)):
-                bstream = derive_substream(policy, path_index, StreamRole.BROWNIAN)
-                inc[bi] = sample_brownian_grid(_level, m, horizon, bstream).increments
-                if randomized:
-                    rstream = derive_substream(
-                        policy, path_index, StreamRole.RANDOMIZATION
-                    )
-                    uniforms[bi] = sample_randomization(_n, rstream).uniforms
-            _, ovf, path = simulate_batch(problem, kind, inc, uniforms,
-                                          keep_path=True)
-            with np.errstate(all="ignore"):
-                sq = np.sum(path * path, axis=2)
-                block_powers = sq ** (q / 2.0)
-            return block_powers, np.isfinite(path).all(axis=2), ovf
+        def worker(start: int, stop: int, _level=level, _n=n):
+            # per-path |x_t|^q (0 where x_t is not finite) and per-t finite
+            # counts, filled chunk by chunk from the stepper's state buffer
+            powers = np.empty((stop - start, _n + 1))
+            counts = np.zeros(_n + 1, dtype=np.int64)
 
-        powers = np.empty((paths, n + 1))
-        finite = np.empty((paths, n + 1), dtype=bool)
-        overflow_steps = np.empty(paths, dtype=np.int64)
-        for index, (bp, bf, bo) in enumerate(_map_blocks(worker, paths, threads_n)):
-            start = index * _BLOCK
-            powers[start:start + bp.shape[0]] = bp
-            finite[start:start + bf.shape[0]] = bf
-            overflow_steps[start:start + bo.shape[0]] = bo
-        counts = finite.sum(axis=0)
-        sums = np.where(finite, powers, 0.0).sum(axis=0)
+            def observe(index, states):
+                finite = np.isfinite(states).all(axis=2)
+                sq = (states * states).sum(axis=2)
+                powers[:, index:index + len(states)] = np.where(
+                    finite, sq ** (q / 2.0), 0.0).T
+                counts[index:index + len(states)] += finite.sum(axis=1)
+
+            steppers, _ = _sweep(problem, kind, policy, start, stop, _level,
+                                 [_level], observe=observe)
+            with np.errstate(all="ignore"):
+                observe(0, np.repeat(problem.initial_state[None, None, :],
+                                     stop - start, axis=1))
+            return powers, counts, steppers[0].overflow
+
+        sums = np.zeros(n + 1)
+        counts = np.zeros(n + 1, dtype=np.int64)
+        overflowed = 0
+        for block_powers, block_counts, block_overflow in _map_blocks(
+            worker, paths, threads_n
+        ):
+            # row by row in path order: the same sequential sum as an axis-0
+            # sum over all paths, whatever the slab widths
+            for row in block_powers:
+                sums += row
+            counts += block_counts
+            overflowed += int((block_overflow >= 0).sum())
         with np.errstate(all="ignore"):
             moments = np.where(counts > 0, sums / np.maximum(counts, 1), np.inf)
         all_rows.extend(
             MomentRow(level, t, float(moments[t])) for t in range(n + 1)
         )
-        overflows[level] = int((overflow_steps >= 0).sum())
+        overflows[level] = overflowed
     return MomentTable(tuple(all_rows), q, overflows)
 
 
@@ -468,30 +520,12 @@ def simulate_terminals(problem: SdeProblem, kind: SchemeKind, level: int,
         raise ValueError("level must be nonnegative")
     if paths < 1:
         raise ValueError("paths must be >= 1")
-    n = 1 << level
-    m = problem.m
-    horizon = problem.horizon
-    randomized = kind is SchemeKind.RANDOMIZED_TAMED_MILSTEIN
 
     def worker(start: int, stop: int):
-        batch = stop - start
-        inc = np.empty((batch, n, m))
-        uniforms = np.empty((batch, n)) if randomized else None
-        for bi, path_index in enumerate(range(start, stop)):
-            bstream = derive_substream(policy, path_index, StreamRole.BROWNIAN)
-            inc[bi] = sample_brownian_grid(level, m, horizon, bstream).increments
-            if randomized:
-                rstream = derive_substream(policy, path_index, StreamRole.RANDOMIZATION)
-                uniforms[bi] = sample_randomization(n, rstream).uniforms
-        term, ovf, _ = simulate_batch(problem, kind, inc, uniforms)
-        return term, ovf
+        steppers, _ = _sweep(problem, kind, policy, start, stop, level, [level])
+        return steppers[0].x, steppers[0].overflow
 
-    terminals = np.empty((paths, problem.d))
-    overflow_steps = np.empty(paths, dtype=np.int64)
-    for index, (term, ovf) in enumerate(
-        _map_blocks(worker, paths, _resolve_threads(threads))
-    ):
-        start = index * _BLOCK
-        terminals[start:start + term.shape[0]] = term
-        overflow_steps[start:start + ovf.shape[0]] = ovf
+    results = _map_blocks(worker, paths, _resolve_threads(threads))
+    terminals = np.concatenate([term for term, _ in results])
+    overflow_steps = np.concatenate([ovf for _, ovf in results])
     return terminals, overflow_steps

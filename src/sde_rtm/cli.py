@@ -36,6 +36,14 @@ class ConfigError(ValueError):
 
 _COMMANDS = ("converge", "simulate", "moments", "audit", "blowup")
 
+# The finest dyadic level whose step count 1 << level fits the int64 step
+# indices of the stepping kernel.
+_MAX_LEVEL = 62
+# The most paths or audit samples one run takes.  The parent gathers a
+# float64 result per path (and per level) in memory, so a larger count
+# would run out of memory, or run for days, instead of failing up front.
+_MAX_COUNT = 1 << 24
+
 _SCHEME_IDS = {kind.value: kind for kind in schemes.SchemeKind}
 
 _HEADERS = {
@@ -102,8 +110,10 @@ class ExperimentConfig:
             raise ConfigError("problem_params values must be finite numbers")
         levels = self.levels
         if (not isinstance(levels, list) or not levels
-                or any(not _is_int(l) or l < 0 for l in levels)):
-            raise ConfigError("levels must be a nonempty list of nonnegative integers")
+                or any(not _is_int(l) or not 0 <= l <= _MAX_LEVEL for l in levels)):
+            raise ConfigError(
+                f"levels must be a nonempty list of integers in [0, {_MAX_LEVEL}]"
+            )
         if sorted(levels) != levels or len(set(levels)) != len(levels):
             raise ConfigError("levels must be strictly increasing")
         ref = self.reference
@@ -113,6 +123,8 @@ class ExperimentConfig:
         elif _is_int(ref):
             if ref <= max(levels):
                 raise ConfigError("reference level must exceed every coarse level")
+            if ref > _MAX_LEVEL:
+                raise ConfigError(f"reference level must be at most {_MAX_LEVEL}")
         else:
             raise ConfigError("reference must be an integer level or 'exact'")
         for name in ("p", "q", "audit_radius"):
@@ -125,19 +137,24 @@ class ExperimentConfig:
             raise ConfigError("p must be >= 1")
         if self.q < 2:
             raise ConfigError("q must be >= 2")
-        if self.paths < 1:
-            raise ConfigError("paths must be >= 1")
+        if not 1 <= self.paths <= _MAX_COUNT:
+            raise ConfigError(f"paths must lie in [1, {_MAX_COUNT}]")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ConfigError("master_seed must be a 64-bit unsigned integer")
         if not isinstance(self.outdir, str):
             raise ConfigError("outdir must be a string")
-        if self.level is not None and (not _is_int(self.level) or self.level < 0):
-            raise ConfigError("level must be a nonnegative integer")
+        if self.level is not None and (not _is_int(self.level)
+                                       or not 0 <= self.level <= _MAX_LEVEL):
+            raise ConfigError(f"level must be an integer in [0, {_MAX_LEVEL}]")
         if (not isinstance(self.audit_n_values, list) or not self.audit_n_values
-                or any(not _is_int(n) or n < 1 for n in self.audit_n_values)):
-            raise ConfigError("audit_n_values must be a nonempty list of positive integers")
-        if self.audit_samples < 1:
-            raise ConfigError("audit_samples must be >= 1")
+                or any(not _is_int(n) or not 1 <= n <= 1 << _MAX_LEVEL
+                       for n in self.audit_n_values)):
+            raise ConfigError(
+                "audit_n_values must be a nonempty list of integers "
+                f"in [1, 2**{_MAX_LEVEL}]"
+            )
+        if not 1 <= self.audit_samples <= _MAX_COUNT:
+            raise ConfigError(f"audit_samples must lie in [1, {_MAX_COUNT}]")
         if self.audit_radius <= 0:
             raise ConfigError("audit_radius must be positive")
 

@@ -29,9 +29,13 @@ __all__ = [
     "UnsupportedNoiseStructureError",
     "derive_substream",
     "sample_brownian_grid",
+    "brownian_chunks",
     "coarsen",
+    "coarsen_chunks",
     "terminal_value",
     "sample_randomization",
+    "uniform_chunks",
+    "skip_uniforms",
     "randomized_time",
     "iterated_integrals",
 ]
@@ -124,6 +128,40 @@ def sample_brownian_grid(level: int, m: int, horizon: float,
     return BrownianGrid(level=level, horizon=horizon, m=m, increments=increments)
 
 
+def _time_major(streams, shape: tuple, draw) -> np.ndarray:
+    # one fresh (shape[0], len(streams), *shape[1:]) array whose column b
+    # holds draw(streams[b]), drawn stream by stream
+    out = np.empty((shape[0], len(streams)) + shape[1:])
+    for b, stream in enumerate(streams):
+        out[:, b] = draw(stream)
+    return out
+
+
+def brownian_chunks(streams, level: int, m: int, horizon: float, chunk: int):
+    """Yield the increments of ``len(streams)`` Brownian paths on the
+    2**level grid, ``chunk`` steps at a time.
+
+    Each yield is a fresh time-major array ``(chunk, len(streams), m)``.
+    ``chunk`` must be a power of two no larger than 2**level.  Every piece
+    is one :func:`sample_brownian_grid` draw on the sub-horizon
+    ``horizon / (2**level / chunk)``, which has the same step size, and
+    consecutive Gaussian draws from one substream equal a single draw, so
+    the pieces concatenate to ``sample_brownian_grid(level, m, horizon,
+    stream).increments`` bit for bit.
+    """
+    n = 1 << level
+    if chunk < 1 or chunk > n or chunk & (chunk - 1):
+        raise LevelError(f"chunk must be a power of two in [1, {n}], got {chunk}")
+    sub_level = chunk.bit_length() - 1
+    sub_horizon = horizon / (n // chunk)  # exact: a division by a power of two
+    for _ in range(n // chunk):
+        yield _time_major(
+            streams, (chunk, m),
+            lambda stream: sample_brownian_grid(sub_level, m, sub_horizon,
+                                                stream).increments,
+        )
+
+
 def _halve(increments: np.ndarray) -> np.ndarray:
     # one dyadic coarsening step along axis 0: pairwise sums in index order
     return increments[0::2] + increments[1::2]
@@ -146,6 +184,44 @@ def coarsen(grid: BrownianGrid, target_level: int) -> BrownianGrid:
         inc = _halve(inc)
     return BrownianGrid(level=target_level, horizon=grid.horizon, m=grid.m,
                         increments=inc)
+
+
+def coarsen_chunks(chunks, level: int, targets):
+    """Coarsen a stream of increment chunks at ``level`` to every target level.
+
+    ``chunks`` yields consecutive pieces of one grid (or a batch of grids
+    along trailing axes), time on axis 0, all of the same power-of-two
+    length.  For each piece this yields ``{target: increments}`` with the
+    target-level increments that the piece completes; a target whose steps
+    span several pieces appears only in the piece that completes a step.
+    Within a piece, coarsening is repeated halving; across pieces, the
+    roots of whole pieces are combined by a binary carry (left + right).
+    Both follow :func:`coarsen`'s pairwise tree, so the increments equal
+    ``coarsen(grid, target).increments`` bit for bit, and target 0 yields
+    the terminal value of :func:`terminal_value`.
+    """
+    targets = sorted(set(targets), reverse=True)
+    if not targets or not 0 <= targets[-1] <= targets[0] <= level:
+        raise LevelError(f"targets must be a nonempty set of levels in [0, {level}]")
+    pending = {}  # level -> left half of an unfinished coarse step
+    for chunk in chunks:
+        out = {}
+        cur, cur_level = chunk, level
+        for target in targets:
+            while cur_level > target and len(cur) > 1:
+                cur, cur_level = _halve(cur), cur_level - 1
+            if cur_level == target:
+                out[target] = cur
+        # cur is now this piece's root, or the lowest target already reached
+        while len(cur) == 1 and cur_level > targets[-1]:
+            left = pending.pop(cur_level, None)
+            if left is None:
+                pending[cur_level] = cur
+                break
+            cur, cur_level = left + cur, cur_level - 1
+            if cur_level in targets:
+                out[cur_level] = cur
+        yield out
 
 
 def terminal_value(grid: BrownianGrid) -> np.ndarray:
@@ -175,6 +251,40 @@ def sample_randomization(n: int, stream: np.random.Generator) -> RandomizationSt
     if n < 1:
         raise InvalidParameterError("n must be positive")
     return RandomizationStream(uniforms=stream.random(n))
+
+
+def uniform_chunks(streams, count: int, chunk: int):
+    """Yield the next ``count`` uniforms of each of ``streams``, ``chunk``
+    at a time, as fresh time-major arrays ``(chunk, len(streams))``.
+
+    Every piece is one :func:`sample_randomization` draw per stream, and
+    consecutive draws from one substream equal a single draw, so the pieces
+    concatenate to ``sample_randomization(count, stream).uniforms``.
+    ``chunk`` must divide ``count``.
+    """
+    if chunk < 1 or count % chunk:
+        raise InvalidParameterError(f"chunk {chunk} does not divide count {count}")
+    for _ in range(count // chunk):
+        yield _time_major(streams, (chunk,),
+                          lambda stream: sample_randomization(chunk, stream).uniforms)
+
+
+def skip_uniforms(stream: np.random.Generator, count: int) -> np.random.Generator:
+    """A new generator on ``stream``'s substream, past its first ``count``
+    uniform draws.
+
+    ``skip_uniforms(stream, count).random(k)`` returns draws ``count`` to
+    ``count + k - 1`` of the substream, whatever ``stream`` itself has
+    drawn.  Philox makes four 64-bit words per counter step and ``random``
+    takes one word per value, so the copy's counter advances by
+    ``count // 4`` and the remaining ``count % 4`` values are drawn and
+    dropped.  Copying from the seed sequence costs less than deriving the
+    substream again.
+    """
+    copy = np.random.Generator(np.random.Philox(stream.bit_generator.seed_seq))
+    copy.bit_generator.advance(count // 4)
+    copy.random(count % 4)
+    return copy
 
 
 def randomized_time(t_left: float, dt: float, u: float) -> float:

@@ -20,11 +20,15 @@ FitzHugh-Nagumo builtin uses this to tame only its cubic term.
 The diffusion and the correction tensor are always evaluated at the left
 endpoint; only the drift time is randomized.
 
-Everything here is a pure function of its inputs.  The batch variants step
-``(B, d)`` blocks of states with elementwise numpy ops only, so per-path
-results are bit-identical however paths are grouped into batches.
+Apart from the state a :class:`BatchStepper` carries, everything here is a
+pure function of its inputs.  The batch variants step ``(B, d)`` blocks of
+states with elementwise numpy ops only, so per-path results are
+bit-identical however paths are grouped into batches.
 
-:func:`simulate_batch` walks the grid in chunks of ``_CHUNK`` steps.  What
+One loop steps every path: :class:`BatchStepper` holds a block's state,
+first overflow steps and step count across calls, so a grid can be fed
+piece by piece as its increments are drawn; :func:`simulate_batch` feeds
+it a whole grid.  Each piece is walked in chunks of ``_CHUNK`` steps.  What
 depends only on the noise is prepared once per chunk: a contiguous
 ``(C, B, m)`` copy of the increments, the iterated integrals of that whole
 block (Milstein kinds) and the randomized drift times.  The per-step loop
@@ -33,9 +37,10 @@ then runs only the state-dependent work.  Each step writes its state into a
 non-finite step of each path.  That scan is exact because every step
 computes ``x + ...`` and a non-finite component stays non-finite under
 addition, so a path that overflows stays non-finite for the rest of the
-chunk.  The same buffer feeds ``keep_path`` with one copy per chunk.  The
-arithmetic of each step is unchanged, so results are bit-identical for any
-chunk size.
+chunk.  The same buffer feeds ``keep_path`` (and any other observer of the
+states) with one copy per chunk.  The arithmetic of each step is
+unchanged, so results are bit-identical for any chunk size and any cut of
+the grid into pieces.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ __all__ = [
     "tame_drift",
     "step",
     "integrate_path",
+    "BatchStepper",
     "simulate_batch",
     "audit_taming",
     "TamingAudit",
@@ -90,8 +96,8 @@ _MILSTEIN_KINDS = frozenset(
     {SchemeKind.TAMED_MILSTEIN, SchemeKind.RANDOMIZED_TAMED_MILSTEIN}
 )
 
-# Steps per chunk in simulate_batch: noise-only inputs are prepared and the
-# overflow scan runs once per chunk.  Results never depend on this value.
+# Steps per chunk in BatchStepper.feed: noise-only inputs are prepared and
+# the overflow scan runs once per chunk.  Results never depend on this value.
 _CHUNK = 256
 
 
@@ -227,6 +233,89 @@ def step(problem: SdeProblem, kind: SchemeKind, x, ctx: StepContext) -> np.ndarr
     return advance(xa[None, :], ctx.t_left, t_drift, dw.reshape(1, 1, -1), iw)[0]
 
 
+class BatchStepper:
+    """Resumable integration of a block of ``batch`` paths on an n-step grid.
+
+    The state ``x`` (B, d), the first overflow step of each path
+    ``overflow`` (B,) and the number of steps taken ``steps`` carry over
+    from one :meth:`feed` to the next, so a grid can be integrated piece by
+    piece as its increments arrive.  Per-path results do not depend on how
+    the grid is cut into pieces.
+    """
+
+    def __init__(self, problem: SdeProblem, kind: SchemeKind, n_steps: int,
+                 batch: int):
+        if (kind in _MILSTEIN_KINDS
+                and problem.noise_structure is NoiseStructure.GENERAL):
+            raise UnsupportedNoiseStructureError(
+                "Milstein kinds do not support general noise"
+            )
+        self.problem = problem
+        self.n_steps = n_steps
+        self.dt = problem.horizon / n_steps
+        self.randomized = kind is SchemeKind.RANDOMIZED_TAMED_MILSTEIN
+        self.milstein = kind in _MILSTEIN_KINDS
+        self.advance = _step_batch(problem, kind, self.dt, n_steps)
+        self.x = np.repeat(problem.initial_state[None, :], batch, axis=0)
+        self.overflow = np.full(batch, -1, dtype=np.int64)
+        self.steps = 0
+        self._states = np.empty((min(_CHUNK, n_steps), batch, problem.d))
+
+    def feed(self, increments, uniforms=None, observe=None) -> None:
+        """Take the next ``C`` steps.
+
+        ``increments`` is time-major, (C, B, m); ``uniforms`` (C, B) is
+        required for the randomized kind.  ``observe(index, states)``, if
+        given, receives the states at grid indices ``index`` to
+        ``index + len(states) - 1`` as a (len, B, d) buffer that is reused
+        afterwards.
+        """
+        inc = np.ascontiguousarray(increments, dtype=float)
+        if self.steps + len(inc) > self.n_steps:
+            raise DimensionError(f"more than {self.n_steps} steps fed")
+        if self.randomized:
+            if uniforms is None:
+                raise ValueError("the randomized kind requires uniform draws")
+            uniforms = np.ascontiguousarray(uniforms, dtype=float)
+        dt, advance = self.dt, self.advance
+        structure = self.problem.noise_structure
+        x, overflow = self.x, self.overflow
+        with np.errstate(all="ignore"):
+            for c0 in range(0, len(inc), _CHUNK):
+                c1 = min(c0 + _CHUNK, len(inc))
+                j0 = self.steps + c0
+                j1 = j0 + c1 - c0
+                t_left = [j * dt for j in range(j0, j1)]
+                dw = inc[c0:c1]
+                iw = (
+                    iterated_integrals(dw, dt, structure)[:, :, None]
+                    if self.milstein
+                    else [None] * (c1 - c0)
+                )
+                t_drift = (
+                    (np.arange(j0, j1) * dt)[:, None] + dt * uniforms[c0:c1]
+                    if self.randomized
+                    else t_left
+                )
+                states = self._states[: c1 - c0]
+                for c, step_inputs in enumerate(
+                    zip(t_left, t_drift, dw[:, :, None, :], iw)
+                ):
+                    x = advance(x, *step_inputs)
+                    states[c] = x
+                # one scan per chunk: a non-finite component stays non-finite
+                # under ``x + ...``, so a path's last state in the chunk tells
+                # whether it overflowed and argmax finds the first such step
+                bad = ~np.isfinite(states).all(axis=2)
+                fresh = (overflow < 0) & bad[-1]
+                if fresh.any():
+                    overflow[fresh] = j0 + bad[:, fresh].argmax(axis=0)
+                if observe is not None:
+                    observe(j0 + 1, states)
+        self.x = x
+        self.steps += len(inc)
+
+
 def simulate_batch(problem: SdeProblem, kind: SchemeKind, increments,
                    uniforms=None, *, keep_path: bool = False):
     """Integrate a block of paths over the whole horizon.
@@ -249,58 +338,23 @@ def simulate_batch(problem: SdeProblem, kind: SchemeKind, increments,
     inc = np.asarray(increments, dtype=float)
     if inc.ndim != 3 or inc.shape[2] != problem.m:
         raise DimensionError(f"increments must have shape (B, n, {problem.m})")
-    batch, n_steps, m = inc.shape
-    needs_integrals = kind in _MILSTEIN_KINDS
-    if needs_integrals and problem.noise_structure is NoiseStructure.GENERAL:
-        raise UnsupportedNoiseStructureError(
-            "Milstein kinds do not support general noise"
-        )
-    randomized = kind is SchemeKind.RANDOMIZED_TAMED_MILSTEIN
-    if randomized:
-        if uniforms is None:
-            raise ValueError("the randomized kind requires uniform draws")
+    batch, n_steps, _ = inc.shape
+    stepper = BatchStepper(problem, kind, n_steps, batch)
+    if stepper.randomized and uniforms is not None:
         uniforms = np.asarray(uniforms, dtype=float)
         if uniforms.shape != (batch, n_steps):
             raise DimensionError(f"uniforms must have shape ({batch}, {n_steps})")
-    dt = problem.horizon / n_steps
-    advance = _step_batch(problem, kind, dt, n_steps)
-    x = np.repeat(problem.initial_state[None, :], batch, axis=0)
-    overflow = np.full(batch, -1, dtype=np.int64)
-    path = None
+        uniforms = uniforms.T
+    path = observe = None
     if keep_path:
         path = np.empty((batch, n_steps + 1, problem.d))
-        path[:, 0] = x
-    states = np.empty((min(_CHUNK, n_steps), batch, problem.d))
-    with np.errstate(all="ignore"):
-        for j0 in range(0, n_steps, _CHUNK):
-            j1 = min(j0 + _CHUNK, n_steps)
-            t_left = [j * dt for j in range(j0, j1)]
-            dw = np.ascontiguousarray(inc[:, j0:j1].transpose(1, 0, 2))
-            iw = (
-                iterated_integrals(dw, dt, problem.noise_structure)[:, :, None]
-                if needs_integrals
-                else [None] * (j1 - j0)
-            )
-            t_drift = (
-                (np.arange(j0, j1) * dt)[:, None]
-                + dt * np.ascontiguousarray(uniforms[:, j0:j1].T)
-                if randomized
-                else t_left
-            )
-            for c, inputs in enumerate(zip(t_left, t_drift, dw[:, :, None, :], iw)):
-                x = advance(x, *inputs)
-                states[c] = x
-            # one scan per chunk: a non-finite component stays non-finite
-            # under ``x + ...``, so a path's last state in the chunk tells
-            # whether it overflowed and argmax finds the first such step
-            chunk = states[: j1 - j0]
-            bad = ~np.isfinite(chunk).all(axis=2)
-            fresh = (overflow < 0) & bad[-1]
-            if fresh.any():
-                overflow[fresh] = j0 + bad[:, fresh].argmax(axis=0)
-            if keep_path:
-                path[:, j0 + 1:j1 + 1] = chunk.transpose(1, 0, 2)
-    return x, overflow, path
+        path[:, 0] = stepper.x
+
+        def observe(index, states):
+            path[:, index:index + len(states)] = states.transpose(1, 0, 2)
+
+    stepper.feed(inc.transpose(1, 0, 2), uniforms, observe)
+    return stepper.x, stepper.overflow, path
 
 
 def integrate_path(problem: SdeProblem, kind: SchemeKind, level: int,

@@ -22,6 +22,15 @@ from sde_rtm import (
     simulate_terminals,
     strong_error_experiment,
 )
+from sde_rtm import (
+    StreamRole,
+    coarsen,
+    derive_substream,
+    sample_brownian_grid,
+    sample_randomization,
+    simulate_batch,
+    terminal_value,
+)
 from tests.conftest import make_zero_problem
 
 RTM = SchemeKind.RANDOMIZED_TAMED_MILSTEIN
@@ -113,6 +122,84 @@ def test_worker_count_does_not_change_results(fhn):
     serial = strong_error_experiment(fhn, RTM, threads=1, **kwargs)
     parallel = strong_error_experiment(fhn, RTM, threads=3, **kwargs)
     assert serial == parallel
+    # slab widths follow the worker count: uneven splits, and fewer paths
+    # than workers, must not change a single bit either
+    explosive = make_builtin("fhn", sigma=3.0, i_amp=60.0)
+    for paths, counts in ((601, (1, 2, 4)), (3, (1, 4))):
+        runs = [
+            (
+                strong_error_experiment(fhn, RTM, [1, 3], 6, 2.0, paths,
+                                        SeedPolicy(8), threads=threads),
+                moment_experiment(explosive, SchemeKind.EULER_MARUYAMA, 2.0,
+                                  [3, 4], paths, SeedPolicy(8), threads=threads),
+                [a.tobytes() for a in simulate_terminals(
+                    explosive, RTM, 4, paths, SeedPolicy(8), threads=threads)],
+            )
+            for threads in counts
+        ]
+        assert all(repr(run) == repr(runs[0]) for run in runs[1:])
+        if paths > 100:
+            assert runs[0][1].overflows[4] > 0  # overflows reach the reduction
+
+
+def _per_path_reference(problem, kind, levels, ref, p, paths, policy):
+    """The per-path sampling loop the streaming sweep replaced: draw each
+    path's whole grid at the finest level in play and its uniforms in the
+    documented order (reference first, then levels ascending), coarsen
+    with ``coarsen`` and integrate with ``simulate_batch``.  Returns the
+    per-path error powers and inclusion masks, (levels, paths)."""
+    exact = ref == "exact"
+    gen_level = max(levels) if exact else ref
+    randomized = kind is RTM
+    err = np.empty((len(levels), paths))
+    ok = np.empty((len(levels), paths), dtype=bool)
+    with np.errstate(all="ignore"):
+        for path in range(paths):
+            grid = sample_brownian_grid(
+                gen_level, problem.m, problem.horizon,
+                derive_substream(policy, path, StreamRole.BROWNIAN))
+            rstream = derive_substream(policy, path, StreamRole.RANDOMIZATION)
+
+            def run(level):
+                u = (sample_randomization(1 << level, rstream).uniforms[None]
+                     if randomized else None)
+                term, ovf, _ = simulate_batch(
+                    problem, kind, coarsen(grid, level).increments[None], u)
+                return term[0], ovf[0] < 0
+
+            if exact:
+                ref_term = problem.exact_terminal(terminal_value(grid)[None])[0]
+                ref_ok = np.isfinite(ref_term).all()
+            else:
+                ref_term, ref_ok = run(ref)
+            for row, level in enumerate(levels):
+                term, level_ok = run(level)
+                err[row, path] = np.sqrt(np.sum((ref_term - term) ** 2)) ** p
+                ok[row, path] = ref_ok and level_ok
+    return err, ok
+
+
+@pytest.mark.parametrize("problem_id,kind,levels,ref", [
+    ("fhn", RTM, [0, 1, 3], 6),
+    ("fhn", RTM, [2, 5], 9),
+    ("gbm", RTM, [0, 1, 2, 4], "exact"),
+    ("gbm", TM, [1, 3], "exact"),
+])
+def test_streaming_sweep_matches_per_path_reference(monkeypatch, problem_id, kind,
+                                                     levels, ref):
+    # a small draw budget makes coarse steps span several draw chunks, and
+    # levels 0 and 1 put later runs' uniforms at offsets off a multiple of 4
+    monkeypatch.setattr(analysis, "_DRAW_BUDGET", 64)
+    problem = make_builtin(problem_id)
+    paths, p, policy = 21, 3.0, SeedPolicy(77)
+    err, ok = _per_path_reference(problem, kind, levels, ref, p, paths, policy)
+    table = strong_error_experiment(problem, kind, levels, ref, p, paths, policy,
+                                    threads=1)
+    for row, level in enumerate(levels):
+        values = err[row][ok[row]]
+        got = table.level_row(level)
+        assert got.overflowed == paths - values.size
+        assert got.lp_error == float(np.mean(values)) ** (1.0 / p)
 
 
 def test_statistical_monotonicity_across_levels():
@@ -239,8 +326,8 @@ def test_simulate_terminals_matches_strong_error_reference():
 )
 def test_dead_worker_raises_instead_of_hanging():
     def worker(start, stop):
-        if start == analysis._BLOCK:
-            os._exit(3)  # the child dies without reporting its block
+        if start > 0:
+            os._exit(3)  # the child dies without reporting its slab
         return np.zeros(stop - start)
 
     def hung(signum, frame):
@@ -251,7 +338,7 @@ def test_dead_worker_raises_instead_of_hanging():
     started = time.monotonic()
     try:
         with pytest.raises(RuntimeError, match="exited with code 3"):
-            analysis._map_blocks(worker, 3 * analysis._BLOCK, 2)
+            analysis._map_blocks(worker, 768, 2)  # slabs [0, 384), [384, 768)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

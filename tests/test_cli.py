@@ -1,9 +1,12 @@
 import json
 import os
+import tempfile
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sde_rtm import analysis, model
 from sde_rtm.analysis import ErrorRow, ErrorTable, RateFit, fit_rate
@@ -124,6 +127,15 @@ def test_cli_overrides_apply(tmp_path):
     ({"audit_radius": float("nan")}, "audit_radius"),
     ({"problem_params": {"sigma": "0.5"}}, "problem_params"),
     ({"problem_params": {"sigma": float("nan")}}, "problem_params"),
+    ({"levels": [63], "reference": "exact"}, "levels"),
+    ({"levels": [3, 2 ** 70], "reference": "exact"}, "levels"),
+    ({"reference": 63}, "reference"),
+    ({"reference": 10 ** 30}, "reference"),
+    ({"level": 63}, "level must"),
+    ({"paths": 2 ** 24 + 1}, "paths"),
+    ({"paths": 2 ** 70}, "paths"),
+    ({"audit_samples": 2 ** 32}, "audit_samples"),
+    ({"audit_n_values": [16, 2 ** 70]}, "audit_n_values"),
 ])
 def test_config_validation_exits_2(tmp_path, capsys, overrides, fragment):
     path, _ = write_config(tmp_path, **overrides)
@@ -169,6 +181,77 @@ def test_unwritable_outdir_exits_1(tmp_path, capsys):
 def test_bad_flags_exit_2(capsys):
     assert run_command(["frobnicate"]) == 2
     assert run_command([]) == 2
+
+
+# Any JSON object as a config: small valid values (a few paths on coarse
+# levels, so every command finishes quickly), with up to two keys replaced
+# by wrong types, negatives, NaN-like strings or values above the accepted
+# range.  Out-of-range values are drawn per key and always lie above the
+# bound, so no drawn config starts a long run.
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, -1), st.floats(allow_nan=True),
+    st.sampled_from(["", "nan", "NaN", "inf", "-1", "exact", "1e309"]),
+    st.lists(st.integers(-2, 2), max_size=2), st.just({}),
+)
+_HUGE_LEVEL = st.integers(63, 2 ** 70)
+_HUGE_COUNT = st.integers(2 ** 24 + 1, 2 ** 70)
+_TOO_LARGE = {
+    "levels": st.lists(st.one_of(st.integers(0, 6), _HUGE_LEVEL, _JUNK),
+                       max_size=3),
+    "reference": _HUGE_LEVEL,
+    "level": _HUGE_LEVEL,
+    "paths": _HUGE_COUNT,
+    "audit_samples": _HUGE_COUNT,
+    "audit_n_values": st.lists(st.one_of(st.integers(1, 64),
+                                         st.integers(2 ** 62 + 1, 2 ** 70)),
+                               min_size=1, max_size=3),
+}
+_VALID = {
+    "problem": st.sampled_from(["fhn", "gbm", "rough_drift"]),
+    "problem_params": st.fixed_dictionaries({}, optional={
+        "sigma": st.floats(0.0, 1.0), "beta": st.floats(0.1, 1.0),
+        "x0": st.floats(-2.0, 2.0),
+    }),
+    "scheme": st.sampled_from(
+        ["euler_maruyama", "tamed_euler", "tamed_milstein",
+         "randomized_tamed_milstein"]),
+    "levels": st.lists(st.integers(0, 6), min_size=1, max_size=3,
+                       unique=True).map(sorted),
+    "reference": st.one_of(st.integers(7, 8), st.just("exact")),
+    "level": st.one_of(st.none(), st.integers(0, 6)),
+    "paths": st.integers(1, 4),
+    "p": st.floats(1.0, 4.0),
+    "q": st.floats(2.0, 6.0),
+    "master_seed": st.integers(0, 2 ** 64 - 1),
+    "audit_n_values": st.lists(st.integers(1, 64), min_size=1, max_size=3),
+    "audit_samples": st.integers(1, 8),
+    "audit_radius": st.floats(0.1, 5.0),
+}
+_REQUIRED = ("levels", "reference", "level", "paths")  # the defaults are slow
+
+
+@st.composite
+def _any_config(draw):
+    config = draw(st.fixed_dictionaries(
+        {key: _VALID[key] for key in _REQUIRED},
+        optional={key: value for key, value in _VALID.items() if key not in _REQUIRED},
+    ))
+    for key in draw(st.lists(st.sampled_from(sorted(_VALID) + ["unknown_key"]),
+                             max_size=2, unique=True)):
+        config[key] = draw(st.one_of(_JUNK, _TOO_LARGE.get(key, _JUNK)))
+    return config
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["converge", "simulate", "moments", "audit", "blowup"]),
+       config=_any_config())
+def test_any_json_config_exits_cleanly(command, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = {**config, "outdir": os.path.join(tmp, "out")}
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(config, handle)
+        assert run_command([command, "--config", path]) in (0, 2, 3)
 
 
 # --- other commands ----------------------------------------------------------

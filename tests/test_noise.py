@@ -19,6 +19,12 @@ from sde_rtm import (
     sample_randomization,
     terminal_value,
 )
+from sde_rtm.noise import (
+    brownian_chunks,
+    coarsen_chunks,
+    skip_uniforms,
+    uniform_chunks,
+)
 
 POLICY = SeedPolicy(master_seed=918273645)
 
@@ -136,6 +142,49 @@ def test_coarsen_level_check():
         coarsen(grid, -1)
 
 
+# --- streamed draws and coarsening ---------------------------------------------
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("chunk", [1, 2, 8, 32])
+def test_streamed_coarsening_matches_coarsen(m, chunk):
+    # chunk 32 is the whole 2**5 grid; the sparse target sets make coarse
+    # steps span several chunks without every intermediate level present
+    level, horizon, paths = 5, 1.5, range(3)
+    grids = [
+        sample_brownian_grid(level, m, horizon,
+                             derive_substream(POLICY, i, StreamRole.BROWNIAN))
+        for i in paths
+    ]
+    for targets in (range(level + 1), {0, 3}, {1}, {level}):
+        streams = [derive_substream(POLICY, i, StreamRole.BROWNIAN) for i in paths]
+        got = {target: [] for target in targets}
+        fine = brownian_chunks(streams, level, m, horizon, chunk)
+        for pieces in coarsen_chunks(fine, level, targets):
+            assert set(pieces) <= set(targets)
+            for target, inc in pieces.items():
+                got[target].append(inc)
+        for target in targets:
+            want = np.stack([coarsen(g, target).increments for g in grids], axis=1)
+            assert np.array_equal(np.concatenate(got[target]), want)
+        if 0 in targets:
+            assert np.array_equal(got[0][-1][0],
+                                  np.stack([terminal_value(g) for g in grids]))
+
+
+def test_chunk_sizes_are_checked():
+    # Brownian chunks are powers of two within the grid, uniform chunks
+    # divide the count, and coarsening targets lie in [0, level]
+    stream = derive_substream(POLICY, 0, StreamRole.BROWNIAN)
+    for chunk in (0, 3, 16):
+        with pytest.raises(LevelError):
+            next(brownian_chunks([stream], 3, 1, 1.0, chunk))
+        with pytest.raises(InvalidParameterError):
+            next(uniform_chunks([stream], 8, chunk))
+    for targets in ([2], []):
+        with pytest.raises(LevelError):
+            next(coarsen_chunks(iter([np.zeros((2, 1))]), 1, targets))
+
+
 # --- randomization draws -----------------------------------------------------
 
 def test_randomization_range_and_mean():
@@ -149,6 +198,25 @@ def test_randomization_determinism():
     a = sample_randomization(64, derive_substream(POLICY, 3, StreamRole.RANDOMIZATION))
     b = sample_randomization(64, derive_substream(POLICY, 3, StreamRole.RANDOMIZATION))
     assert np.array_equal(a.uniforms, b.uniforms)
+
+
+@pytest.mark.parametrize("order", [[6, 0, 1, 3], [0, 1, 2, 5], [1, 4], [14, 4, 9]])
+def test_skipped_streams_match_sequential_draws(order):
+    # the documented order: reference first, then levels ascending (or the
+    # levels alone with an exact reference); levels 0 and 1 put later runs
+    # at offsets that are not multiples of four
+    sequential = derive_substream(POLICY, 11, StreamRole.RANDOMIZATION)
+    offset = 0
+    for level in order:
+        n = 1 << level
+        want = sample_randomization(n, sequential).uniforms
+        for chunk in sorted({1, max(1, n // 2), n}):
+            stream = skip_uniforms(
+                derive_substream(POLICY, 11, StreamRole.RANDOMIZATION), offset)
+            pieces = list(uniform_chunks([stream], n, chunk))
+            assert all(piece.shape == (chunk, 1) for piece in pieces)
+            assert np.array_equal(np.concatenate(pieces)[:, 0], want)
+        offset += n
 
 
 def test_randomized_time_examples():

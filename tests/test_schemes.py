@@ -350,6 +350,29 @@ def test_simulate_batch_independent_of_chunk_size(monkeypatch, kind, params, n):
         terminal, overflow, path = simulate_batch(problem, kind, inc, u)
         _assert_same((terminal, overflow), expected[:2])
         assert path is None
+        # the resumable stepper fed in uneven pieces, time-major
+        for cuts in ([5, 1, 13], [2, n - 3]):
+            _assert_same(_fed_in_pieces(problem, kind, inc, uniforms, cuts), expected)
+
+
+def _fed_in_pieces(problem, kind, inc, uniforms, cuts):
+    """Feed a BatchStepper the grid in pieces split at the running sums of
+    ``cuts``, collecting the observed states into whole paths."""
+    batch, n, _ = inc.shape
+    paths = np.full((batch, n + 1, problem.d), -7.0)
+    paths[:, 0] = problem.initial_state
+
+    def observe(index, states):
+        paths[:, index:index + len(states)] = states.transpose(1, 0, 2)
+
+    stepper = schemes.BatchStepper(problem, kind, n, batch)
+    bounds = [0, *np.cumsum(cuts)[np.cumsum(cuts) < n], n]
+    for j0, j1 in zip(bounds, bounds[1:]):
+        stepper.feed(inc[:, j0:j1].transpose(1, 0, 2), uniforms[:, j0:j1].T, observe)
+    assert stepper.steps == n
+    with pytest.raises(DimensionError):
+        stepper.feed(inc[:, :1].transpose(1, 0, 2), uniforms[:, :1].T)
+    return stepper.x, stepper.overflow, paths
 
 
 def test_overflow_steps_past_first_chunk_match_stepping():
