@@ -39,13 +39,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 from multiprocessing.connection import wait
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .model import NoiseStructure, SdeProblem
+from .model import InvalidParameterError, SdeProblem, make_builtin
 from .noise import (
     SeedPolicy,
     StreamRole,
@@ -77,6 +78,8 @@ _SLAB = 4096
 # max(1, _DRAW_BUDGET // width) fine steps at a time (rounded down to a
 # power of two), so every per-slab buffer is O(width x chunk).
 _DRAW_BUDGET = 1 << 18
+# Largest accepted SDE_RTM_THREADS: a huge value would fork one process per slab.
+_MAX_THREADS = 256
 
 
 class DegenerateDataError(ValueError):
@@ -142,11 +145,16 @@ class MomentTable:
 
 
 def _resolve_threads(threads: Optional[int]) -> int:
-    if threads is None:
-        threads = int(os.environ.get("SDE_RTM_THREADS", "0"))
-    if threads == 0:
-        threads = min(os.cpu_count() or 1, 4)
-    return max(1, int(threads))
+    """The worker count: ``threads``, else ``SDE_RTM_THREADS``; 0 is auto."""
+    raw = os.environ.get("SDE_RTM_THREADS", "0") if threads is None else threads
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = -1
+    if not 0 <= threads <= _MAX_THREADS:
+        raise InvalidParameterError("worker count (SDE_RTM_THREADS) must be an "
+                                    f"integer in [0, {_MAX_THREADS}], got {raw!r}")
+    return threads or min(os.cpu_count() or 1, 4)
 
 
 def _map_blocks(worker, count: int, threads: int) -> list:
@@ -160,6 +168,10 @@ def _map_blocks(worker, count: int, threads: int) -> list:
     and the path index, whatever slab it lands in, and callers reduce in
     path order, so outputs are identical however many workers run.
     Platforms without fork fall back to serial execution.
+
+    A worker's exception is re-raised here with its own type, as in a serial
+    run (one that cannot be rebuilt from a pickle becomes a ``RuntimeError``
+    naming it); a worker that dies unreported raises ``RuntimeError``.
     """
     width = min(_SLAB, -(-count // threads))
     blocks = [(start, min(start + width, count)) for start in range(0, count, width)]
@@ -183,9 +195,13 @@ def _map_blocks(worker, count: int, threads: int) -> list:
                 message = (index, worker(*blocks[index]))
                 with send_lock:
                     writer.send(message)
-        except BaseException as exc:  # surfaced in the parent below
+        except BaseException as exc:  # re-raised in the parent below
+            try:  # a class that cannot take back its args pickles, then fails to load
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"worker process failed: {exc!r}")
             with send_lock:
-                writer.send((None, repr(exc)))
+                writer.send((None, exc))
 
     procs = [ctx.Process(target=run_chunk, args=(chunk,)) for chunk in range(workers)]
     for proc in procs:
@@ -209,9 +225,9 @@ def _map_blocks(worker, count: int, threads: int) -> list:
             proc = running.pop(sentinel)
             proc.join()
             if proc.exitcode != 0:
-                failure = f"worker exited with code {proc.exitcode}"
+                failure = RuntimeError(f"worker exited with code {proc.exitcode}")
         if failure is None and not running and not reader.poll():
-            failure = "workers exited without reporting every block"
+            failure = RuntimeError("workers exited without reporting every block")
     for proc in procs:
         if failure is not None:
             proc.terminate()
@@ -219,7 +235,7 @@ def _map_blocks(worker, count: int, threads: int) -> list:
     reader.close()
     writer.close()
     if failure is not None:
-        raise RuntimeError(f"worker process failed: {failure}")
+        raise failure
     return [results[index] for index in range(len(blocks))]
 
 
@@ -465,43 +481,12 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
     return MomentTable(tuple(all_rows), q, overflows)
 
 
-def _double_well_problem() -> SdeProblem:
-    """dx = (x - x^3) dt + dw with x_0 = 2: the classical setting in which
-    untamed explicit Euler loses moment control while tamed variants stay
-    bounded."""
-
-    def drift(t, x):
-        xa = np.asarray(x, dtype=float)
-        return xa - xa ** 3
-
-    def diffusion(t, x):
-        xa = np.asarray(x, dtype=float)
-        return np.ones(xa.shape + (1,))
-
-    def milstein_tensor(t, x):
-        xa = np.asarray(x, dtype=float)
-        return np.zeros(xa.shape + (1, 1))
-
-    return SdeProblem(
-        d=1,
-        m=1,
-        horizon=1.0,
-        initial_state=np.array([2.0]),
-        drift=drift,
-        diffusion=diffusion,
-        milstein_tensor=milstein_tensor,
-        noise_structure=NoiseStructure.SCALAR,
-        xi=2.0,
-        beta=1.0,
-        name="cubic_double_well",
-    )
-
-
 def blowup_demo(levels, paths: int, policy: SeedPolicy,
                 threads: Optional[int] = None) -> dict:
     """Second-moment tables of untamed vs tamed Euler on the cubic
-    double-well problem, on shared Brownian substreams."""
-    problem = _double_well_problem()
+    double-well problem (the ``double_well`` builtin), on shared Brownian
+    substreams."""
+    problem = make_builtin("double_well")
     return {
         kind: moment_experiment(problem, kind, 2.0, levels, paths, policy, threads)
         for kind in (SchemeKind.EULER_MARUYAMA, SchemeKind.TAMED_EULER)

@@ -171,19 +171,11 @@ class ExperimentConfig:
 def _resolve(config: ExperimentConfig, needs_reference: bool = False):
     """Validate the config and build the runtime objects it describes.
 
-    Raises ConfigError for bad records and UnsupportedNoiseStructureError
-    when a Milstein-type scheme meets general noise, before any simulation
-    starts.
+    Raises ConfigError for bad records, before any simulation starts.
     """
     config.validate()
     problem = config.build_problem()
     kind = config.scheme_kind()
-    if (kind in (schemes.SchemeKind.TAMED_MILSTEIN,
-                 schemes.SchemeKind.RANDOMIZED_TAMED_MILSTEIN)
-            and problem.noise_structure is model.NoiseStructure.GENERAL):
-        raise noise.UnsupportedNoiseStructureError(
-            f"scheme {config.scheme} cannot be used with general noise"
-        )
     if needs_reference and config.reference == "exact" \
             and problem.exact_terminal is None:
         raise ConfigError(
@@ -195,8 +187,6 @@ def _resolve(config: ExperimentConfig, needs_reference: bool = False):
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return str(int(value))
-    if isinstance(value, (int,)) and not isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)

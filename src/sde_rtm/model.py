@@ -361,12 +361,45 @@ def _make_geometric_brownian(a=0.5, sigma=0.5, x0=1.0, horizon=1.0):
     )
 
 
+def _make_double_well():
+    """dx = (x - x^3) dt + dw with x_0 = 2: the classical setting in which
+    untamed explicit Euler loses moment control while tamed variants stay
+    bounded (the problem behind the blow-up demonstration)."""
+
+    def drift(t, x):
+        xa = np.asarray(x, dtype=float)
+        return xa - xa ** 3
+
+    def diffusion(t, x):
+        xa = np.asarray(x, dtype=float)
+        return np.ones(xa.shape + (1,))
+
+    def milstein_tensor(t, x):
+        xa = np.asarray(x, dtype=float)
+        return np.zeros(xa.shape + (1, 1))
+
+    return SdeProblem(
+        d=1,
+        m=1,
+        horizon=1.0,
+        initial_state=np.array([2.0]),
+        drift=drift,
+        diffusion=diffusion,
+        milstein_tensor=milstein_tensor,
+        noise_structure=NoiseStructure.SCALAR,
+        xi=2.0,
+        beta=1.0,
+        name="double_well",
+    )
+
+
 BUILTIN_FACTORIES = {
     "fhn": _make_fitzhugh_nagumo,
     "fitzhugh_nagumo": _make_fitzhugh_nagumo,
     "gbm": _make_geometric_brownian,
     "geometric_brownian": _make_geometric_brownian,
     "rough_drift": _make_rough_drift,
+    "double_well": _make_double_well,
 }
 
 
@@ -374,9 +407,9 @@ def make_builtin(kind: str, **params) -> SdeProblem:
     """Construct a built-in problem by id.
 
     Known ids: ``fhn`` (alias ``fitzhugh_nagumo``), ``gbm`` (alias
-    ``geometric_brownian``) and ``rough_drift``.  Parameter records are
-    keyword arguments; unknown parameters and out-of-range values raise
-    :class:`InvalidParameterError`.
+    ``geometric_brownian``), ``rough_drift`` and ``double_well`` (no
+    parameters).  Parameter records are keyword arguments; unknown
+    parameters and out-of-range values raise :class:`InvalidParameterError`.
     """
     try:
         factory = BUILTIN_FACTORIES[str(kind).lower()]

@@ -88,10 +88,6 @@ class SchemeKind(Enum):
     RANDOMIZED_TAMED_MILSTEIN = "randomized_tamed_milstein"
 
 
-_TAMED_KINDS = frozenset(
-    {SchemeKind.TAMED_EULER, SchemeKind.TAMED_MILSTEIN,
-     SchemeKind.RANDOMIZED_TAMED_MILSTEIN}
-)
 _MILSTEIN_KINDS = frozenset(
     {SchemeKind.TAMED_MILSTEIN, SchemeKind.RANDOMIZED_TAMED_MILSTEIN}
 )
@@ -183,8 +179,13 @@ def _step_batch(problem: SdeProblem, kind: SchemeKind, dt: float, n: int):
     time (``t_left``, or a (B,) array for the randomized kind), ``dw`` the
     increments as (B, 1, m) and ``iw`` the iterated integrals as
     (B, 1, m, m) (Milstein kinds; None otherwise).  The coefficient
-    callables are looked up once, here.
+    callables are looked up once, here, and general noise is rejected for
+    the Milstein kinds, whose iterated integrals it would make inexact.
     """
+    if kind in _MILSTEIN_KINDS and problem.noise_structure is NoiseStructure.GENERAL:
+        raise UnsupportedNoiseStructureError(
+            "Milstein kinds do not support general noise"
+        )
     if kind is SchemeKind.EULER_MARUYAMA:
         drift = problem.drift
     else:
@@ -215,11 +216,8 @@ def step(problem: SdeProblem, kind: SchemeKind, x, ctx: StepContext) -> np.ndarr
     dw = np.asarray(ctx.dW, dtype=float).reshape(-1)
     if dw.shape != (problem.m,):
         raise DimensionError(f"dW must have shape ({problem.m},)")
+    advance = _step_batch(problem, kind, ctx.dt, ctx.n)
     if kind in _MILSTEIN_KINDS:
-        if problem.noise_structure is NoiseStructure.GENERAL:
-            raise UnsupportedNoiseStructureError(
-                "Milstein kinds do not support general noise"
-            )
         if ctx.I is None:
             raise ValueError("Milstein kinds require iterated integrals in ctx.I")
         iw = np.asarray(ctx.I, dtype=float).reshape(1, 1, problem.m, problem.m)
@@ -229,7 +227,6 @@ def step(problem: SdeProblem, kind: SchemeKind, x, ctx: StepContext) -> np.ndarr
         t_drift = ctx.t_left + ctx.dt * np.array([ctx.u])
     else:
         t_drift = ctx.t_left
-    advance = _step_batch(problem, kind, ctx.dt, ctx.n)
     return advance(xa[None, :], ctx.t_left, t_drift, dw.reshape(1, 1, -1), iw)[0]
 
 
@@ -245,11 +242,6 @@ class BatchStepper:
 
     def __init__(self, problem: SdeProblem, kind: SchemeKind, n_steps: int,
                  batch: int):
-        if (kind in _MILSTEIN_KINDS
-                and problem.noise_structure is NoiseStructure.GENERAL):
-            raise UnsupportedNoiseStructureError(
-                "Milstein kinds do not support general noise"
-            )
         self.problem = problem
         self.n_steps = n_steps
         self.dt = problem.horizon / n_steps
@@ -377,9 +369,7 @@ def integrate_path(problem: SdeProblem, kind: SchemeKind, level: int,
         raise LevelError(f"level must lie in [0, {brownian.level}]")
     grid = coarsen(brownian, level)
     u = None
-    if kind is SchemeKind.RANDOMIZED_TAMED_MILSTEIN:
-        if uniforms is None:
-            raise ValueError("the randomized kind requires a RandomizationStream")
+    if kind is SchemeKind.RANDOMIZED_TAMED_MILSTEIN and uniforms is not None:
         if len(uniforms) < grid.n:
             raise DimensionError(
                 f"need at least {grid.n} uniforms, got {len(uniforms)}"

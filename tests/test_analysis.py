@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -23,7 +24,9 @@ from sde_rtm import (
     strong_error_experiment,
 )
 from sde_rtm import (
+    NoiseStructure,
     StreamRole,
+    UnsupportedNoiseStructureError,
     coarsen,
     derive_substream,
     sample_brownian_grid,
@@ -225,9 +228,7 @@ def test_doubling_paths_is_stable():
 def test_overflowing_paths_excluded_and_counted():
     # untamed Euler on the double-well problem at level 0: one giant step
     # sends some paths past the overshoot threshold
-    from sde_rtm.analysis import _double_well_problem
-
-    problem = _double_well_problem()
+    problem = make_builtin("double_well")
     table = strong_error_experiment(problem, SchemeKind.EULER_MARUYAMA,
                                     [0, 1], 10, 2.0, 200, SeedPolicy(12))
     for row in table.rows:
@@ -343,3 +344,38 @@ def test_dead_worker_raises_instead_of_hanging():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - started < 5.0
+
+
+class _UnloadableError(Exception):
+    # pickles, but cannot be rebuilt from its args in the parent
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+def test_worker_error_keeps_its_type_at_any_worker_count():
+    def worker(start, stop):
+        if start > 0:
+            raise ValueError(f"slab {start}")
+        return np.zeros(stop - start)
+
+    with pytest.raises(ValueError, match="^slab 384$"):
+        analysis._map_blocks(worker, 768, 2)  # slabs [0, 384), [384, 768)
+
+    general = dataclasses.replace(make_zero_problem(d=2, m=2),
+                                  noise_structure=NoiseStructure.GENERAL)
+    for threads in (1, 2):
+        with pytest.raises(UnsupportedNoiseStructureError):
+            strong_error_experiment(general, TM, [2, 3], 4, 2.0, 600,
+                                    SeedPolicy(5), threads=threads)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs fork-based workers")
+def test_worker_error_that_cannot_cross_the_pipe_is_named():
+    def worker(start, stop):
+        if start > 0:
+            raise _UnloadableError(start, stop)
+        return np.zeros(stop - start)
+
+    with pytest.raises(RuntimeError, match="_UnloadableError.*384 768"):
+        analysis._map_blocks(worker, 768, 2)

@@ -77,6 +77,20 @@ def test_converge_determinism_across_worker_counts(tmp_path, monkeypatch):
         assert read(os.path.join(other_out, name)) == payload
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "-1", "257", "100000"])
+def test_bad_thread_count_exits_2_before_any_worker_starts(tmp_path, capsys,
+                                                           monkeypatch, value):
+    def no_pool(worker, count, threads):
+        raise AssertionError(f"a pool of {threads} workers was started")
+
+    monkeypatch.setattr(analysis, "_map_blocks", no_pool)
+    monkeypatch.setenv("SDE_RTM_THREADS", value)
+    path, _ = write_config(tmp_path)
+    for command in ("converge", "simulate", "moments", "blowup"):
+        assert run_command([command, "--config", str(path)]) == 2
+        assert "SDE_RTM_THREADS" in capsys.readouterr().err
+
+
 def test_config_round_trip(tmp_path):
     path, config = write_config(tmp_path)
     assert run_command(["converge", "--config", str(path)]) == 0

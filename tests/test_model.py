@@ -91,6 +91,7 @@ def test_milstein_tensor_constant_diffusion():
     ("fhn", {}),
     ("gbm", {"a": 0.5, "sigma": 0.5, "x0": 1.0}),
     ("rough_drift", {"beta": 0.25, "c": 25.0}),
+    ("double_well", {}),
 ])
 def test_tensor_matches_finite_differences(kind, params):
     problem = make_builtin(kind, **params)

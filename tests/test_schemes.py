@@ -406,7 +406,9 @@ def test_step_rejects_general_noise_and_bad_increments(fhn, kind):
 
 # --- taming audit ------------------------------------------------------------
 
-@pytest.mark.parametrize("kind,params", [("fhn", {}), ("gbm", {})])
+@pytest.mark.parametrize("kind,params", [
+    ("fhn", {}), ("gbm", {}), ("double_well", {}),
+])
 def test_audit_ratios_bounded(kind, params):
     problem = make_builtin(kind, **params)
     stream = derive_substream(POLICY, 0, StreamRole.RANDOMIZATION)
