@@ -17,12 +17,18 @@ time, coarsens each chunk to every level in play (a binary carry finishes
 coarse steps that span several chunks, in the same pairwise order as
 ``noise.coarsen``) and feeds the reference and every coarse level to
 resumable steppers in the same pass, so no increment, uniform or state
-buffer outgrows (slab x chunk).  Each run draws its uniforms from its own
-copy of the randomization substream, moved past the draws of the runs
-before it in the order above.  Moment tracking reduces every chunk of
-states to ``|x_t|^q`` as it is stepped and never holds whole paths, but
-its per-path rows of powers stay O(slab x n): the parent sums them in path
-order, so each worker returns them whole.
+buffer outgrows (slab x chunk).  A slab derives its substreams once per
+role as a ``noise.SlabStream``: one vectorized SeedSequence hash gives
+every path's Philox key and one reused generator draws for the whole slab,
+so no path builds a generator of its own.  Each run reads its uniforms at
+its offset in the order above (after the draws of every earlier run), by
+Philox counter and not by replaying the draws.  The slab stream checks its
+first path's key against numpy's ``SeedSequence`` and raises
+``RuntimeError`` on a mismatch, so a numpy release that changed the
+algorithm stops the run instead of changing its numbers.  Moment tracking
+reduces every chunk of states to ``|x_t|^q`` as it is stepped and never
+holds whole paths, but its per-path rows of powers stay O(slab x n): the
+parent sums them in path order, so each worker returns them whole.
 
 Each path's result depends only on the seed policy and its index, never on
 its slab; the parent reduces per-path results in path order, so outputs
@@ -47,15 +53,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .model import InvalidParameterError, SdeProblem, make_builtin
-from .noise import (
-    SeedPolicy,
-    StreamRole,
-    brownian_chunks,
-    coarsen_chunks,
-    derive_substream,
-    skip_uniforms,
-    uniform_chunks,
-)
+from .noise import SeedPolicy, SlabStream, StreamRole, coarsen_chunks
 from .schemes import BatchStepper, SchemeKind
 
 __all__ = [
@@ -246,24 +244,6 @@ def _split(blocks, piece: int):
             yield block[p0:p0 + piece]
 
 
-def _uniform_pieces(substreams: list, run_levels: list, pieces: list, chunk: int):
-    """One iterator per run over its uniforms, ``pieces[i]`` steps at a time.
-
-    Run ``i`` takes draws ``offset`` to ``offset + 2**level - 1`` of each
-    path's randomization substream, where ``offset`` counts the draws of
-    every earlier run.  Each run draws from its own copy of the substream,
-    moved past ``offset`` draws, at most ``chunk`` per path at a time.
-    """
-    out = []
-    offset = 0
-    for level, piece in zip(run_levels, pieces):
-        total = 1 << level
-        own = [skip_uniforms(s, offset) for s in substreams]
-        out.append(_split(uniform_chunks(own, total, min(total, chunk)), piece))
-        offset += total
-    return out
-
-
 def _sweep(problem: SdeProblem, kind: SchemeKind, policy: SeedPolicy,
            start: int, stop: int, gen_level: int, run_levels: list, *,
            terminal: bool = False, observe=None):
@@ -279,18 +259,23 @@ def _sweep(problem: SdeProblem, kind: SchemeKind, policy: SeedPolicy,
     ``observe`` is passed to every :meth:`BatchStepper.feed`.
     """
     batch = stop - start
-    paths = range(start, stop)
     chunk = min(1 << gen_level,
                 1 << (max(1, _DRAW_BUDGET // batch).bit_length() - 1))
     steppers = [BatchStepper(problem, kind, 1 << level, batch) for level in run_levels]
     pieces = [max(1, chunk >> (gen_level - level)) for level in run_levels]
     uniforms = [None] * len(run_levels)
     if kind is SchemeKind.RANDOMIZED_TAMED_MILSTEIN:
-        substreams = [derive_substream(policy, i, StreamRole.RANDOMIZATION)
-                      for i in paths]
-        uniforms = _uniform_pieces(substreams, run_levels, pieces, chunk)
-    streams = [derive_substream(policy, i, StreamRole.BROWNIAN) for i in paths]
-    fine = brownian_chunks(streams, gen_level, problem.m, problem.horizon, chunk)
+        # run i reads the draws of its own level right after those of every
+        # earlier run, at most one draw chunk per path at a time
+        stream = SlabStream(policy, start, stop, StreamRole.RANDOMIZATION)
+        uniforms, offset = [], 0
+        for level, piece in zip(run_levels, pieces):
+            total = 1 << level
+            uniforms.append(_split(stream.uniforms(offset, total, min(total, chunk)),
+                                   piece))
+            offset += total
+    fine = SlabStream(policy, start, stop, StreamRole.BROWNIAN).brownian(
+        gen_level, problem.m, problem.horizon, chunk)
     w_terminal = None
     targets = set(run_levels) | ({0} if terminal else set())
     for coarse in coarsen_chunks(fine, gen_level, targets):

@@ -9,6 +9,19 @@ selects a substream, which makes whole experiments reproducible bit for
 bit regardless of worker scheduling.  Gaussian increments are produced by
 numpy's ``Generator.standard_normal`` (ziggurat) scaled by sqrt(dt); for a
 pinned numpy version this transform is bit-stable.
+
+:func:`derive_substream` builds one path's generator from
+``SeedSequence(master_seed, spawn_key=(path, role))``.  A :class:`SlabStream`
+serves a whole slab of consecutive paths at vectorized cost instead: it
+runs numpy's published SeedSequence hash (a pool of four uint32 words,
+``hashmix`` and ``mix``, then ``generate_state(2, uint64)``) once over all
+path indices to get every path's Philox key, and draws through one reused
+Philox generator, set to a path's key and position before each of its
+draws.  The draws are those of :func:`derive_substream` bit for bit, which
+rests on numpy keeping that algorithm; every slab stream checks its first
+path's key against ``SeedSequence`` itself and raises ``RuntimeError`` if
+they differ, so a change in numpy fails loudly instead of silently
+changing every number.
 """
 
 from __future__ import annotations
@@ -29,13 +42,11 @@ __all__ = [
     "UnsupportedNoiseStructureError",
     "derive_substream",
     "sample_brownian_grid",
-    "brownian_chunks",
+    "SlabStream",
     "coarsen",
     "coarsen_chunks",
     "terminal_value",
     "sample_randomization",
-    "uniform_chunks",
-    "skip_uniforms",
     "randomized_time",
     "iterated_integrals",
 ]
@@ -68,8 +79,12 @@ class SeedPolicy:
     master_seed: int
 
     def __post_init__(self):
-        if not 0 <= int(self.master_seed) < 2 ** 64:
-            raise InvalidParameterError("master_seed must be a 64-bit unsigned integer")
+        seed = self.master_seed
+        if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
+                or not 0 <= int(seed) < 2 ** 64):
+            raise InvalidParameterError(
+                f"master_seed must be a 64-bit unsigned integer, got {seed!r}")
+        object.__setattr__(self, "master_seed", int(seed))
 
 
 def derive_substream(policy: SeedPolicy, path_index: int, role: StreamRole) -> np.random.Generator:
@@ -128,38 +143,158 @@ def sample_brownian_grid(level: int, m: int, horizon: float,
     return BrownianGrid(level=level, horizon=horizon, m=m, increments=increments)
 
 
-def _time_major(streams, shape: tuple, draw) -> np.ndarray:
-    # one fresh (shape[0], len(streams), *shape[1:]) array whose column b
-    # holds draw(streams[b]), drawn stream by stream
-    out = np.empty((shape[0], len(streams)) + shape[1:])
-    for b, stream in enumerate(streams):
-        out[:, b] = draw(stream)
-    return out
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
 
 
-def brownian_chunks(streams, level: int, m: int, horizon: float, chunk: int):
-    """Yield the increments of ``len(streams)`` Brownian paths on the
-    2**level grid, ``chunk`` steps at a time.
+def _philox_keys(master_seed: int, indices: np.ndarray, role: int) -> np.ndarray:
+    """The Philox keys, shape (len(indices), 2) uint64, of
+    ``SeedSequence(master_seed, spawn_key=(index, role))`` for every index.
 
-    Each yield is a fresh time-major array ``(chunk, len(streams), m)``.
-    ``chunk`` must be a power of two no larger than 2**level.  Every piece
-    is one :func:`sample_brownian_grid` draw on the sub-horizon
-    ``horizon / (2**level / chunk)``, which has the same step size, and
-    consecutive Gaussian draws from one substream equal a single draw, so
-    the pieces concatenate to ``sample_brownian_grid(level, m, horizon,
-    stream).increments`` bit for bit.
+    numpy's algorithm, vectorized over the index: the entropy words are the
+    seed's two uint32 words zero-padded to the pool size of four, then the
+    index and the role (one word each, so indices lie below 2**32); they are
+    hashed into the pool, and the key is ``generate_state(2, uint64)``.  The
+    seed words are the same for every path, so they are hashed as
+    length-one arrays that broadcast once the index mixes in.
     """
-    n = 1 << level
-    if chunk < 1 or chunk > n or chunk & (chunk - 1):
-        raise LevelError(f"chunk must be a power of two in [1, {n}], got {chunk}")
-    sub_level = chunk.bit_length() - 1
-    sub_horizon = horizon / (n // chunk)  # exact: a division by a power of two
-    for _ in range(n // chunk):
-        yield _time_major(
-            streams, (chunk, m),
-            lambda stream: sample_brownian_grid(sub_level, m, sub_horizon,
-                                                stream).increments,
-        )
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> _XSHIFT
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ result >> _XSHIFT
+
+    seed_words = [master_seed & _MASK32, master_seed >> 32, 0, 0]
+    pool = [hashmix(np.array([word], dtype=np.uint32)) for word in seed_words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in (indices.astype(np.uint32), np.array([role], dtype=np.uint32)):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _INIT_B
+    state = []
+    for word in pool:
+        word = word ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        word = word * np.uint32(const)
+        state.append((word ^ word >> _XSHIFT).astype(np.uint64))
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
+class SlabStream:
+    """The substreams of one role for the paths ``start`` to ``stop - 1``.
+
+    Every path's Philox key comes from one vectorized pass of numpy's
+    SeedSequence hash, and one generator, the first path's
+    :func:`derive_substream`, serves the whole slab: it is set to a path's
+    key and position before each of that path's draws.  The draws equal
+    those of ``derive_substream(policy, path, role)`` bit for bit.  The
+    first path's hashed key is checked against its ``SeedSequence`` key; a
+    ``RuntimeError`` means numpy's algorithm changed.
+    """
+
+    def __init__(self, policy: SeedPolicy, start: int, stop: int, role: StreamRole):
+        if not 0 <= start < stop <= 1 << 32:
+            raise InvalidParameterError(
+                f"a slab needs path indices in [0, 2**32), got [{start}, {stop})")
+        keys = _philox_keys(policy.master_seed,
+                            np.arange(start, stop, dtype=np.uint64), role.value)
+        # the first path's own generator checks the hash, then serves the slab
+        self._gen = derive_substream(policy, start, role)
+        self._bitgen = self._gen.bit_generator
+        if not np.array_equal(keys[0], self._bitgen.state["state"]["key"]):
+            raise RuntimeError(
+                f"vectorized Philox key of path {start} ({role.name}) differs from "
+                "numpy.random.SeedSequence's: numpy's SeedSequence algorithm has "
+                "changed, so slab draws would not match derive_substream")
+        self._keys = keys
+        self._state = {"bit_generator": "Philox", "has_uint32": 0, "uinteger": 0}
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def _seek(self, key, counter, buffer, buffer_pos) -> None:
+        # put the shared generator at one path's key and position; the state
+        # setter reads plain lists faster than array rows
+        state = self._state
+        state["state"] = {"counter": counter, "key": key}
+        state["buffer"] = buffer
+        state["buffer_pos"] = buffer_pos
+        self._bitgen.state = state
+
+    def brownian(self, level: int, m: int, horizon: float, chunk: int):
+        """Yield every path's increments on the 2**level grid, ``chunk``
+        steps at a time, as fresh time-major arrays ``(chunk, len(self), m)``.
+
+        ``chunk`` must be a power of two no larger than 2**level.  Column
+        ``b`` of the pieces concatenates to ``sample_brownian_grid(level, m,
+        horizon, derive_substream(policy, start + b, role)).increments``:
+        consecutive Gaussian draws from one substream equal a single draw,
+        and scaling the whole block by sqrt(dt) is the same elementwise
+        product.  The ziggurat takes a varying number of Philox words per
+        value, so each path's counter, buffer and buffer position are kept
+        in arrays between pieces.
+        """
+        n = 1 << level
+        if chunk < 1 or chunk > n or chunk & (chunk - 1):
+            raise LevelError(f"chunk must be a power of two in [1, {n}], got {chunk}")
+        width = len(self)
+        scale = np.sqrt(horizon / n)
+        counter = np.zeros((width, 4), dtype=np.uint64)
+        buffer = np.zeros((width, 4), dtype=np.uint64)
+        buffer_pos = np.full(width, 4)
+        for piece in range(n // chunk):
+            out = np.empty((chunk, width, m))
+            keep = piece < n // chunk - 1
+            positions = zip(self._keys.tolist(), counter.tolist(), buffer.tolist(),
+                            buffer_pos.tolist())
+            for b, position in enumerate(positions):
+                self._seek(*position)
+                out[:, b] = self._gen.standard_normal((chunk, m))
+                if keep:
+                    state = self._bitgen.state
+                    counter[b] = state["state"]["counter"]
+                    buffer[b] = state["buffer"]
+                    buffer_pos[b] = state["buffer_pos"]
+            out *= scale
+            yield out
+
+    def uniforms(self, offset: int, count: int, chunk: int):
+        """Yield draws ``offset`` to ``offset + count - 1`` of every path's
+        substream, ``chunk`` at a time, as fresh time-major arrays
+        ``(chunk, len(self))``.
+
+        ``chunk`` must divide ``count``.  Column ``b`` of the pieces
+        concatenates to ``sample_randomization(count, stream).uniforms`` for
+        the path's substream after ``offset`` draws.  ``random`` takes one
+        Philox word per value and Philox makes four words per counter step,
+        so the draws at position ``k`` start from counter ``k // 4`` with the
+        first ``k % 4`` values dropped, and no per-path state is kept.
+        """
+        if chunk < 1 or count % chunk:
+            raise InvalidParameterError(f"chunk {chunk} does not divide count {count}")
+        fresh = [0] * 4
+        for pos in range(offset, offset + count, chunk):
+            lead = pos % 4
+            counter = [pos // 4, 0, 0, 0]
+            out = np.empty((chunk, len(self)))
+            for b, key in enumerate(self._keys.tolist()):
+                self._seek(key, counter, fresh, 4)
+                out[:, b] = self._gen.random(lead + chunk)[lead:]
+            yield out
 
 
 def _halve(increments: np.ndarray) -> np.ndarray:
@@ -251,40 +386,6 @@ def sample_randomization(n: int, stream: np.random.Generator) -> RandomizationSt
     if n < 1:
         raise InvalidParameterError("n must be positive")
     return RandomizationStream(uniforms=stream.random(n))
-
-
-def uniform_chunks(streams, count: int, chunk: int):
-    """Yield the next ``count`` uniforms of each of ``streams``, ``chunk``
-    at a time, as fresh time-major arrays ``(chunk, len(streams))``.
-
-    Every piece is one :func:`sample_randomization` draw per stream, and
-    consecutive draws from one substream equal a single draw, so the pieces
-    concatenate to ``sample_randomization(count, stream).uniforms``.
-    ``chunk`` must divide ``count``.
-    """
-    if chunk < 1 or count % chunk:
-        raise InvalidParameterError(f"chunk {chunk} does not divide count {count}")
-    for _ in range(count // chunk):
-        yield _time_major(streams, (chunk,),
-                          lambda stream: sample_randomization(chunk, stream).uniforms)
-
-
-def skip_uniforms(stream: np.random.Generator, count: int) -> np.random.Generator:
-    """A new generator on ``stream``'s substream, past its first ``count``
-    uniform draws.
-
-    ``skip_uniforms(stream, count).random(k)`` returns draws ``count`` to
-    ``count + k - 1`` of the substream, whatever ``stream`` itself has
-    drawn.  Philox makes four 64-bit words per counter step and ``random``
-    takes one word per value, so the copy's counter advances by
-    ``count // 4`` and the remaining ``count % 4`` values are drawn and
-    dropped.  Copying from the seed sequence costs less than deriving the
-    substream again.
-    """
-    copy = np.random.Generator(np.random.Philox(stream.bit_generator.seed_seq))
-    copy.bit_generator.advance(count // 4)
-    copy.random(count % 4)
-    return copy
 
 
 def randomized_time(t_left: float, dt: float, u: float) -> float:

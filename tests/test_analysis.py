@@ -205,6 +205,29 @@ def test_streaming_sweep_matches_per_path_reference(monkeypatch, problem_id, kin
         assert got.lp_error == float(np.mean(values)) ** (1.0 / p)
 
 
+def test_sweep_builds_one_generator_per_slab_and_role(monkeypatch):
+    # every slab and role builds one SeedSequence, Philox and Generator,
+    # those of its first path, however many paths it holds
+    def count_calls(paths):
+        counts = {"SeedSequence": 0, "Philox": 0, "Generator": 0}
+        for name in counts:
+            real = getattr(np.random, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.random, name, counted)
+        strong_error_experiment(make_builtin("fhn"), RTM, [2, 3], 5, 2.0, paths,
+                                SeedPolicy(3), threads=1)
+        monkeypatch.undo()
+        return counts
+
+    roles = 2  # Brownian and randomization
+    assert count_calls(3) == count_calls(300) == dict.fromkeys(
+        ("SeedSequence", "Philox", "Generator"), roles)
+
+
 def test_statistical_monotonicity_across_levels():
     problem = make_builtin("gbm", a=0.5, sigma=0.5, x0=1.0)
     wins = 0

@@ -19,12 +19,8 @@ from sde_rtm import (
     sample_randomization,
     terminal_value,
 )
-from sde_rtm.noise import (
-    brownian_chunks,
-    coarsen_chunks,
-    skip_uniforms,
-    uniform_chunks,
-)
+from sde_rtm import SchemeKind, make_builtin, noise, strong_error_experiment
+from sde_rtm.noise import SlabStream, _philox_keys, coarsen_chunks
 
 POLICY = SeedPolicy(master_seed=918273645)
 
@@ -58,6 +54,88 @@ def test_master_seed_validation():
         SeedPolicy(2 ** 64)
     with pytest.raises(InvalidParameterError):
         derive_substream(POLICY, -1, StreamRole.BROWNIAN)
+
+
+@pytest.mark.parametrize("seed", [1.5, "7", True, False, None, np.float64(3.0),
+                                  np.bool_(True), [1], 2.0 ** 70])
+def test_master_seed_must_be_an_integer(seed):
+    # numpy would reject most of these later, with a TypeError; a bool would
+    # silently be seed 0 or 1
+    with pytest.raises(InvalidParameterError):
+        SeedPolicy(seed)
+
+
+@pytest.mark.parametrize("seed", [7, np.uint64(7), np.uint32(7), np.int64(7)])
+def test_integer_seed_types_are_one_policy(seed):
+    policy = SeedPolicy(seed)
+    assert policy == SeedPolicy(7) and type(policy.master_seed) is int
+
+
+# --- slab streams ------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+    indices=st.lists(st.integers(min_value=0, max_value=2 ** 32 - 1),
+                     min_size=1, max_size=6),
+    role=st.sampled_from(StreamRole),
+)
+def test_vectorized_keys_match_seed_sequence(seed, indices, role):
+    keys = _philox_keys(seed, np.array(indices, dtype=np.uint64), role.value)
+    for index, key in zip(indices, keys):
+        seq = np.random.SeedSequence(seed, spawn_key=(index, role.value))
+        assert np.array_equal(key, np.random.Philox(seq).state["state"]["key"])
+
+
+def test_changed_key_hash_fails_loudly(monkeypatch):
+    # stands in for a numpy release whose SeedSequence no longer matches the
+    # vectorized hash: the guard must stop the run, not change its numbers
+    real = noise._philox_keys
+
+    def shifted(master_seed, indices, role):
+        keys = real(master_seed, indices, role)
+        keys[0, 0] ^= 1
+        return keys
+
+    monkeypatch.setattr(noise, "_philox_keys", shifted)
+    with pytest.raises(RuntimeError, match="SeedSequence"):
+        strong_error_experiment(make_builtin("gbm"), SchemeKind.TAMED_MILSTEIN,
+                                [1, 2], "exact", 2.0, 5, POLICY, threads=1)
+
+
+@pytest.mark.parametrize("start,stop,level,chunk,m", [
+    (0, 1, 0, 1, 1),
+    (0, 5, 4, 16, 1),
+    (3, 10, 5, 4, 2),
+    (1000, 1003, 6, 1, 3),
+    (2 ** 32 - 3, 2 ** 32, 3, 2, 1),
+])
+def test_slab_stream_matches_per_path_draws(start, stop, level, chunk, m):
+    horizon = 1.5
+    brownian = SlabStream(POLICY, start, stop, StreamRole.BROWNIAN)
+    pieces = list(brownian.brownian(level, m, horizon, chunk))
+    assert all(piece.shape == (chunk, stop - start, m) for piece in pieces)
+    got = np.concatenate(pieces)
+    randomization = SlabStream(POLICY, start, stop, StreamRole.RANDOMIZATION)
+    for b, path in enumerate(range(start, stop)):
+        grid = sample_brownian_grid(level, m, horizon,
+                                    derive_substream(POLICY, path, StreamRole.BROWNIAN))
+        assert np.array_equal(got[:, b], grid.increments)
+        # runs of 1, 2, 5 and 11 draws leave every later offset off a multiple of 4
+        sequential = derive_substream(POLICY, path, StreamRole.RANDOMIZATION)
+        offset = 0
+        for count in (1, 2, 5, 11):
+            want = sample_randomization(count, sequential).uniforms
+            drawn = np.concatenate(list(randomization.uniforms(offset, count, 1)))
+            assert np.array_equal(drawn[:, b], want)
+            offset += count
+
+
+def test_slab_bounds_are_checked():
+    # a path index of 2**32 or more would hash as two spawn words
+    for start, stop in ((2 ** 32 - 1, 2 ** 32 + 1), (-1, 2), (4, 4)):
+        with pytest.raises(InvalidParameterError):
+            SlabStream(POLICY, start, stop, StreamRole.BROWNIAN)
 
 
 # --- Brownian grids ----------------------------------------------------------
@@ -156,9 +234,9 @@ def test_streamed_coarsening_matches_coarsen(m, chunk):
         for i in paths
     ]
     for targets in (range(level + 1), {0, 3}, {1}, {level}):
-        streams = [derive_substream(POLICY, i, StreamRole.BROWNIAN) for i in paths]
         got = {target: [] for target in targets}
-        fine = brownian_chunks(streams, level, m, horizon, chunk)
+        fine = SlabStream(POLICY, paths.start, paths.stop,
+                          StreamRole.BROWNIAN).brownian(level, m, horizon, chunk)
         for pieces in coarsen_chunks(fine, level, targets):
             assert set(pieces) <= set(targets)
             for target, inc in pieces.items():
@@ -174,12 +252,12 @@ def test_streamed_coarsening_matches_coarsen(m, chunk):
 def test_chunk_sizes_are_checked():
     # Brownian chunks are powers of two within the grid, uniform chunks
     # divide the count, and coarsening targets lie in [0, level]
-    stream = derive_substream(POLICY, 0, StreamRole.BROWNIAN)
+    stream = SlabStream(POLICY, 0, 1, StreamRole.BROWNIAN)
     for chunk in (0, 3, 16):
         with pytest.raises(LevelError):
-            next(brownian_chunks([stream], 3, 1, 1.0, chunk))
+            next(stream.brownian(3, 1, 1.0, chunk))
         with pytest.raises(InvalidParameterError):
-            next(uniform_chunks([stream], 8, chunk))
+            next(stream.uniforms(0, 8, chunk))
     for targets in ([2], []):
         with pytest.raises(LevelError):
             next(coarsen_chunks(iter([np.zeros((2, 1))]), 1, targets))
@@ -211,9 +289,8 @@ def test_skipped_streams_match_sequential_draws(order):
         n = 1 << level
         want = sample_randomization(n, sequential).uniforms
         for chunk in sorted({1, max(1, n // 2), n}):
-            stream = skip_uniforms(
-                derive_substream(POLICY, 11, StreamRole.RANDOMIZATION), offset)
-            pieces = list(uniform_chunks([stream], n, chunk))
+            stream = SlabStream(POLICY, 11, 12, StreamRole.RANDOMIZATION)
+            pieces = list(stream.uniforms(offset, n, chunk))
             assert all(piece.shape == (chunk, 1) for piece in pieces)
             assert np.array_equal(np.concatenate(pieces)[:, 0], want)
         offset += n
