@@ -3,16 +3,10 @@ randomization, plus a Monte-Carlo benchmark harness."""
 
 from .model import (
     BUILTIN_FACTORIES,
-    DomainError,
-    EvaluationError,
     InvalidParameterError,
     NoiseStructure,
     SdeProblem,
     TamingSplit,
-    eval_diffusion,
-    eval_drift,
-    eval_milstein_tensor,
-    finite_difference_milstein_tensor,
     make_builtin,
 )
 from .noise import (
@@ -34,12 +28,10 @@ from .schemes import (
     DimensionError,
     PathResult,
     SchemeKind,
-    StepContext,
     TamingAudit,
     audit_taming,
     integrate_path,
     simulate_batch,
-    step,
     tame_drift,
 )
 from .analysis import (

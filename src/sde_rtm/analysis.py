@@ -104,12 +104,6 @@ class ErrorTable:
     reference: str     # "exact" or "level <L>"
     p: float
 
-    def level_row(self, level: int) -> ErrorRow:
-        for row in self.rows:
-            if row.level == level:
-                return row
-        raise KeyError(level)
-
 
 @dataclass(frozen=True)
 class RateFit:

@@ -60,8 +60,9 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
+    # finite and within the float range, which also rules out huge ints
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass
@@ -90,9 +91,6 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**mapping)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     def validate(self) -> None:
         if not isinstance(self.problem, str) or self.problem not in model.BUILTIN_FACTORIES:
@@ -481,10 +479,7 @@ def _parse_override(key: str, raw):
     if key == "reference":
         return raw if raw == "exact" else _parse_int(key, raw)
     if key == "problem_params":
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--problem-params is not valid JSON: {exc}") from None
+        return _decode_json(raw, "--problem-params")
     return raw
 
 
@@ -495,14 +490,23 @@ def _parse_int(key: str, raw) -> int:
         raise ConfigError(f"--{key} expects an integer") from None
 
 
+def _decode_json(document, source: str):
+    """Parse JSON text or UTF-8 bytes; any failure to decode is a ConfigError."""
+    try:
+        if isinstance(document, bytes):
+            document = document.decode("utf-8")
+        return json.loads(document)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{source} is not valid JSON: {exc}") from None
+
+
 def load_config(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+        with open(path, "rb") as handle:
+            raw = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    document = _decode_json(raw, f"config file {path}")
     if not isinstance(document, dict):
         raise ConfigError("config document must be a JSON object")
     return document

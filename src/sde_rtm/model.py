@@ -27,12 +27,6 @@ __all__ = [
     "TamingSplit",
     "SdeProblem",
     "InvalidParameterError",
-    "DomainError",
-    "EvaluationError",
-    "eval_drift",
-    "eval_diffusion",
-    "eval_milstein_tensor",
-    "finite_difference_milstein_tensor",
     "make_builtin",
     "BUILTIN_FACTORIES",
 ]
@@ -40,14 +34,6 @@ __all__ = [
 
 class InvalidParameterError(ValueError):
     """A problem or builtin was constructed with out-of-range parameters."""
-
-
-class DomainError(ValueError):
-    """A coefficient was evaluated outside its domain (t not in [0, T], bad x)."""
-
-
-class EvaluationError(ArithmeticError):
-    """A coefficient returned a non-finite or mis-shaped value."""
 
 
 class NoiseStructure(Enum):
@@ -155,89 +141,6 @@ class SdeProblem:
                 raise InvalidParameterError("taming_split.norm_indices out of range")
 
 
-def _check_time(problem: SdeProblem, t) -> float:
-    t = float(t)
-    if not 0.0 <= t <= problem.horizon:
-        raise DomainError(f"t={t} outside [0, {problem.horizon}]")
-    return t
-
-
-def _check_state(problem: SdeProblem, x) -> np.ndarray:
-    xa = np.asarray(x, dtype=float)
-    if xa.shape != (problem.d,):
-        raise DomainError(f"state must have shape ({problem.d},), got {xa.shape}")
-    if not np.all(np.isfinite(xa)):
-        raise DomainError("state must be finite")
-    return xa
-
-
-def _checked_eval(problem, fn, t, x, shape, what):
-    out = np.asarray(fn(t, x), dtype=float)
-    if out.shape != shape:
-        raise EvaluationError(f"{what} returned shape {out.shape}, expected {shape}")
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError(f"{what} returned a non-finite value at t={t}, x={x}")
-    return out
-
-
-def eval_drift(problem: SdeProblem, t, x) -> np.ndarray:
-    """Evaluate mu(t, x) with domain and finiteness checks."""
-    t = _check_time(problem, t)
-    xa = _check_state(problem, x)
-    return _checked_eval(problem, problem.drift, t, xa, (problem.d,), "drift")
-
-
-def eval_diffusion(problem: SdeProblem, t, x) -> np.ndarray:
-    """Evaluate rho(t, x) with domain and finiteness checks."""
-    t = _check_time(problem, t)
-    xa = _check_state(problem, x)
-    return _checked_eval(
-        problem, problem.diffusion, t, xa, (problem.d, problem.m), "diffusion"
-    )
-
-
-def eval_milstein_tensor(problem: SdeProblem, t, x) -> np.ndarray:
-    """Evaluate the correction tensor Lambda(t, x).
-
-    ``Lambda[i, k, l] = sum_r d(rho[i, k])/d(x_r) * rho[r, l]``, the
-    integrand contracted against per-step iterated integrals by
-    Milstein-type integrators.
-    """
-    t = _check_time(problem, t)
-    xa = _check_state(problem, x)
-    return _checked_eval(
-        problem,
-        problem.milstein_tensor,
-        t,
-        xa,
-        (problem.d, problem.m, problem.m),
-        "milstein_tensor",
-    )
-
-
-def finite_difference_milstein_tensor(
-    problem: SdeProblem, t, x, rel_step: float = 1e-6
-) -> np.ndarray:
-    """Central-difference reconstruction of the correction tensor.
-
-    Independent cross-check for analytically supplied tensors: rebuilds
-    ``sum_r d(rho[i, k])/d(x_r) * rho[r, l]`` from ``diffusion`` alone.
-    """
-    t = _check_time(problem, t)
-    xa = _check_state(problem, x)
-    rho = _checked_eval(
-        problem, problem.diffusion, t, xa, (problem.d, problem.m), "diffusion"
-    )
-    lam = np.zeros((problem.d, problem.m, problem.m))
-    for r in range(problem.d):
-        h = rel_step * max(1.0, abs(xa[r]))
-        e = np.zeros(problem.d)
-        e[r] = h
-        drho = (problem.diffusion(t, xa + e) - problem.diffusion(t, xa - e)) / (2 * h)
-        lam += drho[:, :, None] * rho[r][None, None, :]
-    return lam
-
-
 # --- built-in problems -------------------------------------------------------
 
 
@@ -249,12 +152,8 @@ def _fhn_family(name, amp, exponent, v0, r0, sigma, alpha, gamma, lam,
     - lam*R) dt.  Only the cubic summand of the V-drift is tamed, with the
     denominator norm taken from |V| alone (see the taming_split).
     """
-    if horizon <= 0:
-        raise InvalidParameterError("horizon must be positive")
     if sigma < 0:
         raise InvalidParameterError("sigma must be nonnegative")
-    if not 0.0 < exponent <= 1.0:
-        raise InvalidParameterError("input exponent must lie in (0, 1]")
 
     def external_input(t):
         return amp * (1.0 - np.asarray(t, dtype=float) ** exponent)
@@ -316,16 +215,12 @@ def _make_fitzhugh_nagumo(i_amp=25.0, v0=2.0, r0=-1.0, sigma=0.001, alpha=0.8,
 def _make_rough_drift(beta, c=25.0, v0=2.0, r0=-1.0, sigma=0.001, alpha=0.8,
                       gamma=0.7, lam=0.8, horizon=1.0, xi=2.0):
     """FitzHugh-Nagumo variant with input c*(1 - t**beta) of lower time regularity."""
-    if not 0.0 < beta <= 1.0:
-        raise InvalidParameterError("beta must lie in (0, 1]")
     return _fhn_family("rough_drift", c, beta, v0, r0, sigma, alpha, gamma,
                        lam, horizon, xi, beta=beta)
 
 
 def _make_geometric_brownian(a=0.5, sigma=0.5, x0=1.0, horizon=1.0):
     """Geometric Brownian motion dx = a*x dt + sigma*x dw with exact terminal."""
-    if horizon <= 0:
-        raise InvalidParameterError("horizon must be positive")
     if sigma < 0:
         raise InvalidParameterError("sigma must be nonnegative")
 

@@ -1,6 +1,6 @@
-"""One-step maps and whole-path integrators.
+"""The stepping kernel and the whole-path integrators built on it.
 
-Four explicit integrators share one stepping kernel:
+Four explicit schemes share ``_step_batch``, the kernel :class:`BatchStepper` runs:
 
 * ``EULER_MARUYAMA`` - no taming, no Milstein correction (the classical
   explicit baseline that loses moment control under superlinear drift),
@@ -63,11 +63,9 @@ from .noise import (
 
 __all__ = [
     "SchemeKind",
-    "StepContext",
     "PathResult",
     "DimensionError",
     "tame_drift",
-    "step",
     "integrate_path",
     "BatchStepper",
     "simulate_batch",
@@ -98,24 +96,6 @@ _CHUNK = 256
 
 
 @dataclass(frozen=True)
-class StepContext:
-    """Noise and time inputs for one step.
-
-    ``t_left`` is the left grid point, ``dt`` the step size, ``dW`` the
-    Brownian increment, ``I`` the per-step iterated integrals (required for
-    Milstein kinds), ``u`` the uniform draw selecting the randomized drift
-    time, and ``n`` the total step count acting as the taming parameter.
-    """
-
-    t_left: float
-    dt: float
-    dW: np.ndarray
-    I: Optional[np.ndarray] = None
-    u: float = 0.0
-    n: int = 1
-
-
-@dataclass(frozen=True)
 class PathResult:
     """Terminal state of one integrated path.
 
@@ -126,11 +106,6 @@ class PathResult:
 
     terminal: np.ndarray
     overflow_step: Optional[int] = None
-    path: Optional[np.ndarray] = None
-
-    @property
-    def overflowed(self) -> bool:
-        return self.overflow_step is not None
 
 
 def tame_drift(mu_value, x, n: int, xi: float):
@@ -171,7 +146,7 @@ def _tamed_drift(problem: SdeProblem, n: int):
 
 
 def _step_batch(problem: SdeProblem, kind: SchemeKind, dt: float, n: int):
-    """The stepping kernel shared by :func:`step` and :func:`simulate_batch`.
+    """The stepping kernel :class:`BatchStepper` runs.
 
     Returns ``advance(x, t_left, t_drift, dw, iw)``, which moves a (B, d)
     block of states by one step of size ``dt`` with taming parameter ``n``.
@@ -200,34 +175,6 @@ def _step_batch(problem: SdeProblem, kind: SchemeKind, dt: float, n: int):
         return out
 
     return advance
-
-
-def step(problem: SdeProblem, kind: SchemeKind, x, ctx: StepContext) -> np.ndarray:
-    """One step of the chosen integrator from state ``x``.
-
-    The drift is evaluated at ``t_left + dt*u`` for the randomized kind and
-    at ``t_left`` otherwise, tamed for the tamed kinds; the diffusion and
-    the correction tensor always use ``t_left``.  Euler kinds omit the
-    correction term.
-    """
-    xa = np.asarray(x, dtype=float)
-    if xa.shape != (problem.d,):
-        raise DimensionError(f"state must have shape ({problem.d},)")
-    dw = np.asarray(ctx.dW, dtype=float).reshape(-1)
-    if dw.shape != (problem.m,):
-        raise DimensionError(f"dW must have shape ({problem.m},)")
-    advance = _step_batch(problem, kind, ctx.dt, ctx.n)
-    if kind in _MILSTEIN_KINDS:
-        if ctx.I is None:
-            raise ValueError("Milstein kinds require iterated integrals in ctx.I")
-        iw = np.asarray(ctx.I, dtype=float).reshape(1, 1, problem.m, problem.m)
-    else:
-        iw = None
-    if kind is SchemeKind.RANDOMIZED_TAMED_MILSTEIN:
-        t_drift = ctx.t_left + ctx.dt * np.array([ctx.u])
-    else:
-        t_drift = ctx.t_left
-    return advance(xa[None, :], ctx.t_left, t_drift, dw.reshape(1, 1, -1), iw)[0]
 
 
 class BatchStepper:
@@ -350,8 +297,8 @@ def simulate_batch(problem: SdeProblem, kind: SchemeKind, increments,
 
 
 def integrate_path(problem: SdeProblem, kind: SchemeKind, level: int,
-                   brownian: BrownianGrid, uniforms: RandomizationStream = None,
-                   *, keep_path: bool = False) -> PathResult:
+                   brownian: BrownianGrid,
+                   uniforms: RandomizationStream = None) -> PathResult:
     """Integrate one path at a dyadic level, coarsening the grid as needed.
 
     The grid may be finer than ``level``; it is coarsened exactly, so a
@@ -375,13 +322,11 @@ def integrate_path(problem: SdeProblem, kind: SchemeKind, level: int,
                 f"need at least {grid.n} uniforms, got {len(uniforms)}"
             )
         u = uniforms.uniforms[: grid.n][None, :]
-    terminal, overflow, path = simulate_batch(
-        problem, kind, grid.increments[None, :, :], u, keep_path=keep_path
-    )
+    terminal, overflow, _ = simulate_batch(problem, kind,
+                                           grid.increments[None, :, :], u)
     return PathResult(
         terminal=terminal[0],
         overflow_step=int(overflow[0]) if overflow[0] >= 0 else None,
-        path=path[0] if keep_path else None,
     )
 
 

@@ -198,9 +198,9 @@ def test_streaming_sweep_matches_per_path_reference(monkeypatch, problem_id, kin
     err, ok = _per_path_reference(problem, kind, levels, ref, p, paths, policy)
     table = strong_error_experiment(problem, kind, levels, ref, p, paths, policy,
                                     threads=1)
-    for row, level in enumerate(levels):
+    assert [got.level for got in table.rows] == levels
+    for row, got in enumerate(table.rows):
         values = err[row][ok[row]]
-        got = table.level_row(level)
         assert got.overflowed == paths - values.size
         assert got.lp_error == float(np.mean(values)) ** (1.0 / p)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import tempfile
@@ -99,7 +100,7 @@ def test_config_round_trip(tmp_path):
     validated = ExperimentConfig.from_mapping(config)
     validated.validate()
     round_trip = tmp_path / "round_trip.json"
-    redirected = {**validated.to_dict(), "outdir": str(tmp_path / "out3")}
+    redirected = {**dataclasses.asdict(validated), "outdir": str(tmp_path / "out3")}
     round_trip.write_text(json.dumps(redirected))
     assert run_command(["converge", "--config", str(round_trip)]) == 0
     assert read(os.path.join(str(tmp_path / "out3"), "converge.csv")) == first
@@ -150,11 +151,31 @@ def test_cli_overrides_apply(tmp_path):
     ({"paths": 2 ** 70}, "paths"),
     ({"audit_samples": 2 ** 32}, "audit_samples"),
     ({"audit_n_values": [16, 2 ** 70]}, "audit_n_values"),
+    ({"p": 10 ** 400}, "p must"),
+    ({"q": 10 ** 400}, "q must"),
+    ({"audit_radius": 10 ** 400}, "audit_radius"),
+    ({"problem_params": {"sigma": 10 ** 400}}, "problem_params"),
 ])
 def test_config_validation_exits_2(tmp_path, capsys, overrides, fragment):
     path, _ = write_config(tmp_path, **overrides)
     assert run_command(["converge", "--config", str(path)]) == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where,document", [
+    ("config", b"\xff\xfe{}"),      # not UTF-8
+    ("config", b"[" * 100000),      # nested past the recursion limit
+    ("problem_params", "[" * 100000),
+])
+def test_undecodable_json_exits_2(tmp_path, capsys, where, document):
+    path, _ = write_config(tmp_path)
+    argv = ["converge", "--config", str(path)]
+    if where == "config":
+        path.write_bytes(document)
+    else:
+        argv += ["--problem-params", document]
+    assert run_command(argv) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -209,6 +230,7 @@ _JUNK = st.one_of(
 )
 _HUGE_LEVEL = st.integers(63, 2 ** 70)
 _HUGE_COUNT = st.integers(2 ** 24 + 1, 2 ** 70)
+_HUGE_REAL = st.integers(2 ** 1024, 2 ** 1100)  # beyond the float range
 _TOO_LARGE = {
     "levels": st.lists(st.one_of(st.integers(0, 6), _HUGE_LEVEL, _JUNK),
                        max_size=3),
@@ -219,6 +241,11 @@ _TOO_LARGE = {
     "audit_n_values": st.lists(st.one_of(st.integers(1, 64),
                                          st.integers(2 ** 62 + 1, 2 ** 70)),
                                min_size=1, max_size=3),
+    "p": _HUGE_REAL,
+    "q": _HUGE_REAL,
+    "audit_radius": _HUGE_REAL,
+    "problem_params": st.dictionaries(st.sampled_from(["sigma", "beta", "x0"]),
+                                      _HUGE_REAL, min_size=1, max_size=2),
 }
 _VALID = {
     "problem": st.sampled_from(["fhn", "gbm", "rough_drift"]),

@@ -1,41 +1,48 @@
 import numpy as np
 import pytest
 
-from sde_rtm import (
-    DomainError,
-    EvaluationError,
-    InvalidParameterError,
-    NoiseStructure,
-    SdeProblem,
-    eval_diffusion,
-    eval_drift,
-    eval_milstein_tensor,
-    finite_difference_milstein_tensor,
-    make_builtin,
-)
+from sde_rtm import InvalidParameterError, NoiseStructure, SdeProblem, make_builtin
+
+
+def _finite_difference_milstein_tensor(problem, t, x, rel_step=1e-6):
+    """Central-difference reconstruction of the correction tensor.
+
+    Independent cross-check for analytically supplied tensors: rebuilds
+    ``sum_r d(rho[i, k])/d(x_r) * rho[r, l]`` from ``diffusion`` alone.
+    """
+    xa = np.asarray(x, dtype=float)
+    rho = problem.diffusion(t, xa)
+    lam = np.zeros((problem.d, problem.m, problem.m))
+    for r in range(problem.d):
+        h = rel_step * max(1.0, abs(xa[r]))
+        e = np.zeros(problem.d)
+        e[r] = h
+        drho = (problem.diffusion(t, xa + e) - problem.diffusion(t, xa - e)) / (2 * h)
+        lam += drho[:, :, None] * rho[r][None, None, :]
+    return lam
 
 
 def test_fhn_drift_at_origin(fhn):
     # V-component: 2 - 8/3 - (-1) + 25, R-component: 0.8*(2 + 0.7 + 0.8)
-    out = eval_drift(fhn, 0.0, [2.0, -1.0])
+    out = fhn.drift(0.0, np.array([2.0, -1.0]))
     assert out[0] == pytest.approx(2 - 8 / 3 + 1 + 25, rel=1e-12)
     assert out[1] == pytest.approx(2.8, rel=1e-12)
 
 
 def test_fhn_drift_input_vanishes_at_horizon(fhn):
     # the external input contributes 25*(1 - sqrt(1)) = 0 at t = 1
-    out = eval_drift(fhn, 1.0, [2.0, -1.0])
+    out = fhn.drift(1.0, np.array([2.0, -1.0]))
     assert out[0] == pytest.approx(2 - 8 / 3 + 1, rel=1e-12)
 
 
 def test_gbm_zero_drift():
     problem = make_builtin("gbm", a=0.0, sigma=0.3, x0=2.0)
     for x in ([0.5], [3.0], [-1.0]):
-        assert eval_drift(problem, 0.3, x) == pytest.approx([0.0])
+        assert problem.drift(0.3, np.array(x)) == pytest.approx([0.0])
 
 
 def test_fhn_diffusion_column(fhn):
-    out = eval_diffusion(fhn, 0.0, [2.0, -1.0])
+    out = fhn.diffusion(0.0, np.array([2.0, -1.0]))
     assert out == pytest.approx(np.array([[0.002], [0.0]]), rel=1e-12)
 
 
@@ -44,25 +51,26 @@ def test_fhn_recovery_row_has_no_noise(fhn):
     for _ in range(50):
         t = rng.random()
         x = rng.normal(scale=4.0, size=2)
-        assert eval_diffusion(fhn, t, x)[1, 0] == 0.0
+        assert fhn.diffusion(t, x)[1, 0] == 0.0
 
 
 def test_gbm_diffusion_linear():
     problem = make_builtin("gbm", a=0.0, sigma=1.0, x0=1.0)
-    assert eval_diffusion(problem, 0.0, [3.0]) == pytest.approx(np.array([[3.0]]))
+    assert problem.diffusion(0.0, np.array([3.0])) == pytest.approx(np.array([[3.0]]))
 
 
 def test_zero_diffusion_matrix(zero_problem):
-    assert np.all(eval_diffusion(zero_problem, 0.5, [1.0, 2.0]) == 0.0)
+    assert np.all(zero_problem.diffusion(0.5, np.array([1.0, 2.0])) == 0.0)
 
 
 def test_milstein_tensor_gbm():
     problem = make_builtin("gbm", a=0.0, sigma=1.0, x0=1.0)
-    assert eval_milstein_tensor(problem, 0.0, [2.0])[0, 0, 0] == pytest.approx(2.0)
+    lam = problem.milstein_tensor(0.0, np.array([2.0]))
+    assert lam[0, 0, 0] == pytest.approx(2.0)
 
 
 def test_milstein_tensor_fhn(fhn):
-    lam = eval_milstein_tensor(fhn, 0.0, [2.0, -1.0])
+    lam = fhn.milstein_tensor(0.0, np.array([2.0, -1.0]))
     assert lam[0, 0, 0] == pytest.approx(0.001 ** 2 * 2.0, rel=1e-12)
     assert lam[1, 0, 0] == 0.0
 
@@ -81,8 +89,8 @@ def test_milstein_tensor_constant_diffusion():
         milstein_tensor=lambda t, x: np.zeros(np.asarray(x).shape + (1, 1)),
         noise_structure=NoiseStructure.SCALAR, xi=0.0, beta=1.0,
     )
-    assert np.all(eval_milstein_tensor(problem, 0.2, [5.0]) == 0.0)
-    assert finite_difference_milstein_tensor(problem, 0.2, [5.0]) == pytest.approx(
+    assert np.all(problem.milstein_tensor(0.2, np.array([5.0])) == 0.0)
+    assert _finite_difference_milstein_tensor(problem, 0.2, [5.0]) == pytest.approx(
         np.zeros((1, 1, 1)), abs=1e-9
     )
 
@@ -99,8 +107,8 @@ def test_tensor_matches_finite_differences(kind, params):
     for _ in range(100):
         t = rng.random() * problem.horizon
         x = rng.normal(scale=3.0, size=problem.d)
-        analytic = eval_milstein_tensor(problem, t, x)
-        numeric = finite_difference_milstein_tensor(problem, t, x)
+        analytic = problem.milstein_tensor(t, x)
+        numeric = _finite_difference_milstein_tensor(problem, t, x)
         assert analytic == pytest.approx(numeric, rel=1e-5, abs=1e-10)
 
 
@@ -128,14 +136,17 @@ def test_gbm_exact_terminal_deterministic_limit():
 def test_rough_drift_matches_fhn_at_zero(fhn):
     rough = make_builtin("rough_drift", beta=0.25, c=25.0)
     x = np.array([2.0, -1.0])
-    assert eval_drift(rough, 0.0, x) == pytest.approx(eval_drift(fhn, 0.0, x),
-                                                      rel=1e-12)
+    assert rough.drift(0.0, x) == pytest.approx(fhn.drift(0.0, x), rel=1e-12)
     assert rough.beta == 0.25
 
 
 def test_invalid_parameters_rejected():
     with pytest.raises(InvalidParameterError):
         make_builtin("gbm", horizon=-1.0)
+    with pytest.raises(InvalidParameterError):
+        make_builtin("fhn", horizon=0.0)
+    with pytest.raises(InvalidParameterError):
+        make_builtin("fhn", horizon=float("nan"))
     with pytest.raises(InvalidParameterError):
         make_builtin("gbm", sigma=-0.1)
     with pytest.raises(InvalidParameterError):
@@ -146,30 +157,6 @@ def test_invalid_parameters_rejected():
         make_builtin("no_such_problem")
     with pytest.raises(InvalidParameterError):
         make_builtin("fhn", not_a_parameter=3)
-
-
-def test_eval_domain_checks(fhn):
-    with pytest.raises(DomainError):
-        eval_drift(fhn, -0.01, [0.0, 0.0])
-    with pytest.raises(DomainError):
-        eval_drift(fhn, 1.01, [0.0, 0.0])
-    with pytest.raises(DomainError):
-        eval_drift(fhn, 0.5, [np.nan, 0.0])
-    with pytest.raises(DomainError):
-        eval_drift(fhn, 0.5, [0.0, 0.0, 0.0])
-
-
-def test_non_finite_coefficient_is_evaluation_error():
-    problem = SdeProblem(
-        d=1, m=1, horizon=1.0, initial_state=[1.0],
-        drift=lambda t, x: np.asarray(x, dtype=float) / 0.0,
-        diffusion=lambda t, x: np.zeros(np.asarray(x).shape + (1,)),
-        milstein_tensor=lambda t, x: np.zeros(np.asarray(x).shape + (1, 1)),
-        noise_structure=NoiseStructure.SCALAR, xi=0.0, beta=1.0,
-    )
-    with np.errstate(all="ignore"):
-        with pytest.raises(EvaluationError):
-            eval_drift(problem, 0.0, [1.0])
 
 
 def test_problem_validation():

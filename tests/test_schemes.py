@@ -13,7 +13,6 @@ from sde_rtm import (
     SchemeKind,
     SdeProblem,
     SeedPolicy,
-    StepContext,
     StreamRole,
     UnsupportedNoiseStructureError,
     audit_taming,
@@ -25,7 +24,6 @@ from sde_rtm import (
     sample_brownian_grid,
     sample_randomization,
     simulate_batch,
-    step,
     tame_drift,
 )
 
@@ -77,27 +75,47 @@ def test_tame_drift_validation():
 
 # --- single steps ------------------------------------------------------------
 
+def _one_step(problem, kind, x, t_left, dt, dw, iw, u, n):
+    """One step of ``kind`` from the state ``x``, through the kernel that
+    BatchStepper runs, as a batch of one path.
+
+    ``dw`` is the increment (m,), ``iw`` the iterated integrals (m, m), read
+    by the Milstein kinds only, and ``u`` the uniform draw that puts the
+    drift time of the randomized kind at ``t_left + dt * u``.
+    """
+    advance = schemes._step_batch(problem, kind, dt, n)
+    xa = np.asarray(x, dtype=float)
+    dw = np.asarray(dw, dtype=float).reshape(1, 1, -1)
+    if kind in schemes._MILSTEIN_KINDS:
+        iw = np.asarray(iw, dtype=float).reshape(1, 1, problem.m, problem.m)
+    else:
+        iw = None
+    if kind is SchemeKind.RANDOMIZED_TAMED_MILSTEIN:
+        t_drift = t_left + dt * np.array([u])
+    else:
+        t_drift = t_left
+    return advance(xa[None, :], t_left, t_drift, dw, iw)[0]
+
+
 def test_step_gbm_correction_cancels(gbm_unit):
     # (dW)^2 == dt makes the iterated integral vanish
     integrals = iterated_integrals(np.array([0.5]), 0.25, NoiseStructure.SCALAR)
-    ctx = StepContext(t_left=0.0, dt=0.25, dW=np.array([0.5]), I=integrals, n=4)
-    out = step(gbm_unit, SchemeKind.TAMED_MILSTEIN, [1.0], ctx)
+    out = _one_step(gbm_unit, SchemeKind.TAMED_MILSTEIN, [1.0], 0.0, 0.25,
+                    [0.5], integrals, 0.0, 4)
     assert out == pytest.approx([1.5], rel=1e-12)
 
 
 def test_step_gbm_pure_correction(gbm_unit):
     integrals = iterated_integrals(np.array([0.0]), 0.25, NoiseStructure.SCALAR)
-    ctx = StepContext(t_left=0.0, dt=0.25, dW=np.array([0.0]), I=integrals, n=4)
-    out = step(gbm_unit, SchemeKind.TAMED_MILSTEIN, [1.0], ctx)
+    out = _one_step(gbm_unit, SchemeKind.TAMED_MILSTEIN, [1.0], 0.0, 0.25,
+                    [0.0], integrals, 0.0, 4)
     assert out == pytest.approx([0.875], rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_step_zero_coefficients_identity(zero_problem, kind):
-    integrals = np.zeros((1, 1))
-    ctx = StepContext(t_left=0.25, dt=0.25, dW=np.array([0.9]), I=integrals,
-                      u=0.7, n=4)
-    out = step(zero_problem, kind, [1.0, 2.0], ctx)
+    out = _one_step(zero_problem, kind, [1.0, 2.0], 0.25, 0.25, [0.9],
+                    np.zeros((1, 1)), 0.7, 4)
     assert np.array_equal(out, [1.0, 2.0])
 
 
@@ -105,9 +123,8 @@ def test_step_fhn_one_step_oracle(fhn):
     # direct arithmetic: taming denominator 1 + |2|^4 = 17 applies to the
     # cubic summand only; the input term uses the randomized time 0.25
     integrals = iterated_integrals(np.array([0.0]), 1.0, NoiseStructure.SCALAR)
-    ctx = StepContext(t_left=0.0, dt=1.0, dW=np.array([0.0]), I=integrals,
-                      u=0.25, n=1)
-    out = step(fhn, SchemeKind.RANDOMIZED_TAMED_MILSTEIN, [2.0, -1.0], ctx)
+    out = _one_step(fhn, SchemeKind.RANDOMIZED_TAMED_MILSTEIN, [2.0, -1.0], 0.0,
+                    1.0, [0.0], integrals, 0.25, 1)
     expected_v = 2.0 + (2.0 - 8.0 / 3.0) / 17.0 + (1.0 + 25.0 * (1.0 - 0.5)) \
         + 0.5 * 0.001 ** 2 * 2.0 * (0.0 - 1.0)
     assert out[0] == pytest.approx(expected_v, rel=1e-12)
@@ -117,10 +134,9 @@ def test_step_fhn_one_step_oracle(fhn):
 def test_step_left_endpoint_degeneracy(fhn):
     # u = 0 freezes the randomized time at the left endpoint: bit-identical
     integrals = iterated_integrals(np.array([0.3]), 0.125, NoiseStructure.SCALAR)
-    ctx0 = StepContext(t_left=0.25, dt=0.125, dW=np.array([0.3]), I=integrals,
-                       u=0.0, n=8)
-    randomized = step(fhn, SchemeKind.RANDOMIZED_TAMED_MILSTEIN, [1.5, 0.2], ctx0)
-    classical = step(fhn, SchemeKind.TAMED_MILSTEIN, [1.5, 0.2], ctx0)
+    inputs = ([1.5, 0.2], 0.25, 0.125, [0.3], integrals, 0.0, 8)
+    randomized = _one_step(fhn, SchemeKind.RANDOMIZED_TAMED_MILSTEIN, *inputs)
+    classical = _one_step(fhn, SchemeKind.TAMED_MILSTEIN, *inputs)
     assert np.array_equal(randomized, classical)
 
 
@@ -133,24 +149,13 @@ def test_step_affine_in_increment(alpha):
     x = np.array([1.2, -0.3])
 
     def advance(scale):
-        ctx = StepContext(t_left=0.5, dt=0.125, dW=scale * direction,
-                          I=integrals, u=0.0, n=8)
-        return step(FHN, SchemeKind.RANDOMIZED_TAMED_MILSTEIN, x, ctx)
+        return _one_step(FHN, SchemeKind.RANDOMIZED_TAMED_MILSTEIN, x, 0.5, 0.125,
+                         scale * direction, integrals, 0.0, 8)
 
     base = advance(0.0)
     unit = advance(1.0) - base
     scaled = advance(alpha) - base
     assert scaled == pytest.approx(alpha * unit, rel=1e-9, abs=1e-12)
-
-
-def test_step_dimension_checks(fhn):
-    ctx = StepContext(t_left=0.0, dt=0.1, dW=np.array([0.1, 0.2]),
-                      I=np.zeros((2, 2)), n=10)
-    with pytest.raises(DimensionError):
-        step(fhn, SchemeKind.TAMED_EULER, [1.0, 2.0], ctx)
-    ctx2 = StepContext(t_left=0.0, dt=0.1, dW=np.array([0.1]), I=None, n=10)
-    with pytest.raises(ValueError):
-        step(fhn, SchemeKind.TAMED_MILSTEIN, [1.0, 2.0], ctx2)
 
 
 # --- whole paths -------------------------------------------------------------
@@ -170,7 +175,7 @@ def test_integrate_zero_problem(zero_problem, kind):
     grid, uniforms = _grid_and_uniforms(5)
     result = integrate_path(zero_problem, kind, 3, grid, uniforms)
     assert np.array_equal(result.terminal, zero_problem.initial_state)
-    assert not result.overflowed
+    assert result.overflow_step is None
 
 
 def test_integrate_self_comparison_is_exact(fhn):
@@ -240,20 +245,11 @@ def test_overflow_marker_on_explosive_problem():
     )
     grid, uniforms = _grid_and_uniforms(4)
     result = integrate_path(explosive, SchemeKind.EULER_MARUYAMA, 4, grid, uniforms)
-    assert result.overflowed
+    assert result.overflow_step is not None
     assert 0 <= result.overflow_step < grid.n
     # the tamed variant of the same problem stays finite
     tamed = integrate_path(explosive, SchemeKind.TAMED_EULER, 4, grid, uniforms)
-    assert not tamed.overflowed
-
-
-def test_keep_path_shape(fhn):
-    grid, uniforms = _grid_and_uniforms(4)
-    result = integrate_path(fhn, SchemeKind.RANDOMIZED_TAMED_MILSTEIN, 4, grid,
-                            uniforms, keep_path=True)
-    assert result.path.shape == (17, 2)
-    assert np.array_equal(result.path[0], fhn.initial_state)
-    assert np.array_equal(result.path[-1], result.terminal)
+    assert tamed.overflow_step is None
 
 
 def test_general_noise_rejected_for_milstein_kinds(fhn):
@@ -266,7 +262,7 @@ def test_general_noise_rejected_for_milstein_kinds(fhn):
         integrate_path(general, SchemeKind.TAMED_MILSTEIN, 3, grid)
     # Euler kinds do not touch iterated integrals and must still run
     result = integrate_path(general, SchemeKind.TAMED_EULER, 3, grid)
-    assert not result.overflowed
+    assert result.overflow_step is None
 
 
 def test_integrate_validation(fhn):
@@ -300,7 +296,7 @@ def _late_blowup_problem():
 
 
 def _stepped_reference(problem, kind, inc, uniforms):
-    """Path-by-path loop over step(), checking finiteness after every step."""
+    """Path-by-path loop over _one_step, checking finiteness after every step."""
     batch, n, _ = inc.shape
     dt = problem.horizon / n
     paths = np.empty((batch, n + 1, problem.d))
@@ -310,12 +306,9 @@ def _stepped_reference(problem, kind, inc, uniforms):
             x = problem.initial_state
             paths[b, 0] = x
             for j in range(n):
-                ctx = StepContext(
-                    t_left=j * dt, dt=dt, dW=inc[b, j],
-                    I=iterated_integrals(inc[b, j], dt, problem.noise_structure),
-                    u=uniforms[b, j], n=n,
-                )
-                x = step(problem, kind, x, ctx)
+                integrals = iterated_integrals(inc[b, j], dt, problem.noise_structure)
+                x = _one_step(problem, kind, x, j * dt, dt, inc[b, j], integrals,
+                              uniforms[b, j], n)
                 paths[b, j + 1] = x
                 if overflow[b] < 0 and not np.isfinite(x).all():
                     overflow[b] = j
@@ -390,18 +383,12 @@ def test_step_rejects_general_noise_and_bad_increments(fhn, kind):
         dataclasses.replace(fhn, taming_split=None),
         noise_structure=NoiseStructure.GENERAL,
     )
-    ctx = StepContext(t_left=0.0, dt=0.1, dW=np.array([0.1]), I=np.zeros((1, 1)),
-                      u=0.5, n=10)
-    if kind in (SchemeKind.TAMED_MILSTEIN, SchemeKind.RANDOMIZED_TAMED_MILSTEIN):
+    inputs = ([1.0, 2.0], 0.0, 0.1, [0.1], np.zeros((1, 1)), 0.5, 10)
+    if kind in schemes._MILSTEIN_KINDS:
         with pytest.raises(UnsupportedNoiseStructureError):
-            step(general, kind, [1.0, 2.0], ctx)
+            _one_step(general, kind, *inputs)
     else:
-        assert np.isfinite(step(general, kind, [1.0, 2.0], ctx)).all()
-    wide = dataclasses.replace(ctx, dW=np.array([0.1, 0.2]), I=np.zeros((2, 2)))
-    with pytest.raises(DimensionError):
-        step(fhn, kind, [1.0, 2.0], wide)
-    with pytest.raises(DimensionError):
-        step(fhn, kind, [1.0, 2.0, 3.0], ctx)
+        assert np.isfinite(_one_step(general, kind, *inputs)).all()
 
 
 # --- taming audit ------------------------------------------------------------
