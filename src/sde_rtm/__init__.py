@@ -28,7 +28,6 @@ from .schemes import (
     DimensionError,
     PathResult,
     SchemeKind,
-    TamingAudit,
     audit_taming,
     integrate_path,
     simulate_batch,

@@ -48,7 +48,7 @@ import os
 import pickle
 from multiprocessing.connection import wait
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -136,9 +136,9 @@ class MomentTable:
         return sorted(self.overflows)
 
 
-def _resolve_threads(threads: Optional[int]) -> int:
-    """The worker count: ``threads``, else ``SDE_RTM_THREADS``; 0 is auto."""
-    raw = os.environ.get("SDE_RTM_THREADS", "0") if threads is None else threads
+def _resolve_threads() -> int:
+    """The worker count from ``SDE_RTM_THREADS``; 0 (the default) is auto."""
+    raw = os.environ.get("SDE_RTM_THREADS", "0")
     try:
         threads = int(raw)
     except ValueError:
@@ -173,6 +173,10 @@ def _map_blocks(worker, count: int, threads: int) -> list:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
         return [worker(start, stop) for start, stop in blocks]
+    # numpy loads numpy.random lazily, on first use: load it once here, before
+    # the fork, or every forked worker of every pool imports it again (8-17 ms
+    # each) on its first draw; at module load it would slow every start-up
+    import numpy.random  # noqa: F401
     workers = min(threads, len(blocks))
     reader, writer = ctx.Pipe(duplex=False)
     send_lock = ctx.Lock()
@@ -294,21 +298,21 @@ def _checked_levels(levels) -> list:
 
 def strong_error_experiment(problem: SdeProblem, kind: SchemeKind, levels,
                             ref: Union[int, str], p: float, paths: int,
-                            policy: SeedPolicy,
-                            threads: Optional[int] = None) -> ErrorTable:
+                            policy: SeedPolicy) -> ErrorTable:
     """Estimate terminal-time strong L^p errors on coupled Brownian paths.
 
     ``ref`` is either a finer dyadic level (the same scheme is run there as
     a surrogate truth) or the string ``"exact"`` (the problem's closed-form
-    terminal is used).  Per path, one grid is drawn at the generation level
-    from the (path, BROWNIAN) substream; coarse runs use exact coarsenings
-    of it.  Randomized integrators consume fresh uniforms from the
+    terminal is used; a problem without one raises
+    :class:`InvalidParameterError` before any worker starts).  Per path, one
+    grid is drawn at the generation level from the (path, BROWNIAN)
+    substream; coarse runs use exact coarsenings of it.  Randomized integrators consume fresh uniforms from the
     (path, RANDOMIZATION) substream, reference first, then levels ascending.
     Paths whose coarse run or reference overflows are excluded from the
     average and counted.
     """
     levels = _checked_levels(levels)
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1")
     if paths < 1:
         raise ValueError("paths must be >= 1")
@@ -317,7 +321,7 @@ def strong_error_experiment(problem: SdeProblem, kind: SchemeKind, levels,
         if ref != "exact":
             raise ValueError(f"reference must be a level or 'exact', got {ref!r}")
         if problem.exact_terminal is None:
-            raise ValueError("problem has no exact terminal solution")
+            raise InvalidParameterError("problem has no exact terminal solution")
         gen_level = max(levels)
     else:
         ref = int(ref)
@@ -347,7 +351,7 @@ def strong_error_experiment(problem: SdeProblem, kind: SchemeKind, levels,
                 block_ok[row] = ref_ok & (stepper.overflow < 0)
         return block_err, block_ok
 
-    results = _map_blocks(worker, paths, _resolve_threads(threads))
+    results = _map_blocks(worker, paths, _resolve_threads())
     err_pow = np.concatenate([block_err for block_err, _ in results], axis=1)
     included = np.concatenate([block_ok for _, block_ok in results], axis=1)
 
@@ -400,20 +404,19 @@ def fit_rate(table: ErrorTable) -> RateFit:
 
 
 def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
-                      paths: int, policy: SeedPolicy,
-                      threads: Optional[int] = None) -> MomentTable:
+                      paths: int, policy: SeedPolicy) -> MomentTable:
     """Track empirical E|x_t|^q over every grid point, per level.
 
     Overflowed paths are excluded from the averages from the moment they
     turn non-finite and counted per level; a grid point where no path is
     finite reports an infinite moment.
     """
-    if q < 2:
+    if not q >= 2:
         raise ValueError("q must be >= 2")
     if paths < 1:
         raise ValueError("paths must be >= 1")
     levels = _checked_levels(levels)
-    threads_n = _resolve_threads(threads)
+    threads = _resolve_threads()
     all_rows = []
     overflows = {}
     for level in levels:
@@ -443,7 +446,7 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
         counts = np.zeros(n + 1, dtype=np.int64)
         overflowed = 0
         for block_powers, block_counts, block_overflow in _map_blocks(
-            worker, paths, threads_n
+            worker, paths, threads
         ):
             # row by row in path order: the same sequential sum as an axis-0
             # sum over all paths, whatever the slab widths
@@ -460,21 +463,19 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
     return MomentTable(tuple(all_rows), q, overflows)
 
 
-def blowup_demo(levels, paths: int, policy: SeedPolicy,
-                threads: Optional[int] = None) -> dict:
+def blowup_demo(levels, paths: int, policy: SeedPolicy) -> dict:
     """Second-moment tables of untamed vs tamed Euler on the cubic
     double-well problem (the ``double_well`` builtin), on shared Brownian
     substreams."""
     problem = make_builtin("double_well")
     return {
-        kind: moment_experiment(problem, kind, 2.0, levels, paths, policy, threads)
+        kind: moment_experiment(problem, kind, 2.0, levels, paths, policy)
         for kind in (SchemeKind.EULER_MARUYAMA, SchemeKind.TAMED_EULER)
     }
 
 
 def simulate_terminals(problem: SdeProblem, kind: SchemeKind, level: int,
-                       paths: int, policy: SeedPolicy,
-                       threads: Optional[int] = None):
+                       paths: int, policy: SeedPolicy):
     """Terminal states of ``paths`` independent paths at one level.
 
     Returns ``(terminals, overflow_steps)`` with shapes (paths, d) and
@@ -489,7 +490,7 @@ def simulate_terminals(problem: SdeProblem, kind: SchemeKind, level: int,
         steppers, _ = _sweep(problem, kind, policy, start, stop, level, [level])
         return steppers[0].x, steppers[0].overflow
 
-    results = _map_blocks(worker, paths, _resolve_threads(threads))
+    results = _map_blocks(worker, paths, _resolve_threads())
     terminals = np.concatenate([term for term, _ in results])
     overflow_steps = np.concatenate([ovf for _, ovf in results])
     return terminals, overflow_steps

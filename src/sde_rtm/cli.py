@@ -34,8 +34,6 @@ class ConfigError(ValueError):
     """The experiment configuration failed validation."""
 
 
-_COMMANDS = ("converge", "simulate", "moments", "audit", "blowup")
-
 # The finest dyadic level whose step count 1 << level fits the int64 step
 # indices of the stepping kernel.
 _MAX_LEVEL = 62
@@ -128,7 +126,7 @@ class ExperimentConfig:
         for name in ("p", "q", "audit_radius"):
             if not _is_real(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number")
-        for name in ("paths", "master_seed", "audit_samples"):
+        for name in ("paths", "audit_samples"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer")
         if self.p < 1:
@@ -137,8 +135,6 @@ class ExperimentConfig:
             raise ConfigError("q must be >= 2")
         if not 1 <= self.paths <= _MAX_COUNT:
             raise ConfigError(f"paths must lie in [1, {_MAX_COUNT}]")
-        if not 0 <= self.master_seed < 2 ** 64:
-            raise ConfigError("master_seed must be a 64-bit unsigned integer")
         if not isinstance(self.outdir, str):
             raise ConfigError("outdir must be a string")
         if self.level is not None and (not _is_int(self.level)
@@ -166,25 +162,19 @@ class ExperimentConfig:
         return _SCHEME_IDS[self.scheme]
 
 
-def _resolve(config: ExperimentConfig, needs_reference: bool = False):
+def _resolve(config: ExperimentConfig):
     """Validate the config and build the runtime objects it describes.
 
-    Raises ConfigError for bad records, before any simulation starts.
+    Raises ConfigError (or, for the seed, InvalidParameterError) for bad
+    records, before any simulation starts.
     """
     config.validate()
     problem = config.build_problem()
     kind = config.scheme_kind()
-    if needs_reference and config.reference == "exact" \
-            and problem.exact_terminal is None:
-        raise ConfigError(
-            f"problem {config.problem!r} has no exact terminal solution"
-        )
     return problem, kind, noise.SeedPolicy(config.master_seed)
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
@@ -326,7 +316,7 @@ def render_svg(table: analysis.ErrorTable, fit: analysis.RateFit, path: str) -> 
 
 
 def _cmd_converge(config: ExperimentConfig) -> None:
-    problem, kind, policy = _resolve(config, needs_reference=True)
+    problem, kind, policy = _resolve(config)
     table = analysis.strong_error_experiment(
         problem, kind, config.levels, config.reference, config.p,
         config.paths, policy,
@@ -395,7 +385,7 @@ def _cmd_moments(config: ExperimentConfig) -> None:
 def _cmd_audit(config: ExperimentConfig) -> None:
     problem, _, policy = _resolve(config)
     stream = noise.derive_substream(policy, 0, noise.StreamRole.RANDOMIZATION)
-    audit = schemes.audit_taming(
+    rows = schemes.audit_taming(
         problem, config.audit_n_values, config.audit_samples,
         config.audit_radius, stream,
     )
@@ -404,10 +394,10 @@ def _cmd_audit(config: ExperimentConfig) -> None:
         _HEADERS["audit"],
         tuple(
             (r.n, r.max_drift_ratio, r.growth_constant, r.consistency_ratio)
-            for r in audit.rows
+            for r in rows
         ),
     ).write(os.path.join(config.outdir, "audit.csv"))
-    for r in audit.rows:
+    for r in rows:
         print(f"n {r.n:6d}  |tamed|/|mu| {r.max_drift_ratio:.6f}  "
               f"L {r.growth_constant:.6f}  consistency {r.consistency_ratio:.6f}")
 
@@ -447,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="sde-rtm",
         description="SDE strong-convergence benchmark harness",
     )
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=list(_RUNNERS))
     parser.add_argument("--config", help="path to a JSON config document")
     parser.add_argument("--problem", help="builtin problem id")
     parser.add_argument("--problem-params", dest="problem_params",

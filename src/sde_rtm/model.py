@@ -113,14 +113,13 @@ class SdeProblem:
     beta: float
     exact_terminal: Optional[Callable] = None
     taming_split: Optional[TamingSplit] = None
-    name: str = "custom"
 
     def __post_init__(self):
         if int(self.d) < 1 or int(self.m) < 1:
             raise InvalidParameterError("d and m must be positive integers")
         if not (self.horizon > 0 and np.isfinite(self.horizon)):
             raise InvalidParameterError("horizon must be a positive finite real")
-        if self.xi < 0:
+        if not self.xi >= 0:
             raise InvalidParameterError("xi must be nonnegative")
         if not 0.0 < self.beta <= 1.0:
             raise InvalidParameterError("beta must lie in (0, 1]")
@@ -144,7 +143,7 @@ class SdeProblem:
 # --- built-in problems -------------------------------------------------------
 
 
-def _fhn_family(name, amp, exponent, v0, r0, sigma, alpha, gamma, lam,
+def _fhn_family(amp, exponent, v0, r0, sigma, alpha, gamma, lam,
                 horizon, xi, beta):
     """FitzHugh-Nagumo-type system with external input amp*(1 - t**exponent).
 
@@ -152,7 +151,7 @@ def _fhn_family(name, amp, exponent, v0, r0, sigma, alpha, gamma, lam,
     - lam*R) dt.  Only the cubic summand of the V-drift is tamed, with the
     denominator norm taken from |V| alone (see the taming_split).
     """
-    if sigma < 0:
+    if not sigma >= 0:
         raise InvalidParameterError("sigma must be nonnegative")
 
     def external_input(t):
@@ -201,27 +200,26 @@ def _fhn_family(name, amp, exponent, v0, r0, sigma, alpha, gamma, lam,
         xi=xi,
         beta=beta,
         taming_split=TamingSplit(cubic_part, linear_part, (0,)),
-        name=name,
     )
 
 
 def _make_fitzhugh_nagumo(i_amp=25.0, v0=2.0, r0=-1.0, sigma=0.001, alpha=0.8,
                           gamma=0.7, lam=0.8, horizon=1.0, xi=2.0):
     """Stochastic FitzHugh-Nagumo neuron with I_ext(t) = i_amp*(1 - sqrt(t))."""
-    return _fhn_family("fhn", i_amp, 0.5, v0, r0, sigma, alpha, gamma, lam,
+    return _fhn_family(i_amp, 0.5, v0, r0, sigma, alpha, gamma, lam,
                        horizon, xi, beta=0.5)
 
 
 def _make_rough_drift(beta, c=25.0, v0=2.0, r0=-1.0, sigma=0.001, alpha=0.8,
                       gamma=0.7, lam=0.8, horizon=1.0, xi=2.0):
     """FitzHugh-Nagumo variant with input c*(1 - t**beta) of lower time regularity."""
-    return _fhn_family("rough_drift", c, beta, v0, r0, sigma, alpha, gamma,
+    return _fhn_family(c, beta, v0, r0, sigma, alpha, gamma,
                        lam, horizon, xi, beta=beta)
 
 
 def _make_geometric_brownian(a=0.5, sigma=0.5, x0=1.0, horizon=1.0):
     """Geometric Brownian motion dx = a*x dt + sigma*x dw with exact terminal."""
-    if sigma < 0:
+    if not sigma >= 0:
         raise InvalidParameterError("sigma must be nonnegative")
 
     def drift(t, x):
@@ -252,7 +250,6 @@ def _make_geometric_brownian(a=0.5, sigma=0.5, x0=1.0, horizon=1.0):
         xi=0.0,
         beta=1.0,
         exact_terminal=exact_terminal,
-        name="gbm",
     )
 
 
@@ -284,15 +281,12 @@ def _make_double_well():
         noise_structure=NoiseStructure.SCALAR,
         xi=2.0,
         beta=1.0,
-        name="double_well",
     )
 
 
 BUILTIN_FACTORIES = {
     "fhn": _make_fitzhugh_nagumo,
-    "fitzhugh_nagumo": _make_fitzhugh_nagumo,
     "gbm": _make_geometric_brownian,
-    "geometric_brownian": _make_geometric_brownian,
     "rough_drift": _make_rough_drift,
     "double_well": _make_double_well,
 }
@@ -301,15 +295,14 @@ BUILTIN_FACTORIES = {
 def make_builtin(kind: str, **params) -> SdeProblem:
     """Construct a built-in problem by id.
 
-    Known ids: ``fhn`` (alias ``fitzhugh_nagumo``), ``gbm`` (alias
-    ``geometric_brownian``), ``rough_drift`` and ``double_well`` (no
-    parameters).  Parameter records are keyword arguments; unknown
-    parameters and out-of-range values raise :class:`InvalidParameterError`.
+    The ids are exactly ``fhn``, ``gbm``, ``rough_drift`` and
+    ``double_well`` (no parameters), spelled as here.  Parameter records are
+    keyword arguments; unknown ids, unknown parameters and out-of-range
+    values raise :class:`InvalidParameterError`.
     """
-    try:
-        factory = BUILTIN_FACTORIES[str(kind).lower()]
-    except KeyError:
-        raise InvalidParameterError(f"unknown builtin problem id: {kind!r}") from None
+    factory = BUILTIN_FACTORIES.get(kind) if isinstance(kind, str) else None
+    if factory is None:
+        raise InvalidParameterError(f"unknown builtin problem id: {kind!r}")
     try:
         return factory(**params)
     except TypeError as exc:

@@ -26,6 +26,7 @@ changing every number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -122,10 +123,6 @@ class BrownianGrid:
     @property
     def n(self) -> int:
         return 1 << self.level
-
-    @property
-    def dt(self) -> float:
-        return self.horizon / (1 << self.level)
 
 
 def sample_brownian_grid(level: int, m: int, horizon: float,
@@ -390,11 +387,13 @@ def sample_randomization(n: int, stream: np.random.Generator) -> RandomizationSt
 
 def randomized_time(t_left: float, dt: float, u: float) -> float:
     """Randomized evaluation time t_left + dt*u, in [t_left, t_left + dt)."""
-    if dt <= 0:
+    if not dt > 0:
         raise InvalidParameterError("dt must be positive")
     if not 0.0 <= u < 1.0:
         raise InvalidParameterError("u must lie in [0, 1)")
-    return t_left + dt * u
+    # when dt * (1 - u) is below half an ulp of the sum, rounding carries the
+    # sum onto the right endpoint; the largest float below it stays in the step
+    return min(t_left + dt * u, math.nextafter(t_left + dt, -math.inf))
 
 
 def iterated_integrals(dW, dt: float, structure: NoiseStructure) -> np.ndarray:

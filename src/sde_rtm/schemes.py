@@ -70,7 +70,6 @@ __all__ = [
     "BatchStepper",
     "simulate_batch",
     "audit_taming",
-    "TamingAudit",
     "TamingAuditRow",
 ]
 
@@ -100,8 +99,7 @@ class PathResult:
     """Terminal state of one integrated path.
 
     ``overflow_step`` is the index of the step whose output first became
-    non-finite, or None; an overflow is a reportable outcome (used by the
-    blow-up demonstration), not an error.
+    non-finite, or None; an overflow is a reportable outcome, not an error.
     """
 
     terminal: np.ndarray
@@ -117,7 +115,7 @@ def tame_drift(mu_value, x, n: int, xi: float):
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if xi < 0:
+    if not xi >= 0:
         raise ValueError("xi must be nonnegative")
     mu = np.asarray(mu_value, dtype=float)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
@@ -343,28 +341,21 @@ class TamingAuditRow:
     consistency_ratio: float      # max n |mu - tamed| / (|mu| |x|^(2 xi)), <= 1
 
 
-@dataclass(frozen=True)
-class TamingAudit:
-    problem_name: str
-    sample_count: int
-    radius: float
-    rows: tuple
-
-
 def audit_taming(problem: SdeProblem, n_values, sample_count: int, radius: float,
-                 stream: np.random.Generator) -> TamingAudit:
+                 stream: np.random.Generator) -> tuple:
     """Sampling-based audit of the generic taming operator on a problem.
 
-    Draws (t, x) uniformly on [0, horizon] x ball(radius) and reports, per
-    step count n: the worst ratio of tamed to raw drift norm (bounded by 1
-    by construction), the empirical constant in front of sqrt(n)(1 + |x|),
-    and the worst pointwise-consistency ratio n|mu - tamed|/(|mu||x|^(2 xi))
-    (also bounded by 1).  The audit always applies the whole-vector taming,
+    Draws (t, x) uniformly on [0, horizon] x ball(radius) and returns a
+    tuple of one :class:`TamingAuditRow` per step count n, in order: the
+    worst ratio of tamed to raw drift norm (bounded by 1 by construction),
+    the empirical constant in front of sqrt(n)(1 + |x|), and the worst
+    pointwise-consistency ratio n|mu - tamed|/(|mu||x|^(2 xi)) (also
+    bounded by 1).  The audit always applies the whole-vector taming,
     regardless of any per-summand split the problem carries.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     times = stream.random(sample_count) * problem.horizon
     direction = stream.standard_normal((sample_count, problem.d))
@@ -391,4 +382,4 @@ def audit_taming(problem: SdeProblem, n_values, sample_count: int, radius: float
         consistency = float(np.max(n * gap[usable] / denom[usable])) \
             if usable.any() else 0.0
         rows.append(TamingAuditRow(n, drift_ratio, growth, consistency))
-    return TamingAudit(problem.name, sample_count, radius, tuple(rows))
+    return tuple(rows)

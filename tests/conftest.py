@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -40,8 +42,15 @@ def make_zero_problem(d=2, m=1):
         noise_structure=NoiseStructure.SCALAR if m == 1 else NoiseStructure.DIAGONAL,
         xi=0.0,
         beta=1.0,
-        name="zero",
     )
+
+
+def src_env(**extra):
+    """The environment for a fresh interpreter that imports the package from
+    this checkout's ``src/``, plus ``extra`` variables."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 @pytest.fixture

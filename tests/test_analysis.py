@@ -2,6 +2,8 @@ import dataclasses
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -14,6 +16,7 @@ from sde_rtm import (
     DegenerateDataError,
     ErrorRow,
     ErrorTable,
+    InvalidParameterError,
     SchemeKind,
     SeedPolicy,
     blowup_demo,
@@ -34,7 +37,7 @@ from sde_rtm import (
     simulate_batch,
     terminal_value,
 )
-from tests.conftest import make_zero_problem
+from tests.conftest import make_zero_problem, src_env
 
 RTM = SchemeKind.RANDOMIZED_TAMED_MILSTEIN
 TM = SchemeKind.TAMED_MILSTEIN
@@ -120,10 +123,14 @@ def test_gbm_exact_reference_rms_small():
     assert table.rows[0].paths == 500
 
 
-def test_worker_count_does_not_change_results(fhn):
-    kwargs = dict(levels=[3, 4], ref=7, p=2.0, paths=600, policy=SeedPolicy(2))
-    serial = strong_error_experiment(fhn, RTM, threads=1, **kwargs)
-    parallel = strong_error_experiment(fhn, RTM, threads=3, **kwargs)
+def test_worker_count_does_not_change_results(fhn, monkeypatch):
+    def run(threads, experiment, *args):
+        monkeypatch.setenv("SDE_RTM_THREADS", str(threads))
+        return experiment(*args)
+
+    args = (fhn, RTM, [3, 4], 7, 2.0, 600, SeedPolicy(2))
+    serial = run(1, strong_error_experiment, *args)
+    parallel = run(3, strong_error_experiment, *args)
     assert serial == parallel
     # slab widths follow the worker count: uneven splits, and fewer paths
     # than workers, must not change a single bit either
@@ -131,12 +138,12 @@ def test_worker_count_does_not_change_results(fhn):
     for paths, counts in ((601, (1, 2, 4)), (3, (1, 4))):
         runs = [
             (
-                strong_error_experiment(fhn, RTM, [1, 3], 6, 2.0, paths,
-                                        SeedPolicy(8), threads=threads),
-                moment_experiment(explosive, SchemeKind.EULER_MARUYAMA, 2.0,
-                                  [3, 4], paths, SeedPolicy(8), threads=threads),
-                [a.tobytes() for a in simulate_terminals(
-                    explosive, RTM, 4, paths, SeedPolicy(8), threads=threads)],
+                run(threads, strong_error_experiment, fhn, RTM, [1, 3], 6, 2.0,
+                    paths, SeedPolicy(8)),
+                run(threads, moment_experiment, explosive,
+                    SchemeKind.EULER_MARUYAMA, 2.0, [3, 4], paths, SeedPolicy(8)),
+                [a.tobytes() for a in run(threads, simulate_terminals,
+                                          explosive, RTM, 4, paths, SeedPolicy(8))],
             )
             for threads in counts
         ]
@@ -193,11 +200,11 @@ def test_streaming_sweep_matches_per_path_reference(monkeypatch, problem_id, kin
     # a small draw budget makes coarse steps span several draw chunks, and
     # levels 0 and 1 put later runs' uniforms at offsets off a multiple of 4
     monkeypatch.setattr(analysis, "_DRAW_BUDGET", 64)
+    monkeypatch.setenv("SDE_RTM_THREADS", "1")
     problem = make_builtin(problem_id)
     paths, p, policy = 21, 3.0, SeedPolicy(77)
     err, ok = _per_path_reference(problem, kind, levels, ref, p, paths, policy)
-    table = strong_error_experiment(problem, kind, levels, ref, p, paths, policy,
-                                    threads=1)
+    table = strong_error_experiment(problem, kind, levels, ref, p, paths, policy)
     assert [got.level for got in table.rows] == levels
     for row, got in enumerate(table.rows):
         values = err[row][ok[row]]
@@ -208,19 +215,21 @@ def test_streaming_sweep_matches_per_path_reference(monkeypatch, problem_id, kin
 def test_sweep_builds_one_generator_per_slab_and_role(monkeypatch):
     # every slab and role builds one SeedSequence, Philox and Generator,
     # those of its first path, however many paths it holds
+    monkeypatch.setenv("SDE_RTM_THREADS", "1")
+
     def count_calls(paths):
         counts = {"SeedSequence": 0, "Philox": 0, "Generator": 0}
-        for name in counts:
-            real = getattr(np.random, name)
+        with monkeypatch.context() as patch:
+            for name in counts:
+                real = getattr(np.random, name)
 
-            def counted(*args, _name=name, _real=real, **kwargs):
-                counts[_name] += 1
-                return _real(*args, **kwargs)
+                def counted(*args, _name=name, _real=real, **kwargs):
+                    counts[_name] += 1
+                    return _real(*args, **kwargs)
 
-            monkeypatch.setattr(np.random, name, counted)
-        strong_error_experiment(make_builtin("fhn"), RTM, [2, 3], 5, 2.0, paths,
-                                SeedPolicy(3), threads=1)
-        monkeypatch.undo()
+                patch.setattr(np.random, name, counted)
+            strong_error_experiment(make_builtin("fhn"), RTM, [2, 3], 5, 2.0, paths,
+                                    SeedPolicy(3))
         return counts
 
     roles = 2  # Brownian and randomization
@@ -268,9 +277,15 @@ def test_experiment_validation(fhn):
     with pytest.raises(ValueError):
         strong_error_experiment(fhn, RTM, [3], 5, 0.5, 10, policy)
     with pytest.raises(ValueError):
+        strong_error_experiment(fhn, RTM, [3], 5, float("nan"), 10, policy)
+    with pytest.raises(InvalidParameterError, match="exact"):
         strong_error_experiment(fhn, RTM, [3], "exact", 2.0, 10, policy)
     with pytest.raises(ValueError):
         strong_error_experiment(fhn, RTM, [3], "almost", 2.0, 10, policy)
+    with pytest.raises(ValueError):
+        moment_experiment(fhn, RTM, 1.0, [3], 10, policy)
+    with pytest.raises(ValueError):
+        moment_experiment(fhn, RTM, float("nan"), [3], 10, policy)
 
 
 # --- moment experiment -------------------------------------------------------
@@ -375,7 +390,7 @@ class _UnloadableError(Exception):
         super().__init__(f"{a} {b}")
 
 
-def test_worker_error_keeps_its_type_at_any_worker_count():
+def test_worker_error_keeps_its_type_at_any_worker_count(monkeypatch):
     def worker(start, stop):
         if start > 0:
             raise ValueError(f"slab {start}")
@@ -386,10 +401,10 @@ def test_worker_error_keeps_its_type_at_any_worker_count():
 
     general = dataclasses.replace(make_zero_problem(d=2, m=2),
                                   noise_structure=NoiseStructure.GENERAL)
-    for threads in (1, 2):
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SDE_RTM_THREADS", threads)
         with pytest.raises(UnsupportedNoiseStructureError):
-            strong_error_experiment(general, TM, [2, 3], 4, 2.0, 600,
-                                    SeedPolicy(5), threads=threads)
+            strong_error_experiment(general, TM, [2, 3], 4, 2.0, 600, SeedPolicy(5))
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -402,3 +417,30 @@ def test_worker_error_that_cannot_cross_the_pipe_is_named():
 
     with pytest.raises(RuntimeError, match="_UnloadableError.*384 768"):
         analysis._map_blocks(worker, 768, 2)
+
+
+_FORKED_WORKERS_SEE_NUMPY_RANDOM = """
+import os, sys
+import numpy as np
+from sde_rtm import analysis, cli
+assert "numpy.random" not in sys.modules, "loaded before the pool"
+parent = os.getpid()
+
+def worker(start, stop):
+    # runs before the slab's first draw
+    return np.array([os.getpid() != parent, "numpy.random" in sys.modules])
+
+print(*(bool(flag) for block in analysis._map_blocks(worker, 2, 2) for flag in block))
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs fork-based workers")
+def test_forked_workers_find_numpy_random_loaded():
+    # numpy loads numpy.random lazily; the parent loads it once before it
+    # forks, so no worker pays for the import again
+    done = subprocess.run([sys.executable, "-c", _FORKED_WORKERS_SEE_NUMPY_RANDOM],
+                          env=src_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    # two slabs, each in its own forked worker that found the module loaded
+    assert done.stdout.split() == ["True"] * 4

@@ -191,6 +191,34 @@ def test_reference_exact_requires_exact_solution(tmp_path, capsys):
     assert "exact" in capsys.readouterr().err
 
 
+def test_exact_reference_rejected_before_workers_and_outdir(tmp_path, capsys,
+                                                            monkeypatch):
+    # the experiment owns the rule; it still fails before any pool or output
+    def no_pool(worker, count, threads):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(analysis, "_map_blocks", no_pool)
+    path, config = write_config(tmp_path, problem="fhn", problem_params={})
+    assert run_command(["converge", "--config", str(path)]) == 2
+    assert "no exact terminal" in capsys.readouterr().err
+    assert not os.path.exists(config["outdir"])
+
+
+@pytest.mark.parametrize("seed", ["424242", -1, 2 ** 64, True, 1.5, None])
+def test_bad_master_seed_exits_2_in_every_command(tmp_path, capsys, monkeypatch,
+                                                  seed):
+    # SeedPolicy alone checks the seed, and every command builds one first
+    def no_pool(worker, count, threads):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(analysis, "_map_blocks", no_pool)
+    path, config = write_config(tmp_path, master_seed=seed)
+    for command in ("converge", "simulate", "moments", "audit", "blowup"):
+        assert run_command([command, "--config", str(path)]) == 2
+        assert "master_seed" in capsys.readouterr().err
+        assert not os.path.exists(config["outdir"])
+
+
 def test_unsupported_structure_exits_3(tmp_path, capsys, monkeypatch):
     def make_general(**params):
         problem = make_zero_problem(d=2, m=2)

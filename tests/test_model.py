@@ -150,11 +150,21 @@ def test_invalid_parameters_rejected():
     with pytest.raises(InvalidParameterError):
         make_builtin("gbm", sigma=-0.1)
     with pytest.raises(InvalidParameterError):
+        make_builtin("gbm", sigma=float("nan"))
+    with pytest.raises(InvalidParameterError):
+        make_builtin("fhn", sigma=float("nan"))
+    with pytest.raises(InvalidParameterError):
+        make_builtin("fhn", xi=float("nan"))
+    with pytest.raises(InvalidParameterError):
         make_builtin("rough_drift", beta=0.0)
     with pytest.raises(InvalidParameterError):
         make_builtin("rough_drift", beta=1.5)
     with pytest.raises(InvalidParameterError):
         make_builtin("no_such_problem")
+    # the ids are exact: no aliases and no case folding, as in the CLI
+    for alias in ("FHN", "Gbm", "fitzhugh_nagumo", "geometric_brownian", ["gbm"]):
+        with pytest.raises(InvalidParameterError):
+            make_builtin(alias)
     with pytest.raises(InvalidParameterError):
         make_builtin("fhn", not_a_parameter=3)
 
@@ -171,6 +181,7 @@ def test_problem_validation():
     for bad in (
         {"horizon": 0.0},
         {"xi": -1.0},
+        {"xi": float("nan")},
         {"beta": 0.0},
         {"beta": 1.2},
         {"m": 2},  # scalar structure requires m == 1

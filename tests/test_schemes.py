@@ -71,6 +71,8 @@ def test_tame_drift_validation():
         tame_drift(np.array([1.0]), np.array([1.0]), 0, 1.0)
     with pytest.raises(ValueError):
         tame_drift(np.array([1.0]), np.array([1.0]), 1, -1.0)
+    with pytest.raises(ValueError):
+        tame_drift(np.array([1.0]), np.array([1.0]), 1, float("nan"))
 
 
 # --- single steps ------------------------------------------------------------
@@ -399,8 +401,9 @@ def test_step_rejects_general_noise_and_bad_increments(fhn, kind):
 def test_audit_ratios_bounded(kind, params):
     problem = make_builtin(kind, **params)
     stream = derive_substream(POLICY, 0, StreamRole.RANDOMIZATION)
-    audit = audit_taming(problem, [4, 16, 64], 300, 6.0, stream)
-    for row in audit.rows:
+    rows = audit_taming(problem, [4, 16, 64], 300, 6.0, stream)
+    assert [row.n for row in rows] == [4, 16, 64]
+    for row in rows:
         assert row.max_drift_ratio <= 1.0 + 1e-12
         assert row.consistency_ratio <= 1.0 + 1e-9
         assert np.isfinite(row.growth_constant)
@@ -411,8 +414,8 @@ def test_audit_gbm_growth_constant_stable():
     # column scales like a/sqrt(n) with stable prefactor
     problem = make_builtin("gbm", a=1.0, sigma=0.5, x0=1.0)
     stream = derive_substream(POLICY, 0, StreamRole.RANDOMIZATION)
-    audit = audit_taming(problem, [16, 64, 256], 500, 5.0, stream)
-    scaled = [row.growth_constant * np.sqrt(row.n) for row in audit.rows]
+    rows = audit_taming(problem, [16, 64, 256], 500, 5.0, stream)
+    scaled = [row.growth_constant * np.sqrt(row.n) for row in rows]
     assert max(scaled) / min(scaled) <= 1.1
 
 
@@ -422,3 +425,5 @@ def test_audit_validation(fhn):
         audit_taming(fhn, [4], 0, 1.0, stream)
     with pytest.raises(ValueError):
         audit_taming(fhn, [4], 10, -1.0, stream)
+    with pytest.raises(ValueError):
+        audit_taming(fhn, [4], 10, float("nan"), stream)
