@@ -7,12 +7,16 @@ Usage: python scripts/run_audit.py [outdir]
 import sys
 
 from sde_rtm.cli import run_command
+from sde_rtm.model import BUILTIN_FACTORIES
+
+# parameters a builtin cannot be built without
+_REQUIRED = {"rough_drift": '{"beta": 0.25}'}
 
 
 def main() -> int:
     base = sys.argv[1] if len(sys.argv) > 1 else "results/audit"
-    for problem in ("fhn", "gbm", "rough_drift"):
-        params = '{"beta": 0.25}' if problem == "rough_drift" else "{}"
+    for problem in BUILTIN_FACTORIES:
+        params = _REQUIRED.get(problem, "{}")
         print(f"== {problem}")
         status = run_command([
             "audit",

@@ -126,7 +126,6 @@ class MomentTable:
     """Empirical E|x_t|^q per grid point and level, with overflow counts."""
 
     rows: tuple
-    q: float
     overflows: dict
 
     def sup_moment(self, level: int) -> float:
@@ -285,14 +284,25 @@ def _sweep(problem: SdeProblem, kind: SchemeKind, policy: SeedPolicy,
     return steppers, w_terminal
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but never a count or a level
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_paths(paths) -> None:
+    if not _is_int(paths) or paths < 1:
+        raise InvalidParameterError("paths must be an integer >= 1")
+
+
 def _checked_levels(levels) -> list:
+    levels = list(levels)
+    if not levels:
+        raise InvalidParameterError("levels must be nonempty")
+    if not all(_is_int(l) and l >= 0 for l in levels):
+        raise InvalidParameterError("levels must be nonnegative integers")
     out = sorted(int(l) for l in levels)
-    if not out:
-        raise ValueError("levels must be nonempty")
-    if out[0] < 0:
-        raise ValueError("levels must be nonnegative")
     if len(set(out)) != len(out):
-        raise ValueError("levels must be distinct")
+        raise InvalidParameterError("levels must be distinct")
     return out
 
 
@@ -306,27 +316,29 @@ def strong_error_experiment(problem: SdeProblem, kind: SchemeKind, levels,
     terminal is used; a problem without one raises
     :class:`InvalidParameterError` before any worker starts).  Per path, one
     grid is drawn at the generation level from the (path, BROWNIAN)
-    substream; coarse runs use exact coarsenings of it.  Randomized integrators consume fresh uniforms from the
-    (path, RANDOMIZATION) substream, reference first, then levels ascending.
+    substream; coarse runs use exact coarsenings of it.  Randomized
+    integrators consume fresh uniforms from the (path, RANDOMIZATION)
+    substream, reference first, then levels ascending.
     Paths whose coarse run or reference overflows are excluded from the
     average and counted.
     """
     levels = _checked_levels(levels)
     if not p >= 1:
         raise ValueError("p must be >= 1")
-    if paths < 1:
-        raise ValueError("paths must be >= 1")
-    exact = isinstance(ref, str)
+    _check_paths(paths)
+    exact = isinstance(ref, str) and ref == "exact"
+    if not (exact or _is_int(ref)):
+        raise InvalidParameterError(
+            f"reference must be a level or 'exact', got {ref!r}")
     if exact:
-        if ref != "exact":
-            raise ValueError(f"reference must be a level or 'exact', got {ref!r}")
         if problem.exact_terminal is None:
             raise InvalidParameterError("problem has no exact terminal solution")
         gen_level = max(levels)
     else:
         ref = int(ref)
         if ref <= max(levels):
-            raise ValueError("every level must lie below the reference level")
+            raise InvalidParameterError(
+                "every level must lie below the reference level")
         gen_level = ref
     horizon = problem.horizon
     n_rows = len(levels)
@@ -413,8 +425,7 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
     """
     if not q >= 2:
         raise ValueError("q must be >= 2")
-    if paths < 1:
-        raise ValueError("paths must be >= 1")
+    _check_paths(paths)
     levels = _checked_levels(levels)
     threads = _resolve_threads()
     all_rows = []
@@ -460,7 +471,7 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
             MomentRow(level, t, float(moments[t])) for t in range(n + 1)
         )
         overflows[level] = overflowed
-    return MomentTable(tuple(all_rows), q, overflows)
+    return MomentTable(tuple(all_rows), overflows)
 
 
 def blowup_demo(levels, paths: int, policy: SeedPolicy) -> dict:
@@ -481,10 +492,9 @@ def simulate_terminals(problem: SdeProblem, kind: SchemeKind, level: int,
     Returns ``(terminals, overflow_steps)`` with shapes (paths, d) and
     (paths,); overflow steps are -1 where the path stayed finite.
     """
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    if paths < 1:
-        raise ValueError("paths must be >= 1")
+    if not _is_int(level) or level < 0:
+        raise InvalidParameterError("level must be a nonnegative integer")
+    _check_paths(paths)
 
     def worker(start: int, stop: int):
         steppers, _ = _sweep(problem, kind, policy, start, stop, level, [level])

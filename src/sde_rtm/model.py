@@ -67,10 +67,6 @@ class TamingSplit:
     remainder: Callable
     norm_indices: tuple
 
-    def norm(self, x: np.ndarray) -> np.ndarray:
-        sel = np.asarray(x, dtype=float)[..., list(self.norm_indices)]
-        return np.sqrt((sel * sel).sum(axis=-1))
-
 
 @dataclass(frozen=True)
 class SdeProblem:
@@ -143,19 +139,17 @@ class SdeProblem:
 # --- built-in problems -------------------------------------------------------
 
 
-def _fhn_family(amp, exponent, v0, r0, sigma, alpha, gamma, lam,
-                horizon, xi, beta):
-    """FitzHugh-Nagumo-type system with external input amp*(1 - t**exponent).
+def _fhn_family(external_input, sigma, beta):
+    """FitzHugh-Nagumo-type system on [0, 1] driven by ``external_input(t)``.
 
     dV = (V - V^3/3 - R + I_ext(t)) dt + sigma*V dw,  dR = alpha*(V + gamma
-    - lam*R) dt.  Only the cubic summand of the V-drift is tamed, with the
-    denominator norm taken from |V| alone (see the taming_split).
+    - lam*R) dt from (V, R) = (2, -1), with alpha = 0.8, gamma = 0.7,
+    lam = 0.8 and xi = 2.  Only the cubic summand of the V-drift is tamed,
+    with the denominator norm taken from |V| alone (see the taming_split).
+    ``beta`` is the input's temporal Hoelder exponent.
     """
     if not sigma >= 0:
         raise InvalidParameterError("sigma must be nonnegative")
-
-    def external_input(t):
-        return amp * (1.0 - np.asarray(t, dtype=float) ** exponent)
 
     def cubic_part(t, x):
         xa = np.asarray(x, dtype=float)
@@ -170,7 +164,7 @@ def _fhn_family(amp, exponent, v0, r0, sigma, alpha, gamma, lam,
         r = xa[..., 1]
         out = np.empty_like(xa)
         out[..., 0] = external_input(t) - r
-        out[..., 1] = alpha * (v + gamma - lam * r)
+        out[..., 1] = 0.8 * (v + 0.7 - 0.8 * r)
         return out
 
     def drift(t, x):
@@ -191,34 +185,35 @@ def _fhn_family(amp, exponent, v0, r0, sigma, alpha, gamma, lam,
     return SdeProblem(
         d=2,
         m=1,
-        horizon=horizon,
-        initial_state=np.array([v0, r0]),
+        horizon=1.0,
+        initial_state=np.array([2.0, -1.0]),
         drift=drift,
         diffusion=diffusion,
         milstein_tensor=milstein_tensor,
         noise_structure=NoiseStructure.SCALAR,
-        xi=xi,
+        xi=2.0,
         beta=beta,
         taming_split=TamingSplit(cubic_part, linear_part, (0,)),
     )
 
 
-def _make_fitzhugh_nagumo(i_amp=25.0, v0=2.0, r0=-1.0, sigma=0.001, alpha=0.8,
-                          gamma=0.7, lam=0.8, horizon=1.0, xi=2.0):
+def _make_fitzhugh_nagumo(i_amp=25.0, sigma=0.001):
     """Stochastic FitzHugh-Nagumo neuron with I_ext(t) = i_amp*(1 - sqrt(t))."""
-    return _fhn_family(i_amp, 0.5, v0, r0, sigma, alpha, gamma, lam,
-                       horizon, xi, beta=0.5)
+    return _fhn_family(
+        lambda t: i_amp * (1.0 - np.asarray(t, dtype=float) ** 0.5), sigma,
+        beta=0.5)
 
 
-def _make_rough_drift(beta, c=25.0, v0=2.0, r0=-1.0, sigma=0.001, alpha=0.8,
-                      gamma=0.7, lam=0.8, horizon=1.0, xi=2.0):
+def _make_rough_drift(beta, c=25.0, sigma=0.001):
     """FitzHugh-Nagumo variant with input c*(1 - t**beta) of lower time regularity."""
-    return _fhn_family(c, beta, v0, r0, sigma, alpha, gamma,
-                       lam, horizon, xi, beta=beta)
+    return _fhn_family(
+        lambda t: c * (1.0 - np.asarray(t, dtype=float) ** beta), sigma,
+        beta=beta)
 
 
-def _make_geometric_brownian(a=0.5, sigma=0.5, x0=1.0, horizon=1.0):
-    """Geometric Brownian motion dx = a*x dt + sigma*x dw with exact terminal."""
+def _make_geometric_brownian(a=0.5, sigma=0.5, x0=1.0):
+    """Geometric Brownian motion dx = a*x dt + sigma*x dw on [0, 1], with
+    exact terminal."""
     if not sigma >= 0:
         raise InvalidParameterError("sigma must be nonnegative")
 
@@ -235,13 +230,13 @@ def _make_geometric_brownian(a=0.5, sigma=0.5, x0=1.0, horizon=1.0):
 
     def exact_terminal(w_terminal):
         wa = np.asarray(w_terminal, dtype=float)
-        val = x0 * np.exp((a - 0.5 * sigma * sigma) * horizon + sigma * wa[..., 0])
+        val = x0 * np.exp((a - 0.5 * sigma * sigma) + sigma * wa[..., 0])
         return val[..., None]
 
     return SdeProblem(
         d=1,
         m=1,
-        horizon=horizon,
+        horizon=1.0,
         initial_state=np.array([x0]),
         drift=drift,
         diffusion=diffusion,

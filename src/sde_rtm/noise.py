@@ -26,7 +26,6 @@ changing every number.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -385,15 +384,24 @@ def sample_randomization(n: int, stream: np.random.Generator) -> RandomizationSt
     return RandomizationStream(uniforms=stream.random(n))
 
 
-def randomized_time(t_left: float, dt: float, u: float) -> float:
-    """Randomized evaluation time t_left + dt*u, in [t_left, t_left + dt)."""
+def randomized_time(t_left, dt: float, u):
+    """Randomized evaluation time t_left + dt*u, in [t_left, t_left + dt).
+
+    ``t_left`` and ``u`` may be arrays that broadcast together, as the step
+    kernel's (C, 1) left endpoints and (C, B) uniforms do.
+    """
     if not dt > 0:
         raise InvalidParameterError("dt must be positive")
-    if not 0.0 <= u < 1.0:
+    u = np.asarray(u, dtype=float)
+    if not (u.min() >= 0.0 and u.max() < 1.0):  # NaN fails both
         raise InvalidParameterError("u must lie in [0, 1)")
     # when dt * (1 - u) is below half an ulp of the sum, rounding carries the
-    # sum onto the right endpoint; the largest float below it stays in the step
-    return min(t_left + dt * u, math.nextafter(t_left + dt, -math.inf))
+    # sum onto the right endpoint; the largest float below it stays in the
+    # step.  Capped in place: a second (C, B) array would double the kernel's
+    # cost here.  [()] gives scalar inputs a scalar back.
+    t = np.asarray(t_left + dt * u)
+    np.minimum(t, np.nextafter(t_left + dt, -np.inf), out=t)
+    return t[()]
 
 
 def iterated_integrals(dW, dt: float, structure: NoiseStructure) -> np.ndarray:

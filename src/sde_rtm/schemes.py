@@ -10,12 +10,15 @@ Four explicit schemes share ``_step_batch``, the kernel :class:`BatchStepper` ru
 * ``RANDOMIZED_TAMED_MILSTEIN`` - as above, but the drift time is drawn
   uniformly inside each step.
 
-The drift taming divides by ``1 + |x|^(2 xi) / n`` where ``n`` is the total
-step count, so the tamed value never exceeds the raw drift in norm and the
-modification is pointwise O(1/n).  Problems may carry a
-:class:`~sde_rtm.model.TamingSplit` that restricts taming to a superlinear
-summand (and its denominator norm to selected components); the
+The kernel runs the scheme's two rules through the functions that define
+them.  :func:`tame_drift` divides the drift by ``1 + |x|^(2 xi) / n``
+where ``n`` is the total step count, so the tamed value never exceeds the
+raw drift in norm and the modification is pointwise O(1/n).  Problems may
+carry a :class:`~sde_rtm.model.TamingSplit` that restricts taming to a
+superlinear summand (and its denominator norm to selected components); the
 FitzHugh-Nagumo builtin uses this to tame only its cubic term.
+:func:`~sde_rtm.noise.randomized_time` puts the randomized kind's drift
+time strictly inside ``[t_j, t_{j+1})``.
 
 The diffusion and the correction tensor are always evaluated at the left
 endpoint; only the drift time is randomized.
@@ -59,6 +62,7 @@ from .noise import (
     UnsupportedNoiseStructureError,
     coarsen,
     iterated_integrals,
+    randomized_time,
 )
 
 __all__ = [
@@ -106,6 +110,12 @@ class PathResult:
     overflow_step: Optional[int] = None
 
 
+def _tame(mu, x, n: int, xi: float):
+    # tame_drift's formula, unchecked, for the kernel; |x| over the last axis
+    nrm = np.sqrt((x * x).sum(axis=-1))
+    return mu / (1.0 + nrm ** (2.0 * xi) / n)[..., None]
+
+
 def tame_drift(mu_value, x, n: int, xi: float):
     """Tame a raw drift value: ``mu / (1 + |x|^(2 xi) / n)``.
 
@@ -117,13 +127,8 @@ def tame_drift(mu_value, x, n: int, xi: float):
         raise ValueError("n must be a positive integer")
     if not xi >= 0:
         raise ValueError("xi must be nonnegative")
-    mu = np.asarray(mu_value, dtype=float)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    nrm = np.sqrt((xa * xa).sum(axis=-1))
-    denom = 1.0 + nrm ** (2.0 * xi) / n
-    if mu.ndim > 0 and np.ndim(denom) > 0:
-        denom = np.asarray(denom)[..., None]
-    return mu / denom
+    return _tame(np.asarray(mu_value, dtype=float),
+                 np.atleast_1d(np.asarray(x, dtype=float)), n, xi)
 
 
 def _tamed_drift(problem: SdeProblem, n: int):
@@ -132,15 +137,11 @@ def _tamed_drift(problem: SdeProblem, n: int):
     split = problem.taming_split
     drift, xi = problem.drift, problem.xi
     if split is None:
-        return lambda t, x: tame_drift(drift(t, x), x, n, xi)
-    superlinear, remainder, norm = split.superlinear, split.remainder, split.norm
-    two_xi = 2.0 * xi
-
-    def tamed(t, x):
-        denom = 1.0 + norm(x) ** two_xi / n
-        return superlinear(t, x) / denom[..., None] + remainder(t, x)
-
-    return tamed
+        return lambda t, x: _tame(drift(t, x), x, n, xi)
+    superlinear, remainder = split.superlinear, split.remainder
+    index = list(split.norm_indices)
+    return lambda t, x: (_tame(superlinear(t, x), x[..., index], n, xi)
+                         + remainder(t, x))
 
 
 def _step_batch(problem: SdeProblem, kind: SchemeKind, dt: float, n: int):
@@ -202,8 +203,9 @@ class BatchStepper:
         """Take the next ``C`` steps.
 
         ``increments`` is time-major, (C, B, m); ``uniforms`` (C, B) is
-        required for the randomized kind.  ``observe(index, states)``, if
-        given, receives the states at grid indices ``index`` to
+        required for the randomized kind, and a value outside [0, 1) raises
+        ``InvalidParameterError``.  ``observe(index, states)``, if given,
+        receives the states at grid indices ``index`` to
         ``index + len(states) - 1`` as a (len, B, d) buffer that is reused
         afterwards.
         """
@@ -221,8 +223,7 @@ class BatchStepper:
             for c0 in range(0, len(inc), _CHUNK):
                 c1 = min(c0 + _CHUNK, len(inc))
                 j0 = self.steps + c0
-                j1 = j0 + c1 - c0
-                t_left = [j * dt for j in range(j0, j1)]
+                t_left = np.arange(j0, j0 + c1 - c0) * dt
                 dw = inc[c0:c1]
                 iw = (
                     iterated_integrals(dw, dt, structure)[:, :, None]
@@ -230,7 +231,7 @@ class BatchStepper:
                     else [None] * (c1 - c0)
                 )
                 t_drift = (
-                    (np.arange(j0, j1) * dt)[:, None] + dt * uniforms[c0:c1]
+                    randomized_time(t_left[:, None], dt, uniforms[c0:c1])
                     if self.randomized
                     else t_left
                 )

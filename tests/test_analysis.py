@@ -268,7 +268,7 @@ def test_overflowing_paths_excluded_and_counted():
         assert np.isfinite(row.lp_error)
 
 
-def test_experiment_validation(fhn):
+def test_experiment_validation(fhn, monkeypatch):
     policy = SeedPolicy(1)
     with pytest.raises(ValueError):
         strong_error_experiment(fhn, RTM, [4, 5], 5, 2.0, 10, policy)
@@ -286,6 +286,31 @@ def test_experiment_validation(fhn):
         moment_experiment(fhn, RTM, 1.0, [3], 10, policy)
     with pytest.raises(ValueError):
         moment_experiment(fhn, RTM, float("nan"), [3], 10, policy)
+
+    # non-integer counts and levels (bool included) are rejected before any
+    # worker starts: no pool may be reached
+    def no_workers(*args):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(analysis, "_map_blocks", no_workers)
+    for paths in (2.5, float("nan"), True, "10"):
+        with pytest.raises(InvalidParameterError, match="paths"):
+            strong_error_experiment(fhn, RTM, [3], 5, 2.0, paths, policy)
+        with pytest.raises(InvalidParameterError, match="paths"):
+            moment_experiment(fhn, RTM, 4.0, [3], paths, policy)
+        with pytest.raises(InvalidParameterError, match="paths"):
+            simulate_terminals(fhn, RTM, 3, paths, policy)
+    for levels in ([2.7, 3.2], [True, 3], [3.0]):
+        with pytest.raises(InvalidParameterError, match="levels"):
+            strong_error_experiment(fhn, RTM, levels, 5, 2.0, 10, policy)
+        with pytest.raises(InvalidParameterError, match="levels"):
+            moment_experiment(fhn, RTM, 4.0, levels, 10, policy)
+    for ref in (5.9, 6.0, True):
+        with pytest.raises(InvalidParameterError, match="reference"):
+            strong_error_experiment(fhn, RTM, [0], ref, 2.0, 10, policy)
+    for level in (2.5, float("nan"), True):
+        with pytest.raises(InvalidParameterError, match="level"):
+            simulate_terminals(fhn, RTM, level, 10, policy)
 
 
 # --- moment experiment -------------------------------------------------------
@@ -340,7 +365,6 @@ def test_blowup_demo_tables_well_formed():
     demo = blowup_demo([4], 50, SeedPolicy(17))
     assert set(demo) == {SchemeKind.EULER_MARUYAMA, SchemeKind.TAMED_EULER}
     for table in demo.values():
-        assert table.q == 2.0
         assert [row.t_index for row in table.rows] == list(range(17))
     tamed = demo[SchemeKind.TAMED_EULER]
     assert tamed.sup_moment(4) <= 100.0

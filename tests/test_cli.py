@@ -155,6 +155,7 @@ def test_cli_overrides_apply(tmp_path):
     ({"q": 10 ** 400}, "q must"),
     ({"audit_radius": 10 ** 400}, "audit_radius"),
     ({"problem_params": {"sigma": 10 ** 400}}, "problem_params"),
+    ({"problem": "fhn", "problem_params": {"alpha": 1.0}}, "alpha"),
 ])
 def test_config_validation_exits_2(tmp_path, capsys, overrides, fragment):
     path, _ = write_config(tmp_path, **overrides)

@@ -167,6 +167,14 @@ def test_invalid_parameters_rejected():
             make_builtin(alias)
     with pytest.raises(InvalidParameterError):
         make_builtin("fhn", not_a_parameter=3)
+    # the builtins' fixed constants are not parameters
+    fixed = ("v0", "r0", "alpha", "gamma", "lam", "horizon", "xi")
+    for kind, names, required in (("fhn", fixed, {}),
+                                  ("rough_drift", fixed, {"beta": 0.25}),
+                                  ("gbm", ("horizon",), {})):
+        for name in names:
+            with pytest.raises(InvalidParameterError, match=name):
+                make_builtin(kind, **required, **{name: 1.0})
 
 
 def test_problem_validation():

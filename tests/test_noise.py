@@ -308,12 +308,20 @@ def test_randomized_time_examples():
 @given(
     t_left=st.floats(min_value=0.0, max_value=10.0),
     dt=st.floats(min_value=1e-6, max_value=1.0),
-    # u within one ulp of 1 can graze the right endpoint after rounding
-    u=st.floats(min_value=0.0, max_value=1.0 - 1e-9),
+    u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    more=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                  max_size=4),
 )
-def test_randomized_time_stays_in_step(t_left, dt, u):
+def test_randomized_time_stays_in_step(t_left, dt, u, more):
     out = randomized_time(t_left, dt, u)
     assert t_left <= out < t_left + dt
+    # the array form the step kernel uses: (C, 1) left times, (C, B) uniforms
+    lefts = np.array([t_left, t_left + dt])
+    draws = np.array([u, *more])
+    outs = randomized_time(lefts[:, None], dt, np.tile(draws, (2, 1)))
+    assert outs.shape == (2, len(draws))
+    assert np.array_equal(
+        outs, [[randomized_time(left, dt, v) for v in draws] for left in lefts])
 
 
 def test_randomized_time_validation():
@@ -323,6 +331,9 @@ def test_randomized_time_validation():
         randomized_time(0.0, float("nan"), 0.5)
     with pytest.raises(InvalidParameterError):
         randomized_time(0.0, 0.1, 1.0)
+    for bad in (-0.5, 1.0, float("nan")):
+        with pytest.raises(InvalidParameterError):
+            randomized_time(np.zeros((2, 1)), 0.1, np.array([[0.5, bad], [0.5, 0.5]]))
 
 
 # --- iterated integrals ------------------------------------------------------

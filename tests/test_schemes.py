@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sde_rtm import schemes
 from sde_rtm import (
     DimensionError,
+    InvalidParameterError,
     NoiseStructure,
     RandomizationStream,
     SchemeKind,
@@ -21,6 +22,7 @@ from sde_rtm import (
     integrate_path,
     iterated_integrals,
     make_builtin,
+    randomized_time,
     sample_brownian_grid,
     sample_randomization,
     simulate_batch,
@@ -83,7 +85,7 @@ def _one_step(problem, kind, x, t_left, dt, dw, iw, u, n):
 
     ``dw`` is the increment (m,), ``iw`` the iterated integrals (m, m), read
     by the Milstein kinds only, and ``u`` the uniform draw that puts the
-    drift time of the randomized kind at ``t_left + dt * u``.
+    drift time of the randomized kind at ``randomized_time(t_left, dt, u)``.
     """
     advance = schemes._step_batch(problem, kind, dt, n)
     xa = np.asarray(x, dtype=float)
@@ -93,7 +95,7 @@ def _one_step(problem, kind, x, t_left, dt, dw, iw, u, n):
     else:
         iw = None
     if kind is SchemeKind.RANDOMIZED_TAMED_MILSTEIN:
-        t_drift = t_left + dt * np.array([u])
+        t_drift = randomized_time(t_left, dt, np.array([u]))
     else:
         t_drift = t_left
     return advance(xa[None, :], t_left, t_drift, dw, iw)[0]
@@ -377,6 +379,43 @@ def test_overflow_steps_past_first_chunk_match_stepping():
     expected = _stepped_reference(problem, kind, inc, uniforms)
     assert (expected[1] >= schemes._CHUNK).sum() >= 6
     _assert_same(simulate_batch(problem, kind, inc, keep_path=True), expected)
+
+
+def test_randomized_drift_time_stays_inside_each_step():
+    # u one ulp below 1 on the level-14 grid: t_j + dt * u rounds onto
+    # t_{j+1} for j >= 1, so the kernel must cap it as randomized_time does
+    seen = []
+
+    def drift(t, x):
+        seen.append(np.array(t, dtype=float))
+        return np.zeros_like(x)
+
+    problem = SdeProblem(
+        d=1, m=1, horizon=1.0, initial_state=[0.0], drift=drift,
+        diffusion=lambda t, x: np.zeros(x.shape + (1,)),
+        milstein_tensor=lambda t, x: np.zeros(x.shape + (1, 1)),
+        noise_structure=NoiseStructure.SCALAR, xi=0.0, beta=1.0,
+    )
+    n, batch, u = 1 << 14, 2, np.nextafter(1.0, 0.0)
+    dt = 1.0 / n
+    stepper = schemes.BatchStepper(problem, SchemeKind.RANDOMIZED_TAMED_MILSTEIN,
+                                   n, batch)
+    stepper.feed(np.zeros((n, batch, 1)), np.full((n, batch), u))
+    t_drift = np.stack(seen)
+    t_left = np.arange(n) * dt
+    assert t_drift.shape == (n, batch)
+    assert (t_drift < (t_left + dt)[:, None]).all()
+    want = np.array([randomized_time(t, dt, u) for t in t_left])
+    assert np.array_equal(t_drift, np.repeat(want[:, None], batch, axis=1))
+
+
+@pytest.mark.parametrize("bad", [1.0, -0.25, float("nan")])
+def test_feed_rejects_uniforms_outside_unit_interval(bad):
+    stepper = schemes.BatchStepper(FHN, SchemeKind.RANDOMIZED_TAMED_MILSTEIN, 4, 3)
+    uniforms = np.full((4, 3), 0.5)
+    uniforms[2, 1] = bad
+    with pytest.raises(InvalidParameterError, match="u must lie"):
+        stepper.feed(np.zeros((4, 3, 1)), uniforms)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
