@@ -26,9 +26,10 @@ Philox counter and not by replaying the draws.  The slab stream checks its
 first path's key against numpy's ``SeedSequence`` and raises
 ``RuntimeError`` on a mismatch, so a numpy release that changed the
 algorithm stops the run instead of changing its numbers.  Moment tracking
-reduces every chunk of states to ``|x_t|^q`` as it is stepped and never
-holds whole paths, but its per-path rows of powers stay O(slab x n): the
-parent sums them in path order, so each worker returns them whole.
+reduces every chunk of states to ``|x_t|^q`` as it is stepped and sends
+that (chunk x slab) piece straight to the parent, which adds it to the
+running sums in path order as soon as every earlier slab has added the
+same grid points, so no process holds a slab's per-path rows of powers.
 
 Each path's result depends only on the seed policy and its index, never on
 its slab; the parent reduces per-path results in path order, so outputs
@@ -43,6 +44,7 @@ runtime restriction; defaults are p = 2 and q = 4.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import pickle
@@ -78,6 +80,12 @@ _SLAB = 4096
 _DRAW_BUDGET = 1 << 18
 # Largest accepted SDE_RTM_THREADS: a huge value would fork one process per slab.
 _MAX_THREADS = 256
+# Where a worker sends the pieces it streams: ``_piece_sink(*piece)``.  An
+# experiment sets its consumer here for the pool's lifetime (the pool and
+# its workers keep their signatures, which bench/trace_child.py wraps); a
+# forked worker rebinds it to the pool's pipe, whose parent end hands each
+# piece on.
+_piece_sink = None
 
 
 class DegenerateDataError(ValueError):
@@ -160,6 +168,14 @@ def _map_blocks(worker, count: int, threads: int) -> list:
     path order, so outputs are identical however many workers run.
     Platforms without fork fall back to serial execution.
 
+    A worker may also stream pieces of its result before it returns, by
+    calling ``_piece_sink(*piece)``: a serial run calls the consumer the
+    caller set there, and a forked worker sends each piece through the pipe
+    that carries the slab results.  So the pipe carries two message kinds
+    (besides a failure report), pieces and results; the parent hands every
+    piece to the consumer as it arrives, in the order its slab sent it, and
+    each slab's pieces come before its result.
+
     A worker's exception is re-raised here with its own type, as in a serial
     run (one that cannot be rebuilt from a pickle becomes a ``RuntimeError``
     naming it); a worker that dies unreported raises ``RuntimeError``.
@@ -180,23 +196,26 @@ def _map_blocks(worker, count: int, threads: int) -> list:
     reader, writer = ctx.Pipe(duplex=False)
     send_lock = ctx.Lock()
 
+    def send(message) -> None:
+        with send_lock:
+            writer.send(message)
+
     def run_chunk(chunk: int) -> None:
         # round-robin over slabs so chunks are balanced; closures and the
         # problem's coefficient callables reach the child via fork, and only
-        # the small result arrays travel back through the pipe, one whole
-        # message at a time under the lock
+        # pieces and the small result arrays travel back through the pipe,
+        # one whole message at a time under the lock
+        global _piece_sink
+        _piece_sink = lambda *piece: send(("piece", piece))
         try:
             for index in range(chunk, len(blocks), workers):
-                message = (index, worker(*blocks[index]))
-                with send_lock:
-                    writer.send(message)
+                send(("result", (index, worker(*blocks[index]))))
         except BaseException as exc:  # re-raised in the parent below
             try:  # a class that cannot take back its args pickles, then fails to load
                 pickle.loads(pickle.dumps(exc))
             except Exception:
                 exc = RuntimeError(f"worker process failed: {exc!r}")
-            with send_lock:
-                writer.send((None, exc))
+            send(("failure", exc))
 
     procs = [ctx.Process(target=run_chunk, args=(chunk,)) for chunk in range(workers)]
     for proc in procs:
@@ -210,11 +229,14 @@ def _map_blocks(worker, count: int, threads: int) -> list:
     while failure is None and len(results) < len(blocks):
         ready = wait([reader, *running])
         if reader in ready:
-            index, payload = reader.recv()
-            if index is None:
-                failure = payload
+            kind, payload = reader.recv()
+            if kind == "piece":
+                _piece_sink(*payload)
+            elif kind == "result":
+                index, result = payload
+                results[index] = result
             else:
-                results[index] = payload
+                failure = payload
             continue
         for sentinel in ready:
             proc = running.pop(sentinel)
@@ -232,6 +254,64 @@ def _map_blocks(worker, count: int, threads: int) -> list:
     if failure is not None:
         raise failure
     return [results[index] for index in range(len(blocks))]
+
+
+class _PathOrderSum:
+    """Per-column sums of per-path rows, added in path order from pieces.
+
+    :meth:`add` takes the rows of paths ``start`` to ``start + B - 1`` at
+    columns ``index`` to ``index + C - 1`` as a (C, B) array, which it
+    overwrites.  Each column's sum is the sequential chain
+    ``((0 + row_0) + row_1) + ...`` over every path in path order, bit for
+    bit what adding whole rows one by one gives, however the rows arrive
+    cut.  A piece is added as soon as every
+    earlier path has added its columns; an early piece (or its not yet
+    ready tail) waits.  Each slab must send its columns in ascending order
+    without gaps, starting at column 0.
+    """
+
+    def __init__(self, columns: int):
+        self.sums = np.zeros(columns)
+        self._added = np.zeros(columns, dtype=np.int64)  # paths added per column
+        self._waiting: dict = {}  # slab start -> [(index, values), ...] in order
+
+    def add(self, start: int, index: int, values) -> None:
+        self._waiting.setdefault(start, []).append((index, values))
+        while start is not None:
+            start = self._drain(start)
+
+    def _drain(self, start: int):
+        # add what slab ``start`` can; returns the next slab's start if it
+        # made progress (that slab may now be ready too), else None
+        queue = self._waiting.get(start, [])
+        stop = None
+        while queue:
+            index, values = queue[0]
+            ready = self._added[index:index + len(values)] == start
+            count = len(values) if ready.all() else int(ready.argmin())
+            if count == 0:
+                break
+            stop = start + values.shape[1]
+            head = values[:count]
+            # accumulate runs the chain path by path, never pairwise; it
+            # starts from the running sum, folded into the first path
+            head[:, 0] += self.sums[index:index + count]
+            self.sums[index:index + count] = np.add.accumulate(head, axis=1,
+                                                               out=head)[:, -1]
+            self._added[index:index + count] = stop
+            if count < len(values):
+                queue[0] = (index + count, values[count:])
+                break
+            queue.pop(0)
+        if not queue:
+            self._waiting.pop(start, None)
+        return stop
+
+    def total(self, paths: int):
+        """The sums, once all ``paths`` rows are in at every column."""
+        if not (self._added == paths).all():
+            raise RuntimeError("moment pieces missing from the reduction")
+        return self.sums
 
 
 def _split(blocks, piece: int):
@@ -323,8 +403,8 @@ def strong_error_experiment(problem: SdeProblem, kind: SchemeKind, levels,
     average and counted.
     """
     levels = _checked_levels(levels)
-    if not p >= 1:
-        raise ValueError("p must be >= 1")
+    if not (p >= 1 and math.isfinite(p)):
+        raise InvalidParameterError(f"p must be finite and >= 1, got {p!r}")
     _check_paths(paths)
     exact = isinstance(ref, str) and ref == "exact"
     if not (exact or _is_int(ref)):
@@ -423,8 +503,9 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
     turn non-finite and counted per level; a grid point where no path is
     finite reports an infinite moment.
     """
-    if not q >= 2:
-        raise ValueError("q must be >= 2")
+    global _piece_sink
+    if not (q >= 2 and math.isfinite(q)):
+        raise InvalidParameterError(f"q must be finite and >= 2, got {q!r}")
     _check_paths(paths)
     levels = _checked_levels(levels)
     threads = _resolve_threads()
@@ -434,37 +515,36 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
         n = 1 << level
 
         def worker(start: int, stop: int, _level=level, _n=n):
-            # per-path |x_t|^q (0 where x_t is not finite) and per-t finite
-            # counts, filled chunk by chunk from the stepper's state buffer
-            powers = np.empty((stop - start, _n + 1))
+            # streams each chunk's per-path |x_t|^q (0 where x_t is not
+            # finite) as a (chunk, slab) piece, initial state first, and
+            # returns the per-t finite counts with the overflow steps
             counts = np.zeros(_n + 1, dtype=np.int64)
 
             def observe(index, states):
                 finite = np.isfinite(states).all(axis=2)
                 sq = (states * states).sum(axis=2)
-                powers[:, index:index + len(states)] = np.where(
-                    finite, sq ** (q / 2.0), 0.0).T
+                _piece_sink(start, index, np.where(finite, sq ** (q / 2.0), 0.0))
                 counts[index:index + len(states)] += finite.sum(axis=1)
 
-            steppers, _ = _sweep(problem, kind, policy, start, stop, _level,
-                                 [_level], observe=observe)
             with np.errstate(all="ignore"):
                 observe(0, np.repeat(problem.initial_state[None, None, :],
                                      stop - start, axis=1))
-            return powers, counts, steppers[0].overflow
+            steppers, _ = _sweep(problem, kind, policy, start, stop, _level,
+                                 [_level], observe=observe)
+            return counts, steppers[0].overflow
 
-        sums = np.zeros(n + 1)
+        reduction = _PathOrderSum(n + 1)
+        _piece_sink = reduction.add
+        try:
+            results = _map_blocks(worker, paths, threads)
+        finally:
+            _piece_sink = None
         counts = np.zeros(n + 1, dtype=np.int64)
         overflowed = 0
-        for block_powers, block_counts, block_overflow in _map_blocks(
-            worker, paths, threads
-        ):
-            # row by row in path order: the same sequential sum as an axis-0
-            # sum over all paths, whatever the slab widths
-            for row in block_powers:
-                sums += row
+        for block_counts, block_overflow in results:
             counts += block_counts
             overflowed += int((block_overflow >= 0).sum())
+        sums = reduction.total(paths)
         with np.errstate(all="ignore"):
             moments = np.where(counts > 0, sums / np.maximum(counts, 1), np.inf)
         all_rows.extend(

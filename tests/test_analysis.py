@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,13 @@ def test_worker_count_does_not_change_results(fhn, monkeypatch):
         assert all(repr(run) == repr(runs[0]) for run in runs[1:])
         if paths > 100:
             assert runs[0][1].overflows[4] > 0  # overflows reach the reduction
+    # moments stream (steps x slab) pieces whose length follows the slab
+    # width: slabs 4096 + 1 stream 64-step pieces, slabs 2049 + 2048 stream
+    # 128-step pieces, and the path-order sums must still agree bit for bit
+    moments = [repr(run(threads, moment_experiment, fhn, RTM, 4.0, [8], 4097,
+                        SeedPolicy(4)))
+               for threads in (1, 2)]
+    assert moments[0] == moments[1]
 
 
 def _per_path_reference(problem, kind, levels, ref, p, paths, policy):
@@ -311,6 +319,11 @@ def test_experiment_validation(fhn, monkeypatch):
     for level in (2.5, float("nan"), True):
         with pytest.raises(InvalidParameterError, match="level"):
             simulate_terminals(fhn, RTM, level, 10, policy)
+    for bad in (float("inf"), -float("inf"), float("nan")):
+        with pytest.raises(InvalidParameterError, match="p must"):
+            strong_error_experiment(fhn, RTM, [3], 5, bad, 10, policy)
+        with pytest.raises(InvalidParameterError, match="q must"):
+            moment_experiment(fhn, RTM, bad, [3], 10, policy)
 
 
 # --- moment experiment -------------------------------------------------------
@@ -323,6 +336,60 @@ def test_zero_problem_moments_constant():
     for row in table.rows:
         assert row.moment == pytest.approx(expected, rel=1e-12)
     assert table.overflows == {2: 0, 3: 0}
+
+
+def _row_by_row(rows):
+    sums = np.zeros(rows.shape[1])
+    for row in rows:
+        sums += row
+    return sums
+
+
+def test_path_order_sum_matches_row_by_row_in_any_arrival_order():
+    rng = np.random.default_rng(5)
+    columns, widths = 97, (5, 11, 3)
+    rows = rng.standard_exponential((sum(widths), columns)) ** 4
+    assert not np.array_equal(_row_by_row(rows[::-1]), _row_by_row(rows))  # order shows
+    for _ in range(20):
+        # every slab cuts its columns at its own points, as unequal slab
+        # widths give unequal observe pieces
+        streams, start = [], 0
+        for width in widths:
+            cuts = sorted(rng.choice(np.arange(1, columns), 4, replace=False))
+            bounds = [0, *cuts, columns]
+            streams.append([(start, a, rows[start:start + width, a:b].T.copy())
+                            for a, b in zip(bounds, bounds[1:])])
+            start += width
+        # shuffle the arrival order, keeping each slab's own order
+        arrivals = rng.permutation(np.repeat(np.arange(len(widths)),
+                                             [len(stream) for stream in streams]))
+        reduction = analysis._PathOrderSum(columns)
+        for slab in arrivals:
+            reduction.add(*streams[slab].pop(0))
+        assert np.array_equal(reduction.total(len(rows)), _row_by_row(rows))
+
+
+def test_path_order_sum_reports_missing_pieces():
+    reduction = analysis._PathOrderSum(4)
+    reduction.add(2, 0, np.ones((4, 3)))  # waits for paths 0 and 1
+    with pytest.raises(RuntimeError, match="missing"):
+        reduction.total(5)
+    reduction.add(0, 0, np.ones((4, 2)))
+    assert np.array_equal(reduction.total(5), np.full(4, 5.0))
+
+
+def test_moments_never_hold_a_slab_of_rows(monkeypatch):
+    # every path's row of powers would take paths x (n + 1) x 8 bytes
+    monkeypatch.setenv("SDE_RTM_THREADS", "1")
+    level, paths = 13, 256
+    tracemalloc.start()
+    try:
+        moment_experiment(make_builtin("fhn"), RTM, 4.0, [level], paths,
+                          SeedPolicy(6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < paths * ((1 << level) + 1) * 8
 
 
 def test_moment_rows_cover_every_grid_point(fhn):
@@ -414,6 +481,10 @@ class _UnloadableError(Exception):
         super().__init__(f"{a} {b}")
 
 
+class _MidStreamError(ValueError):
+    pass
+
+
 def test_worker_error_keeps_its_type_at_any_worker_count(monkeypatch):
     def worker(start, stop):
         if start > 0:
@@ -429,6 +500,36 @@ def test_worker_error_keeps_its_type_at_any_worker_count(monkeypatch):
         monkeypatch.setenv("SDE_RTM_THREADS", threads)
         with pytest.raises(UnsupportedNoiseStructureError):
             strong_error_experiment(general, TM, [2, 3], 4, 2.0, 600, SeedPolicy(5))
+
+    # a moments worker that fails after it has streamed pieces: its error
+    # keeps its type, no worker outlives the run, and the next run reduces
+    # as a fresh one does
+    def drift(t, x):
+        if np.max(t) > 0.5:
+            raise _MidStreamError("past half time")
+        return -x
+
+    failing = dataclasses.replace(make_zero_problem(d=2), drift=drift)
+    healthy = make_builtin("fhn")
+    args = (4.0, [9], 600, SeedPolicy(5))
+    fresh = moment_experiment(healthy, RTM, *args)
+    pieces = []
+    add = analysis._PathOrderSum.add
+
+    def counted_add(self, start, index, values):
+        pieces.append(index)
+        add(self, start, index, values)
+
+    monkeypatch.setattr(analysis._PathOrderSum, "add", counted_add)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SDE_RTM_THREADS", threads)
+        pieces.clear()
+        with pytest.raises(_MidStreamError, match="past half time"):
+            moment_experiment(failing, TM, *args)
+        assert max(pieces) > 0  # stepped states were streamed before the error
+        assert multiprocessing.active_children() == []
+        assert analysis._piece_sink is None
+        assert moment_experiment(healthy, RTM, *args) == fresh
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
