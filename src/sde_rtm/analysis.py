@@ -264,10 +264,9 @@ class _PathOrderSum:
     overwrites.  Each column's sum is the sequential chain
     ``((0 + row_0) + row_1) + ...`` over every path in path order, bit for
     bit what adding whole rows one by one gives, however the rows arrive
-    cut.  A piece is added as soon as every
-    earlier path has added its columns; an early piece (or its not yet
-    ready tail) waits.  Each slab must send its columns in ascending order
-    without gaps, starting at column 0.
+    cut.  A piece is added whole as soon as every earlier path has added
+    all of its columns; an early piece waits.  Each slab must send its
+    columns in ascending order without gaps, starting at column 0.
     """
 
     def __init__(self, columns: int):
@@ -287,22 +286,16 @@ class _PathOrderSum:
         stop = None
         while queue:
             index, values = queue[0]
-            ready = self._added[index:index + len(values)] == start
-            count = len(values) if ready.all() else int(ready.argmin())
-            if count == 0:
-                break
-            stop = start + values.shape[1]
-            head = values[:count]
-            # accumulate runs the chain path by path, never pairwise; it
-            # starts from the running sum, folded into the first path
-            head[:, 0] += self.sums[index:index + count]
-            self.sums[index:index + count] = np.add.accumulate(head, axis=1,
-                                                               out=head)[:, -1]
-            self._added[index:index + count] = stop
-            if count < len(values):
-                queue[0] = (index + count, values[count:])
+            columns = slice(index, index + len(values))
+            if not (self._added[columns] == start).all():
                 break
             queue.pop(0)
+            stop = start + values.shape[1]
+            # accumulate runs the chain path by path, never pairwise; it
+            # starts from the running sum, folded into the first path
+            values[:, 0] += self.sums[columns]
+            self.sums[columns] = np.add.accumulate(values, axis=1, out=values)[:, -1]
+            self._added[columns] = stop
         if not queue:
             self._waiting.pop(start, None)
         return stop

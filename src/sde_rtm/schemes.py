@@ -40,10 +40,9 @@ then runs only the state-dependent work.  Each step writes its state into a
 non-finite step of each path.  That scan is exact because every step
 computes ``x + ...`` and a non-finite component stays non-finite under
 addition, so a path that overflows stays non-finite for the rest of the
-chunk.  The same buffer feeds ``keep_path`` (and any other observer of the
-states) with one copy per chunk.  The arithmetic of each step is
-unchanged, so results are bit-identical for any chunk size and any cut of
-the grid into pieces.
+chunk.  The same buffer is handed to any observer of the states.  The
+arithmetic of each step is unchanged, so results are bit-identical for any
+chunk size and any cut of the grid into pieces.
 """
 
 from __future__ import annotations
@@ -202,19 +201,27 @@ class BatchStepper:
     def feed(self, increments, uniforms=None, observe=None) -> None:
         """Take the next ``C`` steps.
 
-        ``increments`` is time-major, (C, B, m); ``uniforms`` (C, B) is
-        required for the randomized kind, and a value outside [0, 1) raises
-        ``InvalidParameterError``.  ``observe(index, states)``, if given,
-        receives the states at grid indices ``index`` to
-        ``index + len(states) - 1`` as a (len, B, d) buffer that is reused
-        afterwards.
+        ``increments`` is time-major, (C, B, m), for this stepper's ``B``
+        paths and the problem's ``m``; ``uniforms`` (C, B) is required for
+        the randomized kind, and a value outside [0, 1) raises
+        ``InvalidParameterError``.  Any other shape, or more steps than the
+        grid has, raises :class:`DimensionError`.  ``observe(index,
+        states)``, if given, receives the states at grid indices ``index``
+        to ``index + len(states) - 1`` as a (len, B, d) buffer that is
+        reused afterwards.
         """
         inc = np.ascontiguousarray(increments, dtype=float)
+        if inc.shape[1:] != (len(self.x), self.problem.m):
+            raise DimensionError(
+                f"increments must have shape (C, {len(self.x)}, {self.problem.m})"
+            )
         if self.steps + len(inc) > self.n_steps:
             raise DimensionError(f"more than {self.n_steps} steps fed")
         if self.randomized:
-            if uniforms is None:
-                raise ValueError("the randomized kind requires uniform draws")
+            if uniforms is None or np.shape(uniforms) != inc.shape[:2]:
+                raise DimensionError(
+                    f"the randomized kind needs uniforms of shape {inc.shape[:2]}"
+                )
             uniforms = np.ascontiguousarray(uniforms, dtype=float)
         dt, advance = self.dt, self.advance
         structure = self.problem.noise_structure
@@ -255,7 +262,7 @@ class BatchStepper:
 
 
 def simulate_batch(problem: SdeProblem, kind: SchemeKind, increments,
-                   uniforms=None, *, keep_path: bool = False):
+                   uniforms=None):
     """Integrate a block of paths over the whole horizon.
 
     Parameters
@@ -264,35 +271,23 @@ def simulate_batch(problem: SdeProblem, kind: SchemeKind, increments,
         Brownian increments of B paths on the uniform n-step grid.
     uniforms : array (B, n), optional
         Per-step uniform draws; required for the randomized kind.
-    keep_path : bool
-        Also return the full trajectories, shape (B, n+1, d).
 
     Returns
     -------
     terminal : array (B, d)
     overflow_step : int array (B,), -1 where the path stayed finite
-    path : array (B, n+1, d) or None
+    path : None
+        Always None.  The slot is kept so that callers unpacking three
+        values keep working; whole paths are observed through
+        ``BatchStepper.feed(observe=...)``.
     """
     inc = np.asarray(increments, dtype=float)
-    if inc.ndim != 3 or inc.shape[2] != problem.m:
-        raise DimensionError(f"increments must have shape (B, n, {problem.m})")
-    batch, n_steps, _ = inc.shape
-    stepper = BatchStepper(problem, kind, n_steps, batch)
-    if stepper.randomized and uniforms is not None:
-        uniforms = np.asarray(uniforms, dtype=float)
-        if uniforms.shape != (batch, n_steps):
-            raise DimensionError(f"uniforms must have shape ({batch}, {n_steps})")
-        uniforms = uniforms.T
-    path = observe = None
-    if keep_path:
-        path = np.empty((batch, n_steps + 1, problem.d))
-        path[:, 0] = stepper.x
-
-        def observe(index, states):
-            path[:, index:index + len(states)] = states.transpose(1, 0, 2)
-
-    stepper.feed(inc.transpose(1, 0, 2), uniforms, observe)
-    return stepper.x, stepper.overflow, path
+    if inc.ndim != 3:
+        raise DimensionError("increments must have shape (B, n, m)")
+    stepper = BatchStepper(problem, kind, inc.shape[1], len(inc))
+    stepper.feed(inc.transpose(1, 0, 2),
+                 None if uniforms is None else np.asarray(uniforms, dtype=float).T)
+    return stepper.x, stepper.overflow, None
 
 
 def integrate_path(problem: SdeProblem, kind: SchemeKind, level: int,
@@ -305,22 +300,12 @@ def integrate_path(problem: SdeProblem, kind: SchemeKind, level: int,
     that turns non-finite is reported through ``overflow_step`` rather than
     raised.
     """
-    if brownian.m != problem.m:
-        raise DimensionError(
-            f"grid has m={brownian.m}, problem expects m={problem.m}"
-        )
     if brownian.horizon != problem.horizon:
         raise DimensionError("grid horizon differs from problem horizon")
     if not 0 <= level <= brownian.level:
         raise LevelError(f"level must lie in [0, {brownian.level}]")
     grid = coarsen(brownian, level)
-    u = None
-    if kind is SchemeKind.RANDOMIZED_TAMED_MILSTEIN and uniforms is not None:
-        if len(uniforms) < grid.n:
-            raise DimensionError(
-                f"need at least {grid.n} uniforms, got {len(uniforms)}"
-            )
-        u = uniforms.uniforms[: grid.n][None, :]
+    u = None if uniforms is None else uniforms.uniforms[None, : grid.n]
     terminal, overflow, _ = simulate_batch(problem, kind,
                                            grid.increments[None, :, :], u)
     return PathResult(
@@ -365,8 +350,7 @@ def audit_taming(problem: SdeProblem, n_values, sample_count: int, radius: float
     )
     radii = radius * stream.random(sample_count) ** (1.0 / problem.d)
     xs = direction * radii[:, None]
-    mus = np.stack([np.asarray(problem.drift(t, x), dtype=float)
-                    for t, x in zip(times, xs)])
+    mus = np.asarray(problem.drift(times, xs), dtype=float)
     mu_norm = np.sqrt(np.sum(mus * mus, axis=1))
     x_norm = np.sqrt(np.sum(xs * xs, axis=1))
     rows = []

@@ -28,6 +28,7 @@ from sde_rtm import (
     simulate_batch,
     tame_drift,
 )
+from tests.conftest import make_zero_problem
 
 POLICY = SeedPolicy(1357)
 FHN = make_builtin("fhn")
@@ -343,12 +344,11 @@ def test_simulate_batch_independent_of_chunk_size(monkeypatch, kind, params, n):
     # 1, 3 and 7 divide neither step count; n and 2n hold the whole grid
     for chunk in (1, 3, 7, n, 2 * n):
         monkeypatch.setattr(schemes, "_CHUNK", chunk)
-        _assert_same(simulate_batch(problem, kind, inc, u, keep_path=True), expected)
         terminal, overflow, path = simulate_batch(problem, kind, inc, u)
         _assert_same((terminal, overflow), expected[:2])
         assert path is None
-        # the resumable stepper fed in uneven pieces, time-major
-        for cuts in ([5, 1, 13], [2, n - 3]):
+        # the resumable stepper fed the whole grid, then uneven pieces
+        for cuts in ([n], [5, 1, 13], [2, n - 3]):
             _assert_same(_fed_in_pieces(problem, kind, inc, uniforms, cuts), expected)
 
 
@@ -378,7 +378,8 @@ def test_overflow_steps_past_first_chunk_match_stepping():
     kind = SchemeKind.EULER_MARUYAMA
     expected = _stepped_reference(problem, kind, inc, uniforms)
     assert (expected[1] >= schemes._CHUNK).sum() >= 6
-    _assert_same(simulate_batch(problem, kind, inc, keep_path=True), expected)
+    _assert_same(simulate_batch(problem, kind, inc)[:2], expected[:2])
+    _assert_same(_fed_in_pieces(problem, kind, inc, uniforms, [512]), expected)
 
 
 def test_randomized_drift_time_stays_inside_each_step():
@@ -416,6 +417,25 @@ def test_feed_rejects_uniforms_outside_unit_interval(bad):
     uniforms[2, 1] = bad
     with pytest.raises(InvalidParameterError, match="u must lie"):
         stepper.feed(np.zeros((4, 3, 1)), uniforms)
+
+
+@pytest.mark.parametrize("problem,kind,increments,uniforms", [
+    # m = 1 increments on an m = 2 problem
+    (make_zero_problem(d=2, m=2), SchemeKind.TAMED_EULER, (4, 3, 1), None),
+    # one path's increments for three paths
+    (FHN, SchemeKind.TAMED_MILSTEIN, (4, 1, 1), None),
+    # one path's uniforms for three paths
+    (FHN, SchemeKind.RANDOMIZED_TAMED_MILSTEIN, (4, 3, 1), (4, 1)),
+    # fewer uniforms than steps
+    (FHN, SchemeKind.RANDOMIZED_TAMED_MILSTEIN, (4, 3, 1), (3, 3)),
+], ids=["m", "increment-width", "uniform-width", "uniform-steps"])
+def test_feed_rejects_inputs_shaped_for_another_block(problem, kind, increments,
+                                                      uniforms):
+    stepper = schemes.BatchStepper(problem, kind, 4, 3)
+    u = None if uniforms is None else np.full(uniforms, 0.5)
+    with pytest.raises(DimensionError):
+        stepper.feed(np.zeros(increments), u)
+    assert stepper.steps == 0
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
