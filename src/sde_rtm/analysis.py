@@ -44,7 +44,6 @@ runtime restriction; defaults are p = 2 and q = 4.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import pickle
@@ -54,9 +53,10 @@ from typing import Union
 
 import numpy as np
 
-from .model import InvalidParameterError, SdeProblem, make_builtin
+from .model import (InvalidParameterError, SdeProblem, _check_int, _check_ints,
+                    _is_int, _is_real, make_builtin)
 from .noise import SeedPolicy, SlabStream, StreamRole, coarsen_chunks
-from .schemes import BatchStepper, SchemeKind
+from .schemes import _MAX_COUNT, _MAX_LEVEL, BatchStepper, SchemeKind
 
 __all__ = [
     "ErrorRow",
@@ -357,26 +357,45 @@ def _sweep(problem: SdeProblem, kind: SchemeKind, policy: SeedPolicy,
     return steppers, w_terminal
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass, but never a count or a level
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+# --- input rules, checked before any worker starts (and by the CLI) ----------
 
 
-def _check_paths(paths) -> None:
-    if not _is_int(paths) or paths < 1:
-        raise InvalidParameterError("paths must be an integer >= 1")
-
-
-def _checked_levels(levels) -> list:
-    levels = list(levels)
-    if not levels:
-        raise InvalidParameterError("levels must be nonempty")
-    if not all(_is_int(l) and l >= 0 for l in levels):
-        raise InvalidParameterError("levels must be nonnegative integers")
-    out = sorted(int(l) for l in levels)
-    if len(set(out)) != len(out):
+def _check_levels(levels) -> list:
+    # sorted; each in [0, _MAX_LEVEL], none twice
+    levels = sorted(_check_ints("levels", levels, 0, _MAX_LEVEL))
+    if len(set(levels)) != len(levels):
         raise InvalidParameterError("levels must be distinct")
-    return out
+    return levels
+
+
+def _check_reference(ref, levels) -> bool:
+    # "exact", or a level above every one of the checked levels; True if exact
+    exact = isinstance(ref, str) and ref == "exact"
+    if not (exact or (_is_int(ref) and max(levels) < ref <= _MAX_LEVEL)):
+        raise InvalidParameterError("reference must be 'exact' or an integer "
+                                    f"level in [{max(levels) + 1}, {_MAX_LEVEL}]")
+    return exact
+
+
+def _check_level(level) -> int:
+    return _check_int("level", level, 0, _MAX_LEVEL)
+
+
+def _check_paths(paths) -> int:
+    return _check_int("paths", paths, 1, _MAX_COUNT)
+
+
+def _check_order(name: str, value, least: int) -> None:
+    if not (_is_real(value) and value >= least):
+        raise InvalidParameterError(f"{name} must be a finite real number >= {least}")
+
+
+def _check_p(p) -> None:
+    _check_order("p", p, 1)
+
+
+def _check_q(q) -> None:
+    _check_order("q", q, 2)
 
 
 def strong_error_experiment(problem: SdeProblem, kind: SchemeKind, levels,
@@ -394,28 +413,20 @@ def strong_error_experiment(problem: SdeProblem, kind: SchemeKind, levels,
     substream, reference first, then levels ascending.
     Paths whose coarse run or reference overflows are excluded from the
     average and counted.
+
+    Bounds: distinct integer levels in [0, 62], a reference level above
+    them and at most 62, a finite real p >= 1 and 1 to 2**24 paths.
     """
-    levels = _checked_levels(levels)
-    if not (p >= 1 and math.isfinite(p)):
-        raise InvalidParameterError(f"p must be finite and >= 1, got {p!r}")
+    levels = _check_levels(levels)
+    exact = _check_reference(ref, levels)
+    _check_p(p)
     _check_paths(paths)
-    exact = isinstance(ref, str) and ref == "exact"
-    if not (exact or _is_int(ref)):
-        raise InvalidParameterError(
-            f"reference must be a level or 'exact', got {ref!r}")
-    if exact:
-        if problem.exact_terminal is None:
-            raise InvalidParameterError("problem has no exact terminal solution")
-        gen_level = max(levels)
-    else:
-        ref = int(ref)
-        if ref <= max(levels):
-            raise InvalidParameterError(
-                "every level must lie below the reference level")
-        gen_level = ref
+    if exact and problem.exact_terminal is None:
+        raise InvalidParameterError("problem has no exact terminal solution")
+    gen_level = max(levels) if exact else int(ref)
     horizon = problem.horizon
     n_rows = len(levels)
-    run_levels = levels if exact else [ref] + levels
+    run_levels = levels if exact else [gen_level] + levels
 
     def worker(start: int, stop: int):
         steppers, w_terminal = _sweep(problem, kind, policy, start, stop,
@@ -459,7 +470,7 @@ def strong_error_experiment(problem: SdeProblem, kind: SchemeKind, levels,
         n = 1 << level
         rows.append(ErrorRow(level, n, horizon / n, lp_error, kept, p, stderr,
                              overflowed))
-    return ErrorTable(tuple(rows), "exact" if exact else f"level {ref}", p)
+    return ErrorTable(tuple(rows), "exact" if exact else f"level {gen_level}", p)
 
 
 def fit_rate(table: ErrorTable) -> RateFit:
@@ -495,12 +506,14 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
     Overflowed paths are excluded from the averages from the moment they
     turn non-finite and counted per level; a grid point where no path is
     finite reports an infinite moment.
+
+    Bounds: a finite real q >= 2, distinct integer levels in [0, 62] and 1
+    to 2**24 paths.
     """
     global _piece_sink
-    if not (q >= 2 and math.isfinite(q)):
-        raise InvalidParameterError(f"q must be finite and >= 2, got {q!r}")
+    _check_q(q)
     _check_paths(paths)
-    levels = _checked_levels(levels)
+    levels = _check_levels(levels)
     threads = _resolve_threads()
     all_rows = []
     overflows = {}
@@ -564,9 +577,9 @@ def simulate_terminals(problem: SdeProblem, kind: SchemeKind, level: int,
 
     Returns ``(terminals, overflow_steps)`` with shapes (paths, d) and
     (paths,); overflow steps are -1 where the path stayed finite.
+    Bounds: an integer level in [0, 62] and 1 to 2**24 paths.
     """
-    if not _is_int(level) or level < 0:
-        raise InvalidParameterError("level must be a nonnegative integer")
+    level = _check_level(level)
     _check_paths(paths)
 
     def worker(start: int, stop: int):

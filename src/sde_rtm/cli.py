@@ -34,14 +34,6 @@ class ConfigError(ValueError):
     """The experiment configuration failed validation."""
 
 
-# The finest dyadic level whose step count 1 << level fits the int64 step
-# indices of the stepping kernel.
-_MAX_LEVEL = 62
-# The most paths or audit samples one run takes.  The parent gathers a
-# float64 result per path (and per level) in memory, so a larger count
-# would run out of memory, or run for days, instead of failing up front.
-_MAX_COUNT = 1 << 24
-
 _SCHEME_IDS = {kind.value: kind for kind in schemes.SchemeKind}
 
 _HEADERS = {
@@ -52,15 +44,12 @@ _HEADERS = {
 }
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, a subclass of int: never a count or level
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    # finite and within the float range, which also rules out huge ints
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+def _check_key(key: str, rule, /, *args, **kwargs):
+    # the rule's error as a config error about ``key``; "/" frees every kwarg name
+    try:
+        return rule(*args, **kwargs)
+    except model.InvalidParameterError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 @dataclass
@@ -91,6 +80,8 @@ class ExperimentConfig:
         return cls(**mapping)
 
     def validate(self) -> None:
+        """Check the document's own rules, then every value by the rule of the
+        module that consumes it, also where the command does not read it."""
         if not isinstance(self.problem, str) or self.problem not in model.BUILTIN_FACTORIES:
             raise ConfigError(
                 f"unknown problem id {self.problem!r}; "
@@ -102,61 +93,25 @@ class ExperimentConfig:
             )
         if not isinstance(self.problem_params, dict):
             raise ConfigError("problem_params must be a JSON object")
-        if not all(_is_real(v) for v in self.problem_params.values()):
-            raise ConfigError("problem_params values must be finite numbers")
-        levels = self.levels
-        if (not isinstance(levels, list) or not levels
-                or any(not _is_int(l) or not 0 <= l <= _MAX_LEVEL for l in levels)):
-            raise ConfigError(
-                f"levels must be a nonempty list of integers in [0, {_MAX_LEVEL}]"
-            )
-        if sorted(levels) != levels or len(set(levels)) != len(levels):
-            raise ConfigError("levels must be strictly increasing")
-        ref = self.reference
-        if isinstance(ref, str):
-            if ref != "exact":
-                raise ConfigError("reference must be an integer level or 'exact'")
-        elif _is_int(ref):
-            if ref <= max(levels):
-                raise ConfigError("reference level must exceed every coarse level")
-            if ref > _MAX_LEVEL:
-                raise ConfigError(f"reference level must be at most {_MAX_LEVEL}")
-        else:
-            raise ConfigError("reference must be an integer level or 'exact'")
-        for name in ("p", "q", "audit_radius"):
-            if not _is_real(getattr(self, name)):
-                raise ConfigError(f"{name} must be a finite number")
-        for name in ("paths", "audit_samples"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer")
-        if self.p < 1:
-            raise ConfigError("p must be >= 1")
-        if self.q < 2:
-            raise ConfigError("q must be >= 2")
-        if not 1 <= self.paths <= _MAX_COUNT:
-            raise ConfigError(f"paths must lie in [1, {_MAX_COUNT}]")
         if not isinstance(self.outdir, str):
             raise ConfigError("outdir must be a string")
-        if self.level is not None and (not _is_int(self.level)
-                                       or not 0 <= self.level <= _MAX_LEVEL):
-            raise ConfigError(f"level must be an integer in [0, {_MAX_LEVEL}]")
-        if (not isinstance(self.audit_n_values, list) or not self.audit_n_values
-                or any(not _is_int(n) or not 1 <= n <= 1 << _MAX_LEVEL
-                       for n in self.audit_n_values)):
-            raise ConfigError(
-                "audit_n_values must be a nonempty list of integers "
-                f"in [1, 2**{_MAX_LEVEL}]"
-            )
-        if not 1 <= self.audit_samples <= _MAX_COUNT:
-            raise ConfigError(f"audit_samples must lie in [1, {_MAX_COUNT}]")
-        if self.audit_radius <= 0:
-            raise ConfigError("audit_radius must be positive")
+        self.build_problem()
+        levels = _check_key("levels", analysis._check_levels, self.levels)
+        if list(self.levels) != levels:
+            raise ConfigError("levels must be strictly increasing")
+        _check_key("reference", analysis._check_reference, self.reference, levels)
+        if self.level is not None:
+            _check_key("level", analysis._check_level, self.level)
+        _check_key("paths", analysis._check_paths, self.paths)
+        _check_key("p", analysis._check_p, self.p)
+        _check_key("q", analysis._check_q, self.q)
+        _check_key("audit_n_values", schemes._check_n_values, self.audit_n_values)
+        _check_key("audit_samples", schemes._check_sample_count, self.audit_samples)
+        _check_key("audit_radius", schemes._check_radius, self.audit_radius)
 
     def build_problem(self) -> model.SdeProblem:
-        try:
-            return model.make_builtin(self.problem, **self.problem_params)
-        except model.InvalidParameterError as exc:
-            raise ConfigError(f"invalid problem parameters: {exc}") from None
+        return _check_key("problem_params", model.make_builtin, self.problem,
+                          **self.problem_params)
 
     def scheme_kind(self) -> schemes.SchemeKind:
         return _SCHEME_IDS[self.scheme]
@@ -169,9 +124,8 @@ def _resolve(config: ExperimentConfig):
     records, before any simulation starts.
     """
     config.validate()
-    problem = config.build_problem()
-    kind = config.scheme_kind()
-    return problem, kind, noise.SeedPolicy(config.master_seed)
+    policy = noise.SeedPolicy(config.master_seed)
+    return config.build_problem(), config.scheme_kind(), policy
 
 
 def _format_value(value) -> str:
@@ -403,8 +357,7 @@ def _cmd_audit(config: ExperimentConfig) -> None:
 
 
 def _cmd_blowup(config: ExperimentConfig) -> None:
-    config.validate()
-    policy = noise.SeedPolicy(config.master_seed)
+    _, _, policy = _resolve(config)
     demo = analysis.blowup_demo(config.levels, config.paths, policy)
     rows = ()
     for kind in (schemes.SchemeKind.EULER_MARUYAMA, schemes.SchemeKind.TAMED_EULER):

@@ -16,6 +16,8 @@ coefficient evaluation is safe to call concurrently.
 
 from __future__ import annotations
 
+import inspect
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -33,7 +35,35 @@ __all__ = [
 
 
 class InvalidParameterError(ValueError):
-    """A problem or builtin was constructed with out-of-range parameters."""
+    """A problem, builtin or experiment was given an out-of-range parameter."""
+
+
+# --- value rules: what every module's input checks are written with ----------
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass, but never a count, level or seed
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    # finite, which also rules out an int too large for any float
+    return ((_is_int(value) or isinstance(value, (float, np.floating)))
+            and abs(value) <= sys.float_info.max)
+
+
+def _check_int(name: str, value, low: int, high: int) -> int:
+    if not (_is_int(value) and low <= value <= high):
+        raise InvalidParameterError(f"{name} must be an integer in [{low}, {high}]")
+    return int(value)
+
+
+def _check_ints(name: str, values, low: int, high: int) -> list:
+    values = list(values) if np.iterable(values) else []
+    if not values or not all(_is_int(v) and low <= v <= high for v in values):
+        raise InvalidParameterError(
+            f"{name} must be a nonempty list of integers in [{low}, {high}]")
+    return [int(v) for v in values]
 
 
 class NoiseStructure(Enum):
@@ -287,18 +317,23 @@ BUILTIN_FACTORIES = {
 }
 
 
-def make_builtin(kind: str, **params) -> SdeProblem:
+def make_builtin(kind: str, /, **params) -> SdeProblem:
     """Construct a built-in problem by id.
 
     The ids are exactly ``fhn``, ``gbm``, ``rough_drift`` and
     ``double_well`` (no parameters), spelled as here.  Parameter records are
-    keyword arguments; unknown ids, unknown parameters and out-of-range
-    values raise :class:`InvalidParameterError`.
+    keyword arguments whose values are finite real numbers; unknown ids,
+    unknown or missing parameters and out-of-range values raise
+    :class:`InvalidParameterError`, whose message names the problem id.
     """
     factory = BUILTIN_FACTORIES.get(kind) if isinstance(kind, str) else None
     if factory is None:
         raise InvalidParameterError(f"unknown builtin problem id: {kind!r}")
     try:
-        return factory(**params)
+        inspect.signature(factory).bind(**params)
     except TypeError as exc:
-        raise InvalidParameterError(str(exc)) from None
+        raise InvalidParameterError(f"{kind}: {exc}") from None
+    bad = sorted(name for name, value in params.items() if not _is_real(value))
+    if bad:
+        raise InvalidParameterError(f"{kind}: {bad} must be finite real numbers")
+    return factory(**params)

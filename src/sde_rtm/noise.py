@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import InvalidParameterError, NoiseStructure
+from .model import InvalidParameterError, NoiseStructure, _is_int
 
 __all__ = [
     "StreamRole",
@@ -80,8 +80,7 @@ class SeedPolicy:
 
     def __post_init__(self):
         seed = self.master_seed
-        if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
-                or not 0 <= int(seed) < 2 ** 64):
+        if not (_is_int(seed) and 0 <= seed < 2 ** 64):
             raise InvalidParameterError(
                 f"master_seed must be a 64-bit unsigned integer, got {seed!r}")
         object.__setattr__(self, "master_seed", int(seed))

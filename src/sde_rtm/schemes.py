@@ -53,7 +53,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import NoiseStructure, SdeProblem
+from .model import (InvalidParameterError, NoiseStructure, SdeProblem, _check_int,
+                    _check_ints, _is_real)
 from .noise import (
     BrownianGrid,
     LevelError,
@@ -91,6 +92,13 @@ class SchemeKind(Enum):
 _MILSTEIN_KINDS = frozenset(
     {SchemeKind.TAMED_MILSTEIN, SchemeKind.RANDOMIZED_TAMED_MILSTEIN}
 )
+
+# The finest dyadic level whose step count 1 << level fits the int64 step
+# indices of the stepping kernel; taming step counts n share the bound.
+_MAX_LEVEL = 62
+# The most paths, or audit samples, one run takes: it holds a result per path
+# or sample in memory, and a larger count would exhaust it or run for days.
+_MAX_COUNT = 1 << 24
 
 # Steps per chunk in BatchStepper.feed: noise-only inputs are prepared and
 # the overflow scan runs once per chunk.  Results never depend on this value.
@@ -187,6 +195,8 @@ class BatchStepper:
 
     def __init__(self, problem: SdeProblem, kind: SchemeKind, n_steps: int,
                  batch: int):
+        if n_steps < 1:
+            raise DimensionError("a grid needs at least one step")
         self.problem = problem
         self.n_steps = n_steps
         self.dt = problem.horizon / n_steps
@@ -327,6 +337,19 @@ class TamingAuditRow:
     consistency_ratio: float      # max n |mu - tamed| / (|mu| |x|^(2 xi)), <= 1
 
 
+def _check_n_values(n_values) -> list:
+    return _check_ints("n_values", n_values, 1, 1 << _MAX_LEVEL)
+
+
+def _check_sample_count(sample_count) -> int:
+    return _check_int("sample_count", sample_count, 1, _MAX_COUNT)
+
+
+def _check_radius(radius) -> None:
+    if not (_is_real(radius) and radius > 0):
+        raise InvalidParameterError("radius must be a positive finite real number")
+
+
 def audit_taming(problem: SdeProblem, n_values, sample_count: int, radius: float,
                  stream: np.random.Generator) -> tuple:
     """Sampling-based audit of the generic taming operator on a problem.
@@ -338,11 +361,14 @@ def audit_taming(problem: SdeProblem, n_values, sample_count: int, radius: float
     pointwise-consistency ratio n|mu - tamed|/(|mu||x|^(2 xi)) (also
     bounded by 1).  The audit always applies the whole-vector taming,
     regardless of any per-summand split the problem carries.
+
+    ``n_values`` are integers in [1, 2**62], ``sample_count`` an integer in
+    [1, 2**24] and ``radius`` a positive finite real; any other value raises
+    :class:`InvalidParameterError` before a sample is drawn.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be positive")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    n_values = _check_n_values(n_values)
+    _check_sample_count(sample_count)
+    _check_radius(radius)
     times = stream.random(sample_count) * problem.horizon
     direction = stream.standard_normal((sample_count, problem.d))
     direction /= np.maximum(
@@ -355,7 +381,6 @@ def audit_taming(problem: SdeProblem, n_values, sample_count: int, radius: float
     x_norm = np.sqrt(np.sum(xs * xs, axis=1))
     rows = []
     for n in n_values:
-        n = int(n)
         tamed = tame_drift(mus, xs, n, problem.xi)
         tamed_norm = np.sqrt(np.sum(tamed * tamed, axis=1))
         nonzero = mu_norm > 0.0

@@ -301,25 +301,25 @@ def test_experiment_validation(fhn, monkeypatch):
         raise AssertionError("a worker pool started")
 
     monkeypatch.setattr(analysis, "_map_blocks", no_workers)
-    for paths in (2.5, float("nan"), True, "10"):
+    for paths in (2.5, float("nan"), True, "10", 2 ** 24 + 1):
         with pytest.raises(InvalidParameterError, match="paths"):
             strong_error_experiment(fhn, RTM, [3], 5, 2.0, paths, policy)
         with pytest.raises(InvalidParameterError, match="paths"):
             moment_experiment(fhn, RTM, 4.0, [3], paths, policy)
         with pytest.raises(InvalidParameterError, match="paths"):
             simulate_terminals(fhn, RTM, 3, paths, policy)
-    for levels in ([2.7, 3.2], [True, 3], [3.0]):
+    for levels in ([2.7, 3.2], [True, 3], [3.0], [63]):
         with pytest.raises(InvalidParameterError, match="levels"):
             strong_error_experiment(fhn, RTM, levels, 5, 2.0, 10, policy)
         with pytest.raises(InvalidParameterError, match="levels"):
             moment_experiment(fhn, RTM, 4.0, levels, 10, policy)
-    for ref in (5.9, 6.0, True):
+    for ref in (5.9, 6.0, True, 63):
         with pytest.raises(InvalidParameterError, match="reference"):
             strong_error_experiment(fhn, RTM, [0], ref, 2.0, 10, policy)
-    for level in (2.5, float("nan"), True):
+    for level in (2.5, float("nan"), True, 63):
         with pytest.raises(InvalidParameterError, match="level"):
             simulate_terminals(fhn, RTM, level, 10, policy)
-    for bad in (float("inf"), -float("inf"), float("nan")):
+    for bad in (float("inf"), -float("inf"), float("nan"), "2", True, 10 ** 400):
         with pytest.raises(InvalidParameterError, match="p must"):
             strong_error_experiment(fhn, RTM, [3], 5, bad, 10, policy)
         with pytest.raises(InvalidParameterError, match="q must"):

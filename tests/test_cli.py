@@ -220,6 +220,34 @@ def test_bad_master_seed_exits_2_in_every_command(tmp_path, capsys, monkeypatch,
         assert not os.path.exists(config["outdir"])
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("simulate", "q", float("inf")),
+    ("moments", "level", 63),
+    ("audit", "paths", 2 ** 24 + 1),
+    ("blowup", "audit_samples", 2 ** 32),
+])
+def test_every_command_checks_keys_it_does_not_read(tmp_path, capsys, monkeypatch,
+                                                    command, key, value):
+    def no_pool(worker, count, threads):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(analysis, "_map_blocks", no_pool)
+    path, config = write_config(tmp_path, **{key: value})
+    assert run_command([command, "--config", str(path)]) == 2
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(config["outdir"])
+
+
+def test_config_values_are_checked_by_the_library_rule(tmp_path, capsys,
+                                                       monkeypatch):
+    # the CLI holds no copy of the path bound: lowering the one the
+    # experiments read rejects a path count the CLI would otherwise run
+    monkeypatch.setattr(analysis, "_MAX_COUNT", 100, raising=False)
+    path, _ = write_config(tmp_path, paths=101)
+    assert run_command(["converge", "--config", str(path)]) == 2
+    assert "paths" in capsys.readouterr().err
+
+
 def test_unsupported_structure_exits_3(tmp_path, capsys, monkeypatch):
     def make_general(**params):
         problem = make_zero_problem(d=2, m=2)

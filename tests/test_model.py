@@ -167,6 +167,11 @@ def test_invalid_parameters_rejected():
             make_builtin(alias)
     with pytest.raises(InvalidParameterError):
         make_builtin("fhn", not_a_parameter=3)
+    # a missing parameter is named, with the problem id
+    with pytest.raises(InvalidParameterError, match="rough_drift: .*'beta'"):
+        make_builtin("rough_drift")
+    with pytest.raises(InvalidParameterError, match="kind"):
+        make_builtin("gbm", kind=1.0)
     # the builtins' fixed constants are not parameters
     fixed = ("v0", "r0", "alpha", "gamma", "lam", "horizon", "xi")
     for kind, names, required in (("fhn", fixed, {}),

@@ -419,23 +419,26 @@ def test_feed_rejects_uniforms_outside_unit_interval(bad):
         stepper.feed(np.zeros((4, 3, 1)), uniforms)
 
 
-@pytest.mark.parametrize("problem,kind,increments,uniforms", [
+@pytest.mark.parametrize("problem,kind,n_steps,increments,uniforms", [
     # m = 1 increments on an m = 2 problem
-    (make_zero_problem(d=2, m=2), SchemeKind.TAMED_EULER, (4, 3, 1), None),
+    (make_zero_problem(d=2, m=2), SchemeKind.TAMED_EULER, 4, (4, 3, 1), None),
     # one path's increments for three paths
-    (FHN, SchemeKind.TAMED_MILSTEIN, (4, 1, 1), None),
+    (FHN, SchemeKind.TAMED_MILSTEIN, 4, (4, 1, 1), None),
     # one path's uniforms for three paths
-    (FHN, SchemeKind.RANDOMIZED_TAMED_MILSTEIN, (4, 3, 1), (4, 1)),
+    (FHN, SchemeKind.RANDOMIZED_TAMED_MILSTEIN, 4, (4, 3, 1), (4, 1)),
     # fewer uniforms than steps
-    (FHN, SchemeKind.RANDOMIZED_TAMED_MILSTEIN, (4, 3, 1), (3, 3)),
-], ids=["m", "increment-width", "uniform-width", "uniform-steps"])
-def test_feed_rejects_inputs_shaped_for_another_block(problem, kind, increments,
-                                                      uniforms):
-    stepper = schemes.BatchStepper(problem, kind, 4, 3)
+    (FHN, SchemeKind.RANDOMIZED_TAMED_MILSTEIN, 4, (4, 3, 1), (3, 3)),
+    # a grid of no steps, which has no step size
+    (FHN, SchemeKind.TAMED_EULER, 0, (0, 3, 1), None),
+], ids=["m", "increment-width", "uniform-width", "uniform-steps", "no-steps"])
+def test_feed_rejects_inputs_shaped_for_another_block(problem, kind, n_steps,
+                                                      increments, uniforms):
     u = None if uniforms is None else np.full(uniforms, 0.5)
     with pytest.raises(DimensionError):
+        stepper = schemes.BatchStepper(problem, kind, n_steps, 3)
         stepper.feed(np.zeros(increments), u)
-    assert stepper.steps == 0
+    if n_steps:  # the stepper was built, and took no step
+        assert stepper.steps == 0
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -486,3 +489,9 @@ def test_audit_validation(fhn):
         audit_taming(fhn, [4], 10, -1.0, stream)
     with pytest.raises(ValueError):
         audit_taming(fhn, [4], 10, float("nan"), stream)
+    for n_values, samples, radius in (
+        ([2 ** 70], 10, 1.0), ([0], 10, 1.0), ([2.7], 10, 1.0), ([], 10, 1.0),
+        ([4], 2.5, 1.0), ([4], 2 ** 24 + 1, 1.0), ([4], 10, "1"),
+    ):
+        with pytest.raises(InvalidParameterError):
+            audit_taming(fhn, n_values, samples, radius, stream)
