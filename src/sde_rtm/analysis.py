@@ -54,9 +54,9 @@ from typing import Union
 import numpy as np
 
 from .model import (InvalidParameterError, SdeProblem, _check_int, _check_ints,
-                    _is_int, _is_real, make_builtin)
-from .noise import SeedPolicy, SlabStream, StreamRole, coarsen_chunks
-from .schemes import _MAX_COUNT, _MAX_LEVEL, BatchStepper, SchemeKind
+                    _check_real, _is_int, make_builtin)
+from .noise import _MAX_LEVEL, SeedPolicy, SlabStream, StreamRole, coarsen_chunks
+from .schemes import _MAX_COUNT, BatchStepper, SchemeKind
 
 __all__ = [
     "ErrorRow",
@@ -385,17 +385,12 @@ def _check_paths(paths) -> int:
     return _check_int("paths", paths, 1, _MAX_COUNT)
 
 
-def _check_order(name: str, value, least: int) -> None:
-    if not (_is_real(value) and value >= least):
-        raise InvalidParameterError(f"{name} must be a finite real number >= {least}")
-
-
 def _check_p(p) -> None:
-    _check_order("p", p, 1)
+    _check_real("p", p, 1)
 
 
 def _check_q(q) -> None:
-    _check_order("q", q, 2)
+    _check_real("q", q, 2)
 
 
 def strong_error_experiment(problem: SdeProblem, kind: SchemeKind, levels,
@@ -520,24 +515,21 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
     for level in levels:
         n = 1 << level
 
-        def worker(start: int, stop: int, _level=level, _n=n):
+        def worker(start: int, stop: int, _level=level):
             # streams each chunk's per-path |x_t|^q (0 where x_t is not
             # finite) as a (chunk, slab) piece, initial state first, and
-            # returns the per-t finite counts with the overflow steps
-            counts = np.zeros(_n + 1, dtype=np.int64)
-
+            # returns the overflow steps
             def observe(index, states):
                 finite = np.isfinite(states).all(axis=2)
                 sq = (states * states).sum(axis=2)
                 _piece_sink(start, index, np.where(finite, sq ** (q / 2.0), 0.0))
-                counts[index:index + len(states)] += finite.sum(axis=1)
 
             with np.errstate(all="ignore"):
                 observe(0, np.repeat(problem.initial_state[None, None, :],
                                      stop - start, axis=1))
             steppers, _ = _sweep(problem, kind, policy, start, stop, _level,
                                  [_level], observe=observe)
-            return counts, steppers[0].overflow
+            return (steppers[0].overflow,)
 
         reduction = _PathOrderSum(n + 1)
         _piece_sink = reduction.add
@@ -545,18 +537,18 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
             results = _map_blocks(worker, paths, threads)
         finally:
             _piece_sink = None
-        counts = np.zeros(n + 1, dtype=np.int64)
-        overflowed = 0
-        for block_counts, block_overflow in results:
-            counts += block_counts
-            overflowed += int((block_overflow >= 0).sum())
+        # a path is finite up to its first overflow step and non-finite from
+        # grid index overflow + 1 on, as the kernel's overflow scan assumes
+        overflow = np.concatenate([block_overflow for (block_overflow,) in results])
+        lost = np.cumsum(np.bincount(overflow[overflow >= 0] + 1, minlength=n + 1))
+        counts = paths - lost
         sums = reduction.total(paths)
         with np.errstate(all="ignore"):
             moments = np.where(counts > 0, sums / np.maximum(counts, 1), np.inf)
         all_rows.extend(
             MomentRow(level, t, float(moments[t])) for t in range(n + 1)
         )
-        overflows[level] = overflowed
+        overflows[level] = int(lost[-1])
     return MomentTable(tuple(all_rows), overflows)
 
 

@@ -66,6 +66,16 @@ def _check_ints(name: str, values, low: int, high: int) -> list:
     return [int(v) for v in values]
 
 
+def _check_real(name: str, value, low: float) -> None:
+    if not (_is_real(value) and value >= low):
+        raise InvalidParameterError(f"{name} must be a finite real number >= {low}")
+
+
+def _check_positive(name: str, value) -> None:
+    if not (_is_real(value) and value > 0):
+        raise InvalidParameterError(f"{name} must be a positive finite real number")
+
+
 class NoiseStructure(Enum):
     """Declared structure of the diffusion matrix.
 
@@ -105,9 +115,9 @@ class SdeProblem:
     Parameters
     ----------
     d, m : int
-        State dimension and Brownian dimension.
+        State dimension and Brownian dimension, integers >= 1.
     horizon : float
-        Final time T > 0.
+        Final time T > 0, finite.
     initial_state : array of shape (d,)
         Deterministic initial value.
     drift, diffusion, milstein_tensor : callables
@@ -116,7 +126,7 @@ class SdeProblem:
         ``tensor[i, k, l] = sum_r d(rho[i, k])/d(x_r) * rho[r, l]``.
     noise_structure : NoiseStructure
     xi : float
-        Superlinearity exponent of the drift (>= 0).
+        Superlinearity exponent of the drift, a finite real >= 0.
     beta : float
         Temporal Hoelder exponent of the drift, in (0, 1].  Metadata only;
         the predicted strong rate is min(beta + 1/2, 1).
@@ -141,13 +151,11 @@ class SdeProblem:
     taming_split: Optional[TamingSplit] = None
 
     def __post_init__(self):
-        if int(self.d) < 1 or int(self.m) < 1:
+        if not (_is_int(self.d) and _is_int(self.m) and self.d >= 1 and self.m >= 1):
             raise InvalidParameterError("d and m must be positive integers")
-        if not (self.horizon > 0 and np.isfinite(self.horizon)):
-            raise InvalidParameterError("horizon must be a positive finite real")
-        if not self.xi >= 0:
-            raise InvalidParameterError("xi must be nonnegative")
-        if not 0.0 < self.beta <= 1.0:
+        _check_positive("horizon", self.horizon)
+        _check_real("xi", self.xi, 0)
+        if not (_is_real(self.beta) and 0.0 < self.beta <= 1.0):
             raise InvalidParameterError("beta must lie in (0, 1]")
         if self.noise_structure is NoiseStructure.SCALAR and self.m != 1:
             raise InvalidParameterError("scalar noise requires m == 1")
@@ -161,9 +169,8 @@ class SdeProblem:
         x0.setflags(write=False)
         object.__setattr__(self, "initial_state", x0)
         if self.taming_split is not None:
-            idx = self.taming_split.norm_indices
-            if not idx or any(not 0 <= i < self.d for i in idx):
-                raise InvalidParameterError("taming_split.norm_indices out of range")
+            _check_ints("taming_split.norm_indices", self.taming_split.norm_indices,
+                        0, self.d - 1)
 
 
 # --- built-in problems -------------------------------------------------------
@@ -228,10 +235,9 @@ def _fhn_family(external_input, sigma, beta):
 
 
 def _make_fitzhugh_nagumo(i_amp=25.0, sigma=0.001):
-    """Stochastic FitzHugh-Nagumo neuron with I_ext(t) = i_amp*(1 - sqrt(t))."""
-    return _fhn_family(
-        lambda t: i_amp * (1.0 - np.asarray(t, dtype=float) ** 0.5), sigma,
-        beta=0.5)
+    """Stochastic FitzHugh-Nagumo neuron with I_ext(t) = i_amp*(1 - sqrt(t)),
+    which is ``rough_drift`` at beta = 1/2."""
+    return _make_rough_drift(0.5, i_amp, sigma)
 
 
 def _make_rough_drift(beta, c=25.0, sigma=0.001):

@@ -31,7 +31,8 @@ from enum import Enum
 
 import numpy as np
 
-from .model import InvalidParameterError, NoiseStructure, _is_int
+from .model import (InvalidParameterError, NoiseStructure, _check_int, _check_positive,
+                    _check_real, _is_int)
 
 __all__ = [
     "StreamRole",
@@ -54,6 +55,17 @@ __all__ = [
 
 class LevelError(ValueError):
     """A dyadic level argument is out of range."""
+
+
+_MAX_LEVEL = 62  # the finest level whose 1 << level steps fit int64 step indices
+
+
+def _check_grid(level, m, horizon) -> None:
+    if not (_is_int(level) and 0 <= level <= _MAX_LEVEL):
+        raise LevelError(f"level must be an integer in [0, {_MAX_LEVEL}], got {level!r}")
+    if not (_is_int(m) and m >= 1):
+        raise InvalidParameterError(f"m must be a positive integer, got {m!r}")
+    _check_positive("horizon", horizon)
 
 
 class UnsupportedNoiseStructureError(ValueError):
@@ -87,9 +99,9 @@ class SeedPolicy:
 
 
 def derive_substream(policy: SeedPolicy, path_index: int, role: StreamRole) -> np.random.Generator:
-    """Return the deterministic substream for (path_index, role)."""
-    if path_index < 0:
-        raise InvalidParameterError("path_index must be nonnegative")
+    """Return the deterministic substream for (path_index, role), path_index an integer >= 0."""
+    if not (_is_int(path_index) and path_index >= 0):
+        raise InvalidParameterError("path_index must be a nonnegative integer")
     seq = np.random.SeedSequence(policy.master_seed, spawn_key=(path_index, role.value))
     return np.random.Generator(np.random.Philox(seq))
 
@@ -99,7 +111,8 @@ class BrownianGrid:
     """Increments of one Brownian path on a dyadic grid.
 
     ``increments[j]`` is w(t_{j+1}) - w(t_j) on the uniform grid with
-    2**level steps of size horizon / 2**level.
+    2**level steps of size horizon / 2**level.  The level is an integer in
+    [0, 62] (else :class:`LevelError`), m an integer >= 1, the horizon finite > 0.
     """
 
     level: int
@@ -108,8 +121,7 @@ class BrownianGrid:
     increments: np.ndarray  # shape (2**level, m)
 
     def __post_init__(self):
-        if self.level < 0:
-            raise LevelError("level must be nonnegative")
+        _check_grid(self.level, self.m, self.horizon)
         arr = np.array(self.increments, dtype=float)
         if arr.shape != (1 << self.level, self.m):
             raise InvalidParameterError(
@@ -125,13 +137,9 @@ class BrownianGrid:
 
 def sample_brownian_grid(level: int, m: int, horizon: float,
                          stream: np.random.Generator) -> BrownianGrid:
-    """Sample a grid of 2**level Gaussian increments with variance horizon/2**level."""
-    if level < 0:
-        raise LevelError("level must be nonnegative")
-    if m < 1:
-        raise InvalidParameterError("m must be positive")
-    if horizon <= 0:
-        raise InvalidParameterError("horizon must be positive")
+    """Sample a grid of 2**level Gaussian increments with variance
+    horizon/2**level; the arguments follow :class:`BrownianGrid`'s rule."""
+    _check_grid(level, m, horizon)
     n = 1 << level
     dt = horizon / n
     increments = stream.standard_normal((n, m)) * np.sqrt(dt)
@@ -198,11 +206,12 @@ class SlabStream:
     key and position before each of that path's draws.  The draws equal
     those of ``derive_substream(policy, path, role)`` bit for bit.  The
     first path's hashed key is checked against its ``SeedSequence`` key; a
-    ``RuntimeError`` means numpy's algorithm changed.
+    ``RuntimeError`` means numpy's algorithm changed.  Integer path indices
+    ``0 <= start < stop <= 2**32``.
     """
 
     def __init__(self, policy: SeedPolicy, start: int, stop: int, role: StreamRole):
-        if not 0 <= start < stop <= 1 << 32:
+        if not (_is_int(start) and _is_int(stop) and 0 <= start < stop <= 1 << 32):
             raise InvalidParameterError(
                 f"a slab needs path indices in [0, 2**32), got [{start}, {stop})")
         keys = _philox_keys(policy.master_seed,
@@ -234,6 +243,7 @@ class SlabStream:
         """Yield every path's increments on the 2**level grid, ``chunk``
         steps at a time, as fresh time-major arrays ``(chunk, len(self), m)``.
 
+        The grid arguments follow :class:`BrownianGrid`'s rule, and
         ``chunk`` must be a power of two no larger than 2**level.  Column
         ``b`` of the pieces concatenates to ``sample_brownian_grid(level, m,
         horizon, derive_substream(policy, start + b, role)).increments``:
@@ -243,8 +253,9 @@ class SlabStream:
         value, so each path's counter, buffer and buffer position are kept
         in arrays between pieces.
         """
+        _check_grid(level, m, horizon)
         n = 1 << level
-        if chunk < 1 or chunk > n or chunk & (chunk - 1):
+        if not (_is_int(chunk) and 1 <= chunk <= n) or chunk & (chunk - 1):
             raise LevelError(f"chunk must be a power of two in [1, {n}], got {chunk}")
         width = len(self)
         scale = np.sqrt(horizon / n)
@@ -272,15 +283,18 @@ class SlabStream:
         substream, ``chunk`` at a time, as fresh time-major arrays
         ``(chunk, len(self))``.
 
-        ``chunk`` must divide ``count``.  Column ``b`` of the pieces
-        concatenates to ``sample_randomization(count, stream).uniforms`` for
-        the path's substream after ``offset`` draws.  ``random`` takes one
-        Philox word per value and Philox makes four words per counter step,
-        so the draws at position ``k`` start from counter ``k // 4`` with the
-        first ``k % 4`` values dropped, and no per-path state is kept.
+        Integers ``offset >= 0`` and ``chunk >= 1`` dividing ``count``.
+        Column ``b`` of the pieces concatenates to
+        ``sample_randomization(count, stream).uniforms`` for the path's
+        substream after ``offset`` draws.  ``random`` takes one Philox word
+        per value and Philox makes four words per counter step, so the draws
+        at position ``k`` start from counter ``k // 4`` with the first
+        ``k % 4`` values dropped, and no per-path state is kept.
         """
-        if chunk < 1 or count % chunk:
-            raise InvalidParameterError(f"chunk {chunk} does not divide count {count}")
+        if not (_is_int(offset) and _is_int(count) and _is_int(chunk) and offset >= 0
+                and chunk >= 1) or count % chunk:
+            raise InvalidParameterError(f"need integer offset {offset} >= 0, count {count} "
+                                        f"and chunk {chunk} >= 1 dividing it")
         fresh = [0] * 4
         for pos in range(offset, offset + count, chunk):
             lead = pos % 4
@@ -301,12 +315,12 @@ def coarsen(grid: BrownianGrid, target_level: int) -> BrownianGrid:
     """Coarsen a grid to ``target_level`` by exact pairwise block summation.
 
     Implemented as repeated one-level halving, so coarsening telescopes bit
-    exactly: coarsen(coarsen(g, a), b) == coarsen(g, b) for b <= a.
+    exactly: coarsen(coarsen(g, a), b) == coarsen(g, b) for b <= a.  An
+    integer target level in [0, grid.level], else :class:`LevelError`.
     """
-    if not 0 <= target_level <= grid.level:
+    if not (_is_int(target_level) and 0 <= target_level <= grid.level):
         raise LevelError(
-            f"target_level must lie in [0, {grid.level}], got {target_level}"
-        )
+            f"target_level must be an integer in [0, {grid.level}], got {target_level!r}")
     if target_level == grid.level:
         return grid
     inc = grid.increments
@@ -328,10 +342,10 @@ def coarsen_chunks(chunks, level: int, targets):
     roots of whole pieces are combined by a binary carry (left + right).
     Both follow :func:`coarsen`'s pairwise tree, so the increments equal
     ``coarsen(grid, target).increments`` bit for bit, and target 0 yields
-    the terminal value of :func:`terminal_value`.
+    the terminal value of :func:`terminal_value`.  Integer levels only.
     """
     targets = sorted(set(targets), reverse=True)
-    if not targets or not 0 <= targets[-1] <= targets[0] <= level:
+    if not (targets and all(_is_int(t) and 0 <= t <= level for t in [level, *targets])):
         raise LevelError(f"targets must be a nonempty set of levels in [0, {level}]")
     pending = {}  # level -> left half of an unfinished coarse step
     for chunk in chunks:
@@ -372,14 +386,10 @@ class RandomizationStream:
         arr.setflags(write=False)
         object.__setattr__(self, "uniforms", arr)
 
-    def __len__(self) -> int:
-        return self.uniforms.size
-
 
 def sample_randomization(n: int, stream: np.random.Generator) -> RandomizationStream:
-    """Draw n i.i.d. Unif[0, 1) values from the given substream."""
-    if n < 1:
-        raise InvalidParameterError("n must be positive")
+    """Draw n i.i.d. Unif[0, 1) values from the given substream, n in [1, 2**62]."""
+    n = _check_int("n", n, 1, 1 << _MAX_LEVEL)
     return RandomizationStream(uniforms=stream.random(n))
 
 
@@ -387,10 +397,10 @@ def randomized_time(t_left, dt: float, u):
     """Randomized evaluation time t_left + dt*u, in [t_left, t_left + dt).
 
     ``t_left`` and ``u`` may be arrays that broadcast together, as the step
-    kernel's (C, 1) left endpoints and (C, B) uniforms do.
+    kernel's (C, 1) left endpoints and (C, B) uniforms do.  A positive
+    finite real ``dt`` and ``u`` in [0, 1), else :class:`InvalidParameterError`.
     """
-    if not dt > 0:
-        raise InvalidParameterError("dt must be positive")
+    _check_positive("dt", dt)
     u = np.asarray(u, dtype=float)
     if not (u.min() >= 0.0 and u.max() < 1.0):  # NaN fails both
         raise InvalidParameterError("u must lie in [0, 1)")
@@ -413,13 +423,14 @@ def iterated_integrals(dW, dt: float, structure: NoiseStructure) -> np.ndarray:
     Levy areas is out of scope, and misuse should be loud.
 
     ``dW`` may be a single vector (m,) or a batch (..., m); the result has
-    shape (..., m, m).
+    shape (..., m, m).  A finite real ``dt >= 0``, else InvalidParameterError.
     """
     if structure is NoiseStructure.GENERAL:
         raise UnsupportedNoiseStructureError(
             "general (non-commutative) noise requires Levy-area simulation, "
             "which is not supported"
         )
+    _check_real("dt", dt, 0)
     dw = np.asarray(dW, dtype=float)
     m = dw.shape[-1]
     diag = (dw * dw - dt) / 2.0

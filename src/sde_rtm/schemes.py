@@ -53,11 +53,11 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (InvalidParameterError, NoiseStructure, SdeProblem, _check_int,
-                    _check_ints, _is_real)
+from .model import (NoiseStructure, SdeProblem, _check_int, _check_ints, _check_positive,
+                    _check_real, _is_int)
 from .noise import (
+    _MAX_LEVEL,
     BrownianGrid,
-    LevelError,
     RandomizationStream,
     UnsupportedNoiseStructureError,
     coarsen,
@@ -93,9 +93,6 @@ _MILSTEIN_KINDS = frozenset(
     {SchemeKind.TAMED_MILSTEIN, SchemeKind.RANDOMIZED_TAMED_MILSTEIN}
 )
 
-# The finest dyadic level whose step count 1 << level fits the int64 step
-# indices of the stepping kernel; taming step counts n share the bound.
-_MAX_LEVEL = 62
 # The most paths, or audit samples, one run takes: it holds a result per path
 # or sample in memory, and a larger count would exhaust it or run for days.
 _MAX_COUNT = 1 << 24
@@ -128,12 +125,11 @@ def tame_drift(mu_value, x, n: int, xi: float):
 
     The denominator is always >= 1, so ``|tamed| <= |mu|`` exactly, and
     ``|mu - tamed| <= |mu| |x|^(2 xi) / n`` pointwise.  Accepts a single
-    vector with state ``(d,)`` or batches ``(..., d)``.
+    vector with state ``(d,)`` or batches ``(..., d)``.  An integer ``n`` in
+    [1, 2**62] and a finite real ``xi >= 0``, else InvalidParameterError.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if not xi >= 0:
-        raise ValueError("xi must be nonnegative")
+    n = _check_int("n", n, 1, 1 << _MAX_LEVEL)
+    _check_real("xi", xi, 0)
     return _tame(np.asarray(mu_value, dtype=float),
                  np.atleast_1d(np.asarray(x, dtype=float)), n, xi)
 
@@ -195,7 +191,7 @@ class BatchStepper:
 
     def __init__(self, problem: SdeProblem, kind: SchemeKind, n_steps: int,
                  batch: int):
-        if n_steps < 1:
+        if not (_is_int(n_steps) and n_steps >= 1):
             raise DimensionError("a grid needs at least one step")
         self.problem = problem
         self.n_steps = n_steps
@@ -305,15 +301,13 @@ def integrate_path(problem: SdeProblem, kind: SchemeKind, level: int,
                    uniforms: RandomizationStream = None) -> PathResult:
     """Integrate one path at a dyadic level, coarsening the grid as needed.
 
-    The grid may be finer than ``level``; it is coarsened exactly, so a
-    coarse run and a fine reference can share one Brownian path.  A state
-    that turns non-finite is reported through ``overflow_step`` rather than
-    raised.
+    The grid may be finer than ``level`` (outside [0, brownian.level] raises
+    :class:`LevelError`); it is coarsened exactly, so a coarse run and a fine
+    reference can share one Brownian path.  A state that turns non-finite is
+    reported through ``overflow_step`` rather than raised.
     """
     if brownian.horizon != problem.horizon:
         raise DimensionError("grid horizon differs from problem horizon")
-    if not 0 <= level <= brownian.level:
-        raise LevelError(f"level must lie in [0, {brownian.level}]")
     grid = coarsen(brownian, level)
     u = None if uniforms is None else uniforms.uniforms[None, : grid.n]
     terminal, overflow, _ = simulate_batch(problem, kind,
@@ -346,8 +340,7 @@ def _check_sample_count(sample_count) -> int:
 
 
 def _check_radius(radius) -> None:
-    if not (_is_real(radius) and radius > 0):
-        raise InvalidParameterError("radius must be a positive finite real number")
+    _check_positive("radius", radius)
 
 
 def audit_taming(problem: SdeProblem, n_values, sample_count: int, radius: float,

@@ -19,6 +19,7 @@ from sde_rtm import (
     ErrorTable,
     InvalidParameterError,
     SchemeKind,
+    SdeProblem,
     SeedPolicy,
     blowup_demo,
     fit_rate,
@@ -122,6 +123,51 @@ def test_gbm_exact_reference_rms_small():
                                     SeedPolicy(99))
     assert table.rows[0].lp_error <= 5e-3
     assert table.rows[0].paths == 500
+
+
+def _commuting_gbm():
+    """The 2-d GBM dx_i = a_i x_i dt + x_i sum_k S_ik dW_k from (1, 2).
+
+    Its Milstein tensor x_i S_ik S_il is symmetric in (k, l), which is the
+    commutativity condition of Kloeden & Platen (1992), and each component
+    is a scalar GBM, so the terminal value has a closed form.
+    """
+    a = np.array([0.3, -0.2])
+    s = np.array([[0.4, 0.2], [0.1, 0.5]])
+    x0 = np.array([1.0, 2.0])
+
+    def drift(t, x):
+        return a * np.asarray(x, dtype=float)
+
+    def diffusion(t, x):
+        return np.asarray(x, dtype=float)[..., :, None] * s
+
+    def milstein_tensor(t, x):
+        xa = np.asarray(x, dtype=float)
+        return xa[..., :, None, None] * (s[:, :, None] * s[:, None, :])
+
+    def exact_terminal(w_terminal):
+        w = np.asarray(w_terminal, dtype=float)
+        return x0 * np.exp(a - 0.5 * (s * s).sum(axis=1) + w @ s.T)
+
+    return SdeProblem(d=2, m=2, horizon=1.0, initial_state=x0, drift=drift,
+                      diffusion=diffusion, milstein_tensor=milstein_tensor,
+                      noise_structure=NoiseStructure.COMMUTATIVE, xi=0.0, beta=1.0,
+                      exact_terminal=exact_terminal)
+
+
+@pytest.mark.parametrize("kind,low,high", [
+    (TM, 0.9, 1.1),   # criterion 2's band around order 1
+    (RTM, 0.9, 1.1),
+    (SchemeKind.TAMED_EULER, 0.4, 0.6),  # order 1/2 without the correction
+])
+def test_two_dimensional_commuting_noise_rates(kind, low, high):
+    # the m = 2 Milstein path end to end: iterated integrals of two Brownian
+    # components contracted against a (2, 2, 2) tensor, against the closed form
+    table = strong_error_experiment(_commuting_gbm(), kind, [4, 5, 6, 7, 8, 9],
+                                    "exact", 2.0, 1000, SeedPolicy(20260810))
+    fit = fit_rate(table)
+    assert low <= fit.slope <= high, fit
 
 
 def test_worker_count_does_not_change_results(fhn, monkeypatch):

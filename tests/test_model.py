@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sde_rtm import InvalidParameterError, NoiseStructure, SdeProblem, make_builtin
+from sde_rtm.model import TamingSplit
 
 
 def _finite_difference_milstein_tensor(problem, t, x, rel_step=1e-6):
@@ -199,9 +200,16 @@ def test_problem_validation():
         {"beta": 1.2},
         {"m": 2},  # scalar structure requires m == 1
         {"initial_state": [1.0, 2.0]},
+        {"d": True},
+        {"horizon": True},
+        {"xi": float("inf")},
+        {"taming_split": TamingSplit(good["drift"], good["drift"], (0.0,))},
+        {"taming_split": TamingSplit(good["drift"], good["drift"], (True,))},
     ):
         with pytest.raises(InvalidParameterError):
             SdeProblem(**{**good, **bad})
+    with pytest.raises(InvalidParameterError, match="d and m"):
+        SdeProblem(**{**good, "d": 1.5})
 
 
 def test_initial_state_is_read_only(fhn):

@@ -54,6 +54,9 @@ def test_master_seed_validation():
         SeedPolicy(2 ** 64)
     with pytest.raises(InvalidParameterError):
         derive_substream(POLICY, -1, StreamRole.BROWNIAN)
+    for index in (1.5, True):
+        with pytest.raises(InvalidParameterError):
+            derive_substream(POLICY, index, StreamRole.BROWNIAN)
 
 
 @pytest.mark.parametrize("seed", [1.5, "7", True, False, None, np.float64(3.0),
@@ -134,7 +137,8 @@ def test_slab_stream_matches_per_path_draws(start, stop, level, chunk, m):
 
 def test_slab_bounds_are_checked():
     # a path index of 2**32 or more would hash as two spawn words
-    for start, stop in ((2 ** 32 - 1, 2 ** 32 + 1), (-1, 2), (4, 4)):
+    for start, stop in ((2 ** 32 - 1, 2 ** 32 + 1), (-1, 2), (4, 4), (0.5, 3),
+                        (True, 3)):
         with pytest.raises(InvalidParameterError):
             SlabStream(POLICY, start, stop, StreamRole.BROWNIAN)
 
@@ -171,6 +175,15 @@ def test_grid_argument_validation():
         sample_brownian_grid(1, 0, 1.0, stream)
     with pytest.raises(InvalidParameterError):
         sample_brownian_grid(1, 1, 0.0, stream)
+    # levels and m are integers, the horizon a finite real
+    for level in (2.5, True):
+        with pytest.raises(LevelError):
+            sample_brownian_grid(level, 1, 1.0, stream)
+        with pytest.raises(LevelError):
+            BrownianGrid(level=level, horizon=1.0, m=1, increments=np.zeros((2, 1)))
+    for m, horizon in ((1.5, 1.0), (1, float("nan")), (1, float("inf"))):
+        with pytest.raises(InvalidParameterError):
+            sample_brownian_grid(3, m, horizon, stream)
 
 
 # --- coarsening --------------------------------------------------------------
@@ -219,6 +232,9 @@ def test_coarsen_level_check():
         coarsen(grid, 4)
     with pytest.raises(LevelError):
         coarsen(grid, -1)
+    for target in (1.5, True):
+        with pytest.raises(LevelError):
+            coarsen(grid, target)
 
 
 # --- streamed draws and coarsening ---------------------------------------------
@@ -254,11 +270,14 @@ def test_chunk_sizes_are_checked():
     # Brownian chunks are powers of two within the grid, uniform chunks
     # divide the count, and coarsening targets lie in [0, level]
     stream = SlabStream(POLICY, 0, 1, StreamRole.BROWNIAN)
-    for chunk in (0, 3, 16):
+    for chunk in (0, 3, 16, 2.5):
         with pytest.raises(LevelError):
             next(stream.brownian(3, 1, 1.0, chunk))
         with pytest.raises(InvalidParameterError):
             next(stream.uniforms(0, 8, chunk))
+    for offset, count in ((-1, 8), (0, 8.0)):
+        with pytest.raises(InvalidParameterError):
+            next(stream.uniforms(offset, count, 2))
     for targets in ([2], []):
         with pytest.raises(LevelError):
             next(coarsen_chunks(iter([np.zeros((2, 1))]), 1, targets))
@@ -271,6 +290,8 @@ def test_randomization_range_and_mean():
     draws = sample_randomization(100_000, stream).uniforms
     assert draws.min() >= 0.0 and draws.max() < 1.0
     assert 0.495 <= draws.mean() <= 0.505
+    with pytest.raises(InvalidParameterError):
+        sample_randomization(2.5, stream)
 
 
 def test_randomization_determinism():
@@ -330,6 +351,8 @@ def test_randomized_time_validation():
     with pytest.raises(InvalidParameterError):
         randomized_time(0.0, float("nan"), 0.5)
     with pytest.raises(InvalidParameterError):
+        randomized_time(0.0, float("inf"), 0.0)
+    with pytest.raises(InvalidParameterError):
         randomized_time(0.0, 0.1, 1.0)
     for bad in (-0.5, 1.0, float("nan")):
         with pytest.raises(InvalidParameterError):
@@ -357,6 +380,10 @@ def test_iterated_integrals_diagonal_zeroes_off_diagonal():
 def test_iterated_integrals_rejects_general():
     with pytest.raises(UnsupportedNoiseStructureError):
         iterated_integrals(np.array([1.0]), 0.1, NoiseStructure.GENERAL)
+    # dt = 0 is the unit oracle's; a negative or NaN step is not a step
+    for dt in (-1.0, float("nan")):
+        with pytest.raises(InvalidParameterError):
+            iterated_integrals(np.array([0.5]), dt, NoiseStructure.SCALAR)
 
 
 @settings(max_examples=50)

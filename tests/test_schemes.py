@@ -9,6 +9,7 @@ from sde_rtm import schemes
 from sde_rtm import (
     DimensionError,
     InvalidParameterError,
+    LevelError,
     NoiseStructure,
     RandomizationStream,
     SchemeKind,
@@ -76,6 +77,10 @@ def test_tame_drift_validation():
         tame_drift(np.array([1.0]), np.array([1.0]), 1, -1.0)
     with pytest.raises(ValueError):
         tame_drift(np.array([1.0]), np.array([1.0]), 1, float("nan"))
+    # n is an integer step count and xi a finite exponent
+    for n, xi in ((2.5, 2.0), (True, 2.0), (4, float("inf"))):
+        with pytest.raises(InvalidParameterError):
+            tame_drift(np.ones(2), np.ones(2), n, xi)
 
 
 # --- single steps ------------------------------------------------------------
@@ -281,6 +286,8 @@ def test_integrate_validation(fhn):
                                 derive_substream(POLICY, 0, StreamRole.BROWNIAN))
     with pytest.raises(DimensionError):
         integrate_path(fhn, SchemeKind.TAMED_EULER, 4, wide)
+    with pytest.raises(LevelError):
+        integrate_path(fhn, SchemeKind.TAMED_EULER, 1.5, grid)
 
 
 # --- batch kernel against single steps -----------------------------------------
