@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from . import analysis, model, noise, schemes
 
@@ -128,6 +130,10 @@ def _resolve(config: ExperimentConfig):
     return config.build_problem(), config.scheme_kind(), policy
 
 
+# rows formatted and written at a time; the output never depends on it
+_BLOCK_ROWS = 4096
+
+
 def _format_value(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
@@ -136,23 +142,26 @@ def _format_value(value) -> str:
 
 @dataclass(frozen=True)
 class CsvReport:
-    """A rendered CSV artifact: header row then data rows.
+    """A CSV artifact: header row then data rows.
 
-    Floats are rendered with 17 significant digits so that reruns of the
-    same config produce byte-identical files.
+    ``rows`` may be any iterable of rows, a generator included; :meth:`write`
+    consumes it once, formatting and writing ``_BLOCK_ROWS`` rows at a time,
+    so no whole-file string is built.  Floats are written with 17
+    significant digits so that reruns of the same config produce
+    byte-identical files.
     """
 
     header: tuple
-    rows: tuple
-
-    def render(self) -> str:
-        lines = [",".join(self.header)]
-        lines.extend(",".join(_format_value(v) for v in row) for row in self.rows)
-        return "\n".join(lines) + "\n"
+    rows: Iterable
 
     def write(self, path: str) -> None:
+        rows = iter(self.rows)
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(self.render())
+            handle.write(",".join(self.header) + "\n")
+            # a formatted row is never empty, so an empty block ends the rows
+            while block := "".join([",".join([_format_value(v) for v in row]) + "\n"
+                                    for row in itertools.islice(rows, _BLOCK_ROWS)]):
+                handle.write(block)
 
 
 # --- SVG rendering -----------------------------------------------------------
@@ -298,6 +307,15 @@ def _cmd_converge(config: ExperimentConfig) -> None:
           f"overflowed paths {overflowed}")
 
 
+def _terminal_rows(terminals, overflow):
+    # path-order rows from the (paths, d) and (paths,) arrays, one block of
+    # them turned into Python floats and ints at a time
+    for start in range(0, len(overflow), _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, len(overflow))
+        yield from zip(range(start, stop), *terminals[start:stop].T.tolist(),
+                       overflow[start:stop].tolist())
+
+
 def _cmd_simulate(config: ExperimentConfig) -> None:
     problem, kind, policy = _resolve(config)
     level = config.level if config.level is not None else max(config.levels)
@@ -305,12 +323,10 @@ def _cmd_simulate(config: ExperimentConfig) -> None:
         problem, kind, level, config.paths, policy
     )
     header = ("path",) + tuple(f"x{i}" for i in range(problem.d)) + ("overflow_step",)
-    rows = tuple(
-        (i, *(float(v) for v in terminals[i]), int(overflow[i]))
-        for i in range(config.paths)
-    )
     os.makedirs(config.outdir, exist_ok=True)
-    CsvReport(header, rows).write(os.path.join(config.outdir, "simulate.csv"))
+    CsvReport(header, _terminal_rows(terminals, overflow)).write(
+        os.path.join(config.outdir, "simulate.csv")
+    )
     print(f"simulated {config.paths} paths at level {level}; "
           f"overflowed {int((overflow >= 0).sum())}")
 

@@ -191,7 +191,7 @@ def _fhn_family(external_input, sigma, beta):
     def cubic_part(t, x):
         xa = np.asarray(x, dtype=float)
         v = xa[..., 0]
-        out = np.zeros_like(xa)
+        out = np.zeros(xa.shape)
         out[..., 0] = v - v ** 3 / 3.0
         return out
 

@@ -99,9 +99,12 @@ class SeedPolicy:
 
 
 def derive_substream(policy: SeedPolicy, path_index: int, role: StreamRole) -> np.random.Generator:
-    """Return the deterministic substream for (path_index, role), path_index an integer >= 0."""
+    """Return the deterministic substream for (path_index, role), path_index an
+    integer >= 0 and role a :class:`StreamRole`, else InvalidParameterError."""
     if not (_is_int(path_index) and path_index >= 0):
         raise InvalidParameterError("path_index must be a nonnegative integer")
+    if not isinstance(role, StreamRole):
+        raise InvalidParameterError(f"role must be a StreamRole, got {role!r}")
     seq = np.random.SeedSequence(policy.master_seed, spawn_key=(path_index, role.value))
     return np.random.Generator(np.random.Philox(seq))
 
@@ -207,18 +210,20 @@ class SlabStream:
     those of ``derive_substream(policy, path, role)`` bit for bit.  The
     first path's hashed key is checked against its ``SeedSequence`` key; a
     ``RuntimeError`` means numpy's algorithm changed.  Integer path indices
-    ``0 <= start < stop <= 2**32``.
+    ``0 <= start < stop <= 2**32`` and a :class:`StreamRole`, else
+    InvalidParameterError.
     """
 
     def __init__(self, policy: SeedPolicy, start: int, stop: int, role: StreamRole):
         if not (_is_int(start) and _is_int(stop) and 0 <= start < stop <= 1 << 32):
             raise InvalidParameterError(
                 f"a slab needs path indices in [0, 2**32), got [{start}, {stop})")
-        keys = _philox_keys(policy.master_seed,
-                            np.arange(start, stop, dtype=np.uint64), role.value)
-        # the first path's own generator checks the hash, then serves the slab
+        # the first path's own generator checks the role and the hash, then
+        # serves the slab
         self._gen = derive_substream(policy, start, role)
         self._bitgen = self._gen.bit_generator
+        keys = _philox_keys(policy.master_seed,
+                            np.arange(start, stop, dtype=np.uint64), role.value)
         if not np.array_equal(keys[0], self._bitgen.state["state"]["key"]):
             raise RuntimeError(
                 f"vectorized Philox key of path {start} ({role.name}) differs from "
@@ -344,9 +349,10 @@ def coarsen_chunks(chunks, level: int, targets):
     ``coarsen(grid, target).increments`` bit for bit, and target 0 yields
     the terminal value of :func:`terminal_value`.  Integer levels only.
     """
-    targets = sorted(set(targets), reverse=True)
+    targets = list(targets)
     if not (targets and all(_is_int(t) and 0 <= t <= level for t in [level, *targets])):
         raise LevelError(f"targets must be a nonempty set of levels in [0, {level}]")
+    targets = sorted(set(targets), reverse=True)
     pending = {}  # level -> left half of an unfinished coarse step
     for chunk in chunks:
         out = {}

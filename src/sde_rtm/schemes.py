@@ -115,8 +115,10 @@ class PathResult:
 
 
 def _tame(mu, x, n: int, xi: float):
-    # tame_drift's formula, unchecked, for the kernel; |x| over the last axis
-    nrm = np.sqrt((x * x).sum(axis=-1))
+    # tame_drift's formula, unchecked, for the kernel; |x| over the last axis,
+    # whose sum, when it has one component, is that component
+    square = x * x
+    nrm = np.sqrt(square[..., 0] if x.shape[-1] == 1 else square.sum(axis=-1))
     return mu / (1.0 + nrm ** (2.0 * xi) / n)[..., None]
 
 
@@ -143,6 +145,8 @@ def _tamed_drift(problem: SdeProblem, n: int):
         return lambda t, x: _tame(drift(t, x), x, n, xi)
     superlinear, remainder = split.superlinear, split.remainder
     index = list(split.norm_indices)
+    if index == list(range(index[0], index[-1] + 1)):
+        index = slice(index[0], index[-1] + 1)  # a view; a fancy index copies
     return lambda t, x: (_tame(superlinear(t, x), x[..., index], n, xi)
                          + remainder(t, x))
 
@@ -170,11 +174,20 @@ def _step_batch(problem: SdeProblem, kind: SchemeKind, dt: float, n: int):
     diffusion = problem.diffusion
     milstein_tensor = problem.milstein_tensor if kind in _MILSTEIN_KINDS else None
 
-    def advance(x, t_left, t_drift, dw, iw):
-        out = x + drift(t_drift, x) * dt + (diffusion(t_left, x) * dw).sum(axis=-1)
-        if milstein_tensor is not None:
-            out = out + (milstein_tensor(t_left, x) * iw).sum(axis=(-2, -1))
-        return out
+    if problem.m == 1:
+        # a sum over a length-1 axis is its one term, so index it: the
+        # values are the same and the step skips numpy's costlier reductions
+        def advance(x, t_left, t_drift, dw, iw):
+            out = x + drift(t_drift, x) * dt + diffusion(t_left, x)[..., 0] * dw[..., 0]
+            if milstein_tensor is not None:
+                out = out + milstein_tensor(t_left, x)[..., 0, 0] * iw[..., 0, 0]
+            return out
+    else:
+        def advance(x, t_left, t_drift, dw, iw):
+            out = x + drift(t_drift, x) * dt + (diffusion(t_left, x) * dw).sum(axis=-1)
+            if milstein_tensor is not None:
+                out = out + (milstein_tensor(t_left, x) * iw).sum(axis=(-2, -1))
+            return out
 
     return advance
 
@@ -186,13 +199,16 @@ class BatchStepper:
     ``overflow`` (B,) and the number of steps taken ``steps`` carry over
     from one :meth:`feed` to the next, so a grid can be integrated piece by
     piece as its increments arrive.  Per-path results do not depend on how
-    the grid is cut into pieces.
+    the grid is cut into pieces.  ``n_steps`` below 1 raises
+    :class:`DimensionError`; ``batch`` must be an integer in [1, 2**24], else
+    ``InvalidParameterError``.
     """
 
     def __init__(self, problem: SdeProblem, kind: SchemeKind, n_steps: int,
                  batch: int):
         if not (_is_int(n_steps) and n_steps >= 1):
             raise DimensionError("a grid needs at least one step")
+        batch = _check_int("batch", batch, 1, _MAX_COUNT)
         self.problem = problem
         self.n_steps = n_steps
         self.dt = problem.horizon / n_steps

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from sde_rtm import analysis, model
 from sde_rtm.analysis import ErrorRow, ErrorTable, RateFit, fit_rate
-from sde_rtm.cli import CsvReport, ExperimentConfig, render_svg, run_command
+from sde_rtm.cli import CsvReport, ExperimentConfig, _format_value, render_svg, run_command
 from tests.conftest import make_zero_problem
 
 
@@ -408,6 +409,51 @@ def test_csv_seventeen_significant_digits(tmp_path):
     target = tmp_path / "report.csv"
     report.write(str(target))
     assert target.read_bytes() == b"a,b\n0.33333333333333331,7\n"
+
+
+def _stub_terminals(monkeypatch, paths):
+    """Replace the simulation by synthetic (paths, 2) terminals, which hold
+    NaN, +-inf, -0.0, subnormal, tiny and huge values, and a mix of overflow
+    steps; returns them."""
+    rng = np.random.default_rng(paths)
+    terminals = rng.standard_normal((paths, 2)) * 10.0 ** rng.integers(-320, 300, (paths, 2))
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-310,
+               1.7976931348623157e308, 1.0 / 3.0]
+    flat = terminals.reshape(-1)
+    flat[::3] = np.resize(special, len(flat[::3]))
+    overflow = rng.integers(-1, 64, paths)
+    monkeypatch.setattr(analysis, "simulate_terminals",
+                        lambda problem, kind, level, count, policy: (terminals, overflow))
+    return terminals, overflow
+
+
+@pytest.mark.parametrize("paths", [1, 4095, 4096, 4097, 8193])
+def test_simulate_csv_matches_the_whole_table_formula(tmp_path, monkeypatch, paths):
+    terminals, overflow = _stub_terminals(monkeypatch, paths)
+    path, config = write_config(tmp_path, problem="fhn", problem_params={},
+                                reference=9, paths=paths)
+    assert run_command(["simulate", "--config", str(path)]) == 0
+    # the formula the whole-table writer used: one Python row per path
+    rows = ((i, *(float(v) for v in terminals[i]), int(overflow[i]))
+            for i in range(paths))
+    want = "path,x0,x1,overflow_step\n" + "".join(
+        ",".join(_format_value(v) for v in row) + "\n" for row in rows)
+    assert read(os.path.join(config["outdir"], "simulate.csv")) == want.encode()
+
+
+def test_simulate_csv_holds_one_block_of_rows(tmp_path, monkeypatch):
+    # one 4096-row block of lines of up to about 60 bytes here, with its
+    # Python objects, fits well within 2 MiB; the 50000 rows would not
+    _stub_terminals(monkeypatch, 50000)
+    path, config = write_config(tmp_path, problem="fhn", problem_params={},
+                                reference=9, paths=50000)
+    tracemalloc.start()
+    try:
+        assert run_command(["simulate", "--config", str(path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
 
 
 def synthetic_table():

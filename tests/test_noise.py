@@ -141,6 +141,11 @@ def test_slab_bounds_are_checked():
                         (True, 3)):
         with pytest.raises(InvalidParameterError):
             SlabStream(POLICY, start, stop, StreamRole.BROWNIAN)
+    for role in ("brownian", 0, None):
+        with pytest.raises(InvalidParameterError, match="role"):
+            SlabStream(POLICY, 0, 3, role)
+        with pytest.raises(InvalidParameterError, match="role"):
+            derive_substream(POLICY, 0, role)
 
 
 # --- Brownian grids ----------------------------------------------------------
@@ -278,7 +283,7 @@ def test_chunk_sizes_are_checked():
     for offset, count in ((-1, 8), (0, 8.0)):
         with pytest.raises(InvalidParameterError):
             next(stream.uniforms(offset, count, 2))
-    for targets in ([2], []):
+    for targets in ([2], [], [1, "a"]):
         with pytest.raises(LevelError):
             next(coarsen_chunks(iter([np.zeros((2, 1))]), 1, targets))
 

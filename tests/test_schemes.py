@@ -288,6 +288,9 @@ def test_integrate_validation(fhn):
         integrate_path(fhn, SchemeKind.TAMED_EULER, 4, wide)
     with pytest.raises(LevelError):
         integrate_path(fhn, SchemeKind.TAMED_EULER, 1.5, grid)
+    for batch in (1.5, -1, True, 0):
+        with pytest.raises(InvalidParameterError, match="batch"):
+            schemes.BatchStepper(fhn, SchemeKind.TAMED_EULER, 4, batch)
 
 
 # --- batch kernel against single steps -----------------------------------------
