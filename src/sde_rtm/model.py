@@ -76,6 +76,11 @@ def _check_positive(name: str, value) -> None:
         raise InvalidParameterError(f"{name} must be a positive finite real number")
 
 
+def _check_type(name: str, value, cls) -> None:
+    if not isinstance(value, cls):
+        raise InvalidParameterError(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
 class NoiseStructure(Enum):
     """Declared structure of the diffusion matrix.
 
@@ -157,6 +162,7 @@ class SdeProblem:
         _check_real("xi", self.xi, 0)
         if not (_is_real(self.beta) and 0.0 < self.beta <= 1.0):
             raise InvalidParameterError("beta must lie in (0, 1]")
+        _check_type("noise_structure", self.noise_structure, NoiseStructure)
         if self.noise_structure is NoiseStructure.SCALAR and self.m != 1:
             raise InvalidParameterError("scalar noise requires m == 1")
         x0 = np.array(self.initial_state, dtype=float).reshape(-1)

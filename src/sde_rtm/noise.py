@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .model import (InvalidParameterError, NoiseStructure, _check_int, _check_positive,
-                    _check_real, _is_int)
+                    _check_real, _check_type, _is_int)
 
 __all__ = [
     "StreamRole",
@@ -68,6 +68,17 @@ def _check_grid(level, m, horizon) -> None:
     _check_positive("horizon", horizon)
 
 
+def _check_chunk(chunk, level: int) -> None:
+    # the dyadic piece rule: a power of two in [1, 2**level]
+    if not (_is_int(chunk) and 1 <= chunk <= 1 << level) or chunk & (chunk - 1):
+        raise LevelError(f"chunk must be a power of two in [1, {1 << level}], got {chunk}")
+
+
+def _check_unit_interval(name: str, values: np.ndarray) -> None:
+    if values.size and not (values.min() >= 0.0 and values.max() < 1.0):  # NaN fails both
+        raise InvalidParameterError(f"{name} must lie in [0, 1)")
+
+
 class UnsupportedNoiseStructureError(ValueError):
     """Raised for noise structures that would need Levy-area simulation."""
 
@@ -99,12 +110,13 @@ class SeedPolicy:
 
 
 def derive_substream(policy: SeedPolicy, path_index: int, role: StreamRole) -> np.random.Generator:
-    """Return the deterministic substream for (path_index, role), path_index an
-    integer >= 0 and role a :class:`StreamRole`, else InvalidParameterError."""
+    """Return the deterministic substream for (path_index, role): a
+    :class:`SeedPolicy`, path_index an integer >= 0 and role a
+    :class:`StreamRole`, else InvalidParameterError."""
+    _check_type("policy", policy, SeedPolicy)
     if not (_is_int(path_index) and path_index >= 0):
         raise InvalidParameterError("path_index must be a nonnegative integer")
-    if not isinstance(role, StreamRole):
-        raise InvalidParameterError(f"role must be a StreamRole, got {role!r}")
+    _check_type("role", role, StreamRole)
     seq = np.random.SeedSequence(policy.master_seed, spawn_key=(path_index, role.value))
     return np.random.Generator(np.random.Philox(seq))
 
@@ -209,17 +221,17 @@ class SlabStream:
     key and position before each of that path's draws.  The draws equal
     those of ``derive_substream(policy, path, role)`` bit for bit.  The
     first path's hashed key is checked against its ``SeedSequence`` key; a
-    ``RuntimeError`` means numpy's algorithm changed.  Integer path indices
-    ``0 <= start < stop <= 2**32`` and a :class:`StreamRole`, else
-    InvalidParameterError.
+    ``RuntimeError`` means numpy's algorithm changed.  A :class:`SeedPolicy`,
+    integer path indices ``0 <= start < stop <= 2**32`` and a
+    :class:`StreamRole`, else InvalidParameterError.
     """
 
     def __init__(self, policy: SeedPolicy, start: int, stop: int, role: StreamRole):
         if not (_is_int(start) and _is_int(stop) and 0 <= start < stop <= 1 << 32):
             raise InvalidParameterError(
                 f"a slab needs path indices in [0, 2**32), got [{start}, {stop})")
-        # the first path's own generator checks the role and the hash, then
-        # serves the slab
+        # the first path's own generator checks the policy, the role and the
+        # hash, then serves the slab
         self._gen = derive_substream(policy, start, role)
         self._bitgen = self._gen.bit_generator
         keys = _philox_keys(policy.master_seed,
@@ -259,9 +271,8 @@ class SlabStream:
         in arrays between pieces.
         """
         _check_grid(level, m, horizon)
+        _check_chunk(chunk, level)
         n = 1 << level
-        if not (_is_int(chunk) and 1 <= chunk <= n) or chunk & (chunk - 1):
-            raise LevelError(f"chunk must be a power of two in [1, {n}], got {chunk}")
         width = len(self)
         scale = np.sqrt(horizon / n)
         counter = np.zeros((width, 4), dtype=np.uint64)
@@ -311,55 +322,54 @@ class SlabStream:
             yield out
 
 
-def _halve(increments: np.ndarray) -> np.ndarray:
-    # one dyadic coarsening step along axis 0: pairwise sums in index order
-    return increments[0::2] + increments[1::2]
-
-
 def coarsen(grid: BrownianGrid, target_level: int) -> BrownianGrid:
     """Coarsen a grid to ``target_level`` by exact pairwise block summation.
 
-    Implemented as repeated one-level halving, so coarsening telescopes bit
-    exactly: coarsen(coarsen(g, a), b) == coarsen(g, b) for b <= a.  An
-    integer target level in [0, grid.level], else :class:`LevelError`.
+    The grid is the one piece of :func:`coarsen_chunks`, so coarsening is
+    repeated one-level halving and telescopes bit exactly:
+    coarsen(coarsen(g, a), b) == coarsen(g, b) for b <= a.  An integer
+    target level in [0, grid.level], else :class:`LevelError`.
     """
-    if not (_is_int(target_level) and 0 <= target_level <= grid.level):
-        raise LevelError(
-            f"target_level must be an integer in [0, {grid.level}], got {target_level!r}")
-    if target_level == grid.level:
-        return grid
-    inc = grid.increments
-    for _ in range(grid.level - target_level):
-        inc = _halve(inc)
+    (pieces,) = coarsen_chunks([grid.increments], grid.level, [target_level])
     return BrownianGrid(level=target_level, horizon=grid.horizon, m=grid.m,
-                        increments=inc)
+                        increments=pieces[target_level])
 
 
 def coarsen_chunks(chunks, level: int, targets):
     """Coarsen a stream of increment chunks at ``level`` to every target level.
 
     ``chunks`` yields consecutive pieces of one grid (or a batch of grids
-    along trailing axes), time on axis 0, all of the same power-of-two
-    length.  For each piece this yields ``{target: increments}`` with the
-    target-level increments that the piece completes; a target whose steps
-    span several pieces appears only in the piece that completes a step.
-    Within a piece, coarsening is repeated halving; across pieces, the
-    roots of whole pieces are combined by a binary carry (left + right).
-    Both follow :func:`coarsen`'s pairwise tree, so the increments equal
-    ``coarsen(grid, target).increments`` bit for bit, and target 0 yields
-    the terminal value of :func:`terminal_value`.  Integer levels only.
+    along trailing axes), time on axis 0: pieces of the first one's length,
+    a power of two in [1, 2**level], that cover the 2**level steps, else
+    :class:`LevelError` at the piece that breaks the rule or at the end of a
+    short stream.  For each piece this yields ``{target: increments}`` with
+    the target-level increments that the piece completes; a target whose
+    steps span several pieces appears only in the piece that completes a
+    step.  Within a piece, coarsening is repeated halving; across pieces,
+    the roots of whole pieces are combined by a binary carry (left + right).
+    Both follow one pairwise tree, of which :func:`coarsen` is the one-piece
+    case, and target 0 yields the terminal value of :func:`terminal_value`.
+    ``targets`` holds integer levels in [0, level], else :class:`LevelError`.
     """
-    targets = list(targets)
-    if not (targets and all(_is_int(t) and 0 <= t <= level for t in [level, *targets])):
+    targets = list(targets) if np.iterable(targets) else []
+    if not (targets and all(_is_int(t) and 0 <= t <= level <= _MAX_LEVEL
+                            for t in [level, *targets])):
         raise LevelError(f"targets must be a nonempty set of levels in [0, {level}]")
     targets = sorted(set(targets), reverse=True)
+    n, size, covered = 1 << level, 0, 0
     pending = {}  # level -> left half of an unfinished coarse step
     for chunk in chunks:
+        if not covered:
+            size = len(chunk)
+            _check_chunk(size, level)
+        covered += len(chunk)
+        if len(chunk) != size or covered > n:
+            raise LevelError(f"pieces must all have {size} steps and cover {n} in all")
         out = {}
         cur, cur_level = chunk, level
         for target in targets:
             while cur_level > target and len(cur) > 1:
-                cur, cur_level = _halve(cur), cur_level - 1
+                cur, cur_level = cur[0::2] + cur[1::2], cur_level - 1
             if cur_level == target:
                 out[target] = cur
         # cur is now this piece's root, or the lowest target already reached
@@ -372,6 +382,8 @@ def coarsen_chunks(chunks, level: int, targets):
             if cur_level in targets:
                 out[cur_level] = cur
         yield out
+    if covered != n:
+        raise LevelError(f"pieces cover {covered} of the {n} steps")
 
 
 def terminal_value(grid: BrownianGrid) -> np.ndarray:
@@ -387,8 +399,7 @@ class RandomizationStream:
 
     def __post_init__(self):
         arr = np.array(self.uniforms, dtype=float).reshape(-1)
-        if arr.size and (arr.min() < 0.0 or arr.max() >= 1.0):
-            raise InvalidParameterError("uniforms must lie in [0, 1)")
+        _check_unit_interval("uniforms", arr)
         arr.setflags(write=False)
         object.__setattr__(self, "uniforms", arr)
 
@@ -408,8 +419,7 @@ def randomized_time(t_left, dt: float, u):
     """
     _check_positive("dt", dt)
     u = np.asarray(u, dtype=float)
-    if not (u.min() >= 0.0 and u.max() < 1.0):  # NaN fails both
-        raise InvalidParameterError("u must lie in [0, 1)")
+    _check_unit_interval("u", u)
     # when dt * (1 - u) is below half an ulp of the sum, rounding carries the
     # sum onto the right endpoint; the largest float below it stays in the
     # step.  Capped in place: a second (C, B) array would double the kernel's
@@ -429,8 +439,10 @@ def iterated_integrals(dW, dt: float, structure: NoiseStructure) -> np.ndarray:
     Levy areas is out of scope, and misuse should be loud.
 
     ``dW`` may be a single vector (m,) or a batch (..., m); the result has
-    shape (..., m, m).  A finite real ``dt >= 0``, else InvalidParameterError.
+    shape (..., m, m).  A :class:`NoiseStructure` and a finite real
+    ``dt >= 0``, else InvalidParameterError.
     """
+    _check_type("structure", structure, NoiseStructure)
     if structure is NoiseStructure.GENERAL:
         raise UnsupportedNoiseStructureError(
             "general (non-commutative) noise requires Levy-area simulation, "

@@ -54,7 +54,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (NoiseStructure, SdeProblem, _check_int, _check_ints, _check_positive,
-                    _check_real, _is_int)
+                    _check_real, _check_type, _is_int)
 from .noise import (
     _MAX_LEVEL,
     BrownianGrid,
@@ -200,12 +200,13 @@ class BatchStepper:
     from one :meth:`feed` to the next, so a grid can be integrated piece by
     piece as its increments arrive.  Per-path results do not depend on how
     the grid is cut into pieces.  ``n_steps`` below 1 raises
-    :class:`DimensionError`; ``batch`` must be an integer in [1, 2**24], else
-    ``InvalidParameterError``.
+    :class:`DimensionError`; ``kind`` must be a :class:`SchemeKind` and
+    ``batch`` an integer in [1, 2**24], else ``InvalidParameterError``.
     """
 
     def __init__(self, problem: SdeProblem, kind: SchemeKind, n_steps: int,
                  batch: int):
+        _check_type("kind", kind, SchemeKind)
         if not (_is_int(n_steps) and n_steps >= 1):
             raise DimensionError("a grid needs at least one step")
         batch = _check_int("batch", batch, 1, _MAX_COUNT)

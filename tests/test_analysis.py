@@ -340,6 +340,8 @@ def test_experiment_validation(fhn, monkeypatch):
         moment_experiment(fhn, RTM, 1.0, [3], 10, policy)
     with pytest.raises(ValueError):
         moment_experiment(fhn, RTM, float("nan"), [3], 10, policy)
+    with pytest.raises(InvalidParameterError, match="kind"):
+        strong_error_experiment(fhn, "tamed_milstein", [3], 5, 2.0, 10, policy)
 
     # non-integer counts and levels (bool included) are rejected before any
     # worker starts: no pool may be reached

@@ -8,6 +8,7 @@ from sde_rtm import (
     InvalidParameterError,
     LevelError,
     NoiseStructure,
+    RandomizationStream,
     SeedPolicy,
     StreamRole,
     UnsupportedNoiseStructureError,
@@ -146,6 +147,10 @@ def test_slab_bounds_are_checked():
             SlabStream(POLICY, 0, 3, role)
         with pytest.raises(InvalidParameterError, match="role"):
             derive_substream(POLICY, 0, role)
+    with pytest.raises(InvalidParameterError, match="policy"):
+        SlabStream(7, 0, 3, StreamRole.BROWNIAN)
+    with pytest.raises(InvalidParameterError, match="policy"):
+        derive_substream(7, 0, StreamRole.BROWNIAN)
 
 
 # --- Brownian grids ----------------------------------------------------------
@@ -244,6 +249,13 @@ def test_coarsen_level_check():
 
 # --- streamed draws and coarsening ---------------------------------------------
 
+def _halving_oracle(increments, target):
+    # the pairwise tree, one level at a time, independent of coarsen_chunks
+    while len(increments) > 1 << target:
+        increments = increments[0::2] + increments[1::2]
+    return increments
+
+
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("chunk", [1, 2, 8, 32])
 def test_streamed_coarsening_matches_coarsen(m, chunk):
@@ -266,6 +278,9 @@ def test_streamed_coarsening_matches_coarsen(m, chunk):
         for target in targets:
             want = np.stack([coarsen(g, target).increments for g in grids], axis=1)
             assert np.array_equal(np.concatenate(got[target]), want)
+            oracle = np.stack([_halving_oracle(g.increments, target) for g in grids],
+                              axis=1)
+            assert np.array_equal(want, oracle)
         if 0 in targets:
             assert np.array_equal(got[0][-1][0],
                                   np.stack([terminal_value(g) for g in grids]))
@@ -283,9 +298,15 @@ def test_chunk_sizes_are_checked():
     for offset, count in ((-1, 8), (0, 8.0)):
         with pytest.raises(InvalidParameterError):
             next(stream.uniforms(offset, count, 2))
-    for targets in ([2], [], [1, "a"]):
+    for targets in ([2], [], [1, "a"], 1):
         with pytest.raises(LevelError):
             next(coarsen_chunks(iter([np.zeros((2, 1))]), 1, targets))
+    # coarsened pieces are equal powers of two that cover the grid exactly
+    for level, sizes, target in ((2, [3], 1), (3, [4, 2], 0), (3, [2, 2, 2], 0),
+                                 (3, [2] * 5, 0)):
+        pieces = iter([np.ones((size, 1)) for size in sizes])
+        with pytest.raises(LevelError):
+            list(coarsen_chunks(pieces, level, [target]))
 
 
 # --- randomization draws -----------------------------------------------------
@@ -297,6 +318,8 @@ def test_randomization_range_and_mean():
     assert 0.495 <= draws.mean() <= 0.505
     with pytest.raises(InvalidParameterError):
         sample_randomization(2.5, stream)
+    with pytest.raises(InvalidParameterError, match="uniforms must lie"):
+        RandomizationStream([0.5, float("nan")])
 
 
 def test_randomization_determinism():
@@ -385,6 +408,9 @@ def test_iterated_integrals_diagonal_zeroes_off_diagonal():
 def test_iterated_integrals_rejects_general():
     with pytest.raises(UnsupportedNoiseStructureError):
         iterated_integrals(np.array([1.0]), 0.1, NoiseStructure.GENERAL)
+    for structure in ("general", None):
+        with pytest.raises(InvalidParameterError, match="structure"):
+            iterated_integrals(np.array([1.0]), 0.1, structure)
     # dt = 0 is the unit oracle's; a negative or NaN step is not a step
     for dt in (-1.0, float("nan")):
         with pytest.raises(InvalidParameterError):

@@ -291,6 +291,10 @@ def test_integrate_validation(fhn):
     for batch in (1.5, -1, True, 0):
         with pytest.raises(InvalidParameterError, match="batch"):
             schemes.BatchStepper(fhn, SchemeKind.TAMED_EULER, 4, batch)
+    with pytest.raises(InvalidParameterError, match="kind"):
+        schemes.BatchStepper(fhn, "tamed_euler", 4, 1)
+    with pytest.raises(InvalidParameterError, match="kind"):
+        integrate_path(fhn, "tamed_euler", 4, grid)
 
 
 # --- batch kernel against single steps -----------------------------------------
