@@ -37,7 +37,6 @@ from .analysis import (
     DegenerateDataError,
     ErrorRow,
     ErrorTable,
-    MomentRow,
     MomentTable,
     RateFit,
     blowup_demo,

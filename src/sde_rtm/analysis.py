@@ -62,7 +62,6 @@ __all__ = [
     "ErrorRow",
     "ErrorTable",
     "RateFit",
-    "MomentRow",
     "MomentTable",
     "DegenerateDataError",
     "strong_error_experiment",
@@ -123,21 +122,19 @@ class RateFit:
 
 
 @dataclass(frozen=True)
-class MomentRow:
-    level: int
-    t_index: int
-    moment: float
-
-
-@dataclass(frozen=True)
 class MomentTable:
-    """Empirical E|x_t|^q per grid point and level, with overflow counts."""
+    """Empirical E|x_t|^q per grid point and level, with overflow counts.
 
-    rows: tuple
+    ``moments[level]`` is the level's read-only ``(2**level + 1,)`` array over
+    the grid points; a moment is never NaN (a finite mean of powers, or inf).
+    Compare tables through these arrays: ``==`` on two tables raises.
+    """
+
+    moments: dict
     overflows: dict
 
     def sup_moment(self, level: int) -> float:
-        return max(row.moment for row in self.rows if row.level == level)
+        return float(self.moments[level].max())
 
     def levels(self):
         return sorted(self.overflows)
@@ -510,8 +507,7 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
     _check_paths(paths)
     levels = _check_levels(levels)
     threads = _resolve_threads()
-    all_rows = []
-    overflows = {}
+    moments, overflows = {}, {}
     for level in levels:
         n = 1 << level
 
@@ -544,12 +540,10 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
         counts = paths - lost
         sums = reduction.total(paths)
         with np.errstate(all="ignore"):
-            moments = np.where(counts > 0, sums / np.maximum(counts, 1), np.inf)
-        all_rows.extend(
-            MomentRow(level, t, float(moments[t])) for t in range(n + 1)
-        )
+            moments[level] = np.where(counts > 0, sums / np.maximum(counts, 1), np.inf)
+        moments[level].setflags(write=False)
         overflows[level] = int(lost[-1])
-    return MomentTable(tuple(all_rows), overflows)
+    return MomentTable(moments, overflows)
 
 
 def blowup_demo(levels, paths: int, policy: SeedPolicy) -> dict:

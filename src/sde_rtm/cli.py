@@ -81,9 +81,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**mapping)
 
-    def validate(self) -> None:
+    def validate(self):
         """Check the document's own rules, then every value by the rule of the
-        module that consumes it, also where the command does not read it."""
+        module that consumes it, also where the command does not read it.
+
+        Returns the runtime objects the record describes:
+        ``(problem, kind, policy)``.
+        """
         if not isinstance(self.problem, str) or self.problem not in model.BUILTIN_FACTORIES:
             raise ConfigError(
                 f"unknown problem id {self.problem!r}; "
@@ -97,7 +101,7 @@ class ExperimentConfig:
             raise ConfigError("problem_params must be a JSON object")
         if not isinstance(self.outdir, str):
             raise ConfigError("outdir must be a string")
-        self.build_problem()
+        problem = self.build_problem()
         levels = _check_key("levels", analysis._check_levels, self.levels)
         if list(self.levels) != levels:
             raise ConfigError("levels must be strictly increasing")
@@ -110,6 +114,8 @@ class ExperimentConfig:
         _check_key("audit_n_values", schemes._check_n_values, self.audit_n_values)
         _check_key("audit_samples", schemes._check_sample_count, self.audit_samples)
         _check_key("audit_radius", schemes._check_radius, self.audit_radius)
+        policy = _check_key("master_seed", noise.SeedPolicy, self.master_seed)
+        return problem, self.scheme_kind(), policy
 
     def build_problem(self) -> model.SdeProblem:
         return _check_key("problem_params", model.make_builtin, self.problem,
@@ -117,17 +123,6 @@ class ExperimentConfig:
 
     def scheme_kind(self) -> schemes.SchemeKind:
         return _SCHEME_IDS[self.scheme]
-
-
-def _resolve(config: ExperimentConfig):
-    """Validate the config and build the runtime objects it describes.
-
-    Raises ConfigError (or, for the seed, InvalidParameterError) for bad
-    records, before any simulation starts.
-    """
-    config.validate()
-    policy = noise.SeedPolicy(config.master_seed)
-    return config.build_problem(), config.scheme_kind(), policy
 
 
 # rows formatted and written at a time; the output never depends on it
@@ -279,7 +274,7 @@ def render_svg(table: analysis.ErrorTable, fit: analysis.RateFit, path: str) -> 
 
 
 def _cmd_converge(config: ExperimentConfig) -> None:
-    problem, kind, policy = _resolve(config)
+    problem, kind, policy = config.validate()
     table = analysis.strong_error_experiment(
         problem, kind, config.levels, config.reference, config.p,
         config.paths, policy,
@@ -317,7 +312,7 @@ def _terminal_rows(terminals, overflow):
 
 
 def _cmd_simulate(config: ExperimentConfig) -> None:
-    problem, kind, policy = _resolve(config)
+    problem, kind, policy = config.validate()
     level = config.level if config.level is not None else max(config.levels)
     terminals, overflow = analysis.simulate_terminals(
         problem, kind, level, config.paths, policy
@@ -332,14 +327,17 @@ def _cmd_simulate(config: ExperimentConfig) -> None:
 
 
 def _moment_rows(table: analysis.MomentTable, prefix=()):
-    return tuple(
-        prefix + (row.level, row.t_index, row.moment, table.overflows[row.level])
-        for row in table.rows
-    )
+    # grid-order rows from each level's (n + 1,) moment array, one block of
+    # it turned into Python floats at a time
+    for level, moments in table.moments.items():
+        overflows = table.overflows[level]
+        for start in range(0, len(moments), _BLOCK_ROWS):
+            for t, moment in enumerate(moments[start:start + _BLOCK_ROWS].tolist(), start):
+                yield (*prefix, level, t, moment, overflows)
 
 
 def _cmd_moments(config: ExperimentConfig) -> None:
-    problem, kind, policy = _resolve(config)
+    problem, kind, policy = config.validate()
     table = analysis.moment_experiment(
         problem, kind, config.q, config.levels, config.paths, policy
     )
@@ -353,7 +351,7 @@ def _cmd_moments(config: ExperimentConfig) -> None:
 
 
 def _cmd_audit(config: ExperimentConfig) -> None:
-    problem, _, policy = _resolve(config)
+    problem, _, policy = config.validate()
     stream = noise.derive_substream(policy, 0, noise.StreamRole.RANDOMIZATION)
     rows = schemes.audit_taming(
         problem, config.audit_n_values, config.audit_samples,
@@ -373,11 +371,11 @@ def _cmd_audit(config: ExperimentConfig) -> None:
 
 
 def _cmd_blowup(config: ExperimentConfig) -> None:
-    _, _, policy = _resolve(config)
+    _, _, policy = config.validate()
     demo = analysis.blowup_demo(config.levels, config.paths, policy)
-    rows = ()
-    for kind in (schemes.SchemeKind.EULER_MARUYAMA, schemes.SchemeKind.TAMED_EULER):
-        rows += _moment_rows(demo[kind], prefix=(kind.value,))
+    rows = itertools.chain.from_iterable(
+        _moment_rows(table, prefix=(kind.value,)) for kind, table in demo.items()
+    )
     os.makedirs(config.outdir, exist_ok=True)
     CsvReport(_HEADERS["blowup"], rows).write(
         os.path.join(config.outdir, "blowup.csv")

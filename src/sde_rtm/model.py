@@ -175,6 +175,7 @@ class SdeProblem:
         x0.setflags(write=False)
         object.__setattr__(self, "initial_state", x0)
         if self.taming_split is not None:
+            _check_type("taming_split", self.taming_split, TamingSplit)
             _check_ints("taming_split.norm_indices", self.taming_split.norm_indices,
                         0, self.d - 1)
 

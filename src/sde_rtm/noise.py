@@ -339,8 +339,9 @@ def coarsen_chunks(chunks, level: int, targets):
     """Coarsen a stream of increment chunks at ``level`` to every target level.
 
     ``chunks`` yields consecutive pieces of one grid (or a batch of grids
-    along trailing axes), time on axis 0: pieces of the first one's length,
-    a power of two in [1, 2**level], that cover the 2**level steps, else
+    along trailing axes), time on axis 0: arrays of the first one's shape,
+    whose length is a power of two in [1, 2**level], that cover the
+    2**level steps, else
     :class:`LevelError` at the piece that breaks the rule or at the end of a
     short stream.  For each piece this yields ``{target: increments}`` with
     the target-level increments that the piece completes; a target whose
@@ -356,15 +357,15 @@ def coarsen_chunks(chunks, level: int, targets):
                             for t in [level, *targets])):
         raise LevelError(f"targets must be a nonempty set of levels in [0, {level}]")
     targets = sorted(set(targets), reverse=True)
-    n, size, covered = 1 << level, 0, 0
+    n, covered = 1 << level, 0
     pending = {}  # level -> left half of an unfinished coarse step
     for chunk in chunks:
         if not covered:
-            size = len(chunk)
-            _check_chunk(size, level)
+            shape = chunk.shape
+            _check_chunk(len(chunk), level)
         covered += len(chunk)
-        if len(chunk) != size or covered > n:
-            raise LevelError(f"pieces must all have {size} steps and cover {n} in all")
+        if chunk.shape != shape or covered > n:
+            raise LevelError(f"pieces must all have shape {shape} and cover {n} in all")
         out = {}
         cur, cur_level = chunk, level
         for target in targets:

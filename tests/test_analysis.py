@@ -381,8 +381,8 @@ def test_zero_problem_moments_constant():
     table = moment_experiment(problem, SchemeKind.TAMED_EULER, 4.0, [2, 3], 20,
                               SeedPolicy(7))
     expected = float(np.sum(problem.initial_state ** 2) ** 2)
-    for row in table.rows:
-        assert row.moment == pytest.approx(expected, rel=1e-12)
+    for level in (2, 3):
+        assert table.moments[level] == pytest.approx(expected, rel=1e-12)
     assert table.overflows == {2: 0, 3: 0}
 
 
@@ -442,9 +442,10 @@ def test_moments_never_hold_a_slab_of_rows(monkeypatch):
 
 def test_moment_rows_cover_every_grid_point(fhn):
     table = moment_experiment(fhn, RTM, 4.0, [3], 10, SeedPolicy(7))
-    indices = [row.t_index for row in table.rows]
-    assert indices == list(range(9))
-    assert table.sup_moment(3) == max(row.moment for row in table.rows)
+    assert list(table.moments) == [3]
+    assert table.moments[3].shape == (9,)
+    assert not table.moments[3].flags.writeable
+    assert table.sup_moment(3) == max(table.moments[3].tolist())
 
 
 def test_moment_overflow_counting():
@@ -470,8 +471,8 @@ def test_moment_overflow_counting():
 def test_single_path_moments_well_formed():
     problem = make_builtin("gbm")
     table = moment_experiment(problem, TM, 2.0, [3], 1, SeedPolicy(3))
-    assert len(table.rows) == 9
-    assert all(np.isfinite(row.moment) for row in table.rows)
+    assert table.moments[3].shape == (9,)
+    assert np.isfinite(table.moments[3]).all()
 
 
 # --- blow-up demo ------------------------------------------------------------
@@ -480,7 +481,8 @@ def test_blowup_demo_tables_well_formed():
     demo = blowup_demo([4], 50, SeedPolicy(17))
     assert set(demo) == {SchemeKind.EULER_MARUYAMA, SchemeKind.TAMED_EULER}
     for table in demo.values():
-        assert [row.t_index for row in table.rows] == list(range(17))
+        assert list(table.moments) == [4]
+        assert table.moments[4].shape == (17,)
     tamed = demo[SchemeKind.TAMED_EULER]
     assert tamed.sup_moment(4) <= 100.0
     assert tamed.overflows[4] == 0
@@ -577,7 +579,9 @@ def test_worker_error_keeps_its_type_at_any_worker_count(monkeypatch):
         assert max(pieces) > 0  # stepped states were streamed before the error
         assert multiprocessing.active_children() == []
         assert analysis._piece_sink is None
-        assert moment_experiment(healthy, RTM, *args) == fresh
+        again = moment_experiment(healthy, RTM, *args)
+        assert again.overflows == fresh.overflows
+        assert np.array_equal(again.moments[9], fresh.moments[9])
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

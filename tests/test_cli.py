@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sde_rtm import analysis, model
-from sde_rtm.analysis import ErrorRow, ErrorTable, RateFit, fit_rate
-from sde_rtm.cli import CsvReport, ExperimentConfig, _format_value, render_svg, run_command
+from sde_rtm.analysis import ErrorRow, ErrorTable, MomentTable, RateFit, fit_rate
+from sde_rtm.cli import (ConfigError, CsvReport, ExperimentConfig, _format_value,
+                         render_svg, run_command)
+from sde_rtm.schemes import SchemeKind
 from tests.conftest import make_zero_problem
 
 
@@ -219,6 +221,9 @@ def test_bad_master_seed_exits_2_in_every_command(tmp_path, capsys, monkeypatch,
         assert run_command([command, "--config", str(path)]) == 2
         assert "master_seed" in capsys.readouterr().err
         assert not os.path.exists(config["outdir"])
+    # the record's own check catches it too, through the seed's rule
+    with pytest.raises(ConfigError, match="master_seed"):
+        ExperimentConfig.from_mapping(config).validate()
 
 
 @pytest.mark.parametrize("command,key,value", [
@@ -454,6 +459,43 @@ def test_simulate_csv_holds_one_block_of_rows(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20, peak
+
+
+def _stub_moment_table(levels, seed):
+    """A table whose per-level arrays hold 0.0, subnormal, tiny, huge and inf
+    moments among random ones, with non-zero overflow counts."""
+    rng = np.random.default_rng(seed)
+    special = [0.0, 5e-324, 1e-310, 1.0 / 3.0, 1.7976931348623157e308, np.inf]
+    moments = {}
+    for level in levels:
+        size = (1 << level) + 1
+        values = rng.standard_exponential(size) * 10.0 ** rng.integers(-320, 300, size)
+        values[::2] = np.resize(special, len(values[::2]))
+        moments[level] = values
+    return MomentTable(moments, {level: seed + level for level in levels})
+
+
+def test_moment_csvs_match_the_whole_table_formula(tmp_path, monkeypatch):
+    levels = [2, 3, 5]
+    table = _stub_moment_table(levels, 1)
+    demo = {SchemeKind.EULER_MARUYAMA: _stub_moment_table(levels, 2),
+            SchemeKind.TAMED_EULER: _stub_moment_table(levels, 3)}
+    monkeypatch.setattr(analysis, "moment_experiment", lambda *args: table)
+    monkeypatch.setattr(analysis, "blowup_demo", lambda *args: demo)
+    path, config = write_config(tmp_path, levels=levels)
+    for command, header, tables in (
+        ("moments", "level,t_index,moment_q,overflows", {(): table}),
+        ("blowup", "scheme,level,t_index,moment_q,overflows",
+         {(kind.value,): demo[kind] for kind in demo}),
+    ):
+        assert run_command([command, "--config", str(path)]) == 0
+        # the formula the whole-table writer used: one Python row per grid point
+        rows = ((*prefix, level, t, float(got.moments[level][t]), got.overflows[level])
+                for prefix, got in tables.items() for level in levels
+                for t in range((1 << level) + 1))
+        want = header + "\n" + "".join(
+            ",".join(_format_value(v) for v in row) + "\n" for row in rows)
+        assert read(os.path.join(config["outdir"], f"{command}.csv")) == want.encode()
 
 
 def synthetic_table():

@@ -307,6 +307,9 @@ def test_chunk_sizes_are_checked():
         pieces = iter([np.ones((size, 1)) for size in sizes])
         with pytest.raises(LevelError):
             list(coarsen_chunks(pieces, level, [target]))
+    # and share the first piece's trailing shape, which would otherwise broadcast
+    with pytest.raises(LevelError):
+        list(coarsen_chunks(iter([np.ones((2, 1)), np.ones((2, 3))]), 2, [0]))
 
 
 # --- randomization draws -----------------------------------------------------
