@@ -8,11 +8,10 @@ fitted slope back from the emitted rate.txt.
 Usage: python scripts/run_convergence.py [config.json ...]
 """
 
-import json
 import pathlib
 import sys
 
-from sde_rtm.cli import run_command
+from sde_rtm.cli import ExperimentConfig, load_config, run_command
 
 HERE = pathlib.Path(__file__).resolve().parent.parent
 
@@ -30,7 +29,9 @@ def main() -> int:
         status = run_command(["converge", "--config", str(config_path)])
         if status != 0:
             return status
-        outdir = pathlib.Path(json.loads(config_path.read_text())["outdir"])
+        # the config's outdir, or the default when the document leaves it out
+        outdir = pathlib.Path(
+            ExperimentConfig.from_mapping(load_config(str(config_path))).outdir)
         print((outdir / "rate.txt").read_text())
     return 0
 

@@ -38,13 +38,6 @@ class ConfigError(ValueError):
 
 _SCHEME_IDS = {kind.value: kind for kind in schemes.SchemeKind}
 
-_HEADERS = {
-    "converge": ("level", "n", "dt", "lp_error", "paths", "p", "stderr"),
-    "moments": ("level", "t_index", "moment_q", "overflows"),
-    "blowup": ("scheme", "level", "t_index", "moment_q", "overflows"),
-    "audit": ("n", "max_drift_ratio", "growth_constant", "consistency_ratio"),
-}
-
 
 def _check_key(key: str, rule, /, *args, **kwargs):
     # the rule's error as a config error about ``key``; "/" frees every kwarg name
@@ -283,7 +276,7 @@ def _cmd_converge(config: ExperimentConfig) -> None:
     outdir = config.outdir
     os.makedirs(outdir, exist_ok=True)
     CsvReport(
-        _HEADERS["converge"],
+        ("level", "n", "dt", "lp_error", "paths", "p", "stderr"),
         tuple(
             (r.level, r.n, r.dt, r.lp_error, r.paths, r.p, r.stderr)
             for r in table.rows
@@ -342,7 +335,7 @@ def _cmd_moments(config: ExperimentConfig) -> None:
         problem, kind, config.q, config.levels, config.paths, policy
     )
     os.makedirs(config.outdir, exist_ok=True)
-    CsvReport(_HEADERS["moments"], _moment_rows(table)).write(
+    CsvReport(("level", "t_index", "moment_q", "overflows"), _moment_rows(table)).write(
         os.path.join(config.outdir, "moments.csv")
     )
     for level in table.levels():
@@ -359,7 +352,7 @@ def _cmd_audit(config: ExperimentConfig) -> None:
     )
     os.makedirs(config.outdir, exist_ok=True)
     CsvReport(
-        _HEADERS["audit"],
+        ("n", "max_drift_ratio", "growth_constant", "consistency_ratio"),
         tuple(
             (r.n, r.max_drift_ratio, r.growth_constant, r.consistency_ratio)
             for r in rows
@@ -377,7 +370,7 @@ def _cmd_blowup(config: ExperimentConfig) -> None:
         _moment_rows(table, prefix=(kind.value,)) for kind, table in demo.items()
     )
     os.makedirs(config.outdir, exist_ok=True)
-    CsvReport(_HEADERS["blowup"], rows).write(
+    CsvReport(("scheme", "level", "t_index", "moment_q", "overflows"), rows).write(
         os.path.join(config.outdir, "blowup.csv")
     )
     for kind, table in demo.items():
@@ -400,51 +393,44 @@ _RUNNERS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # one --flag per config key; a flag not given is absent from the namespace
     parser = argparse.ArgumentParser(
         prog="sde-rtm",
         description="SDE strong-convergence benchmark harness",
     )
     parser.add_argument("command", choices=list(_RUNNERS))
     parser.add_argument("--config", help="path to a JSON config document")
-    parser.add_argument("--problem", help="builtin problem id")
-    parser.add_argument("--problem-params", dest="problem_params",
-                        help="JSON object of problem parameters")
-    parser.add_argument("--scheme", help="integrator id")
-    parser.add_argument("--levels", help="comma-separated dyadic levels")
-    parser.add_argument("--reference", help="reference level or 'exact'")
-    parser.add_argument("--p", type=float, help="error norm order")
-    parser.add_argument("--q", type=float, help="moment order")
-    parser.add_argument("--paths", type=int, help="Monte-Carlo path count")
-    parser.add_argument("--master-seed", dest="master_seed", type=int)
-    parser.add_argument("--outdir", help="output directory")
-    parser.add_argument("--level", type=int, help="simulation level (simulate)")
-    parser.add_argument("--audit-n-values", dest="audit_n_values",
-                        help="comma-separated taming step counts (audit)")
-    parser.add_argument("--audit-samples", dest="audit_samples", type=int)
-    parser.add_argument("--audit-radius", dest="audit_radius", type=float)
+    defaults = ExperimentConfig()
+    for key in (f.name for f in dataclasses.fields(ExperimentConfig)):
+        parser.add_argument(
+            "--" + key.replace("_", "-"), default=argparse.SUPPRESS,
+            help=f"config key {key} (default {json.dumps(getattr(defaults, key))})",
+        )
     return parser
 
 
-def _parse_override(key: str, raw):
-    if raw is None:
-        return None
-    if key in ("levels", "audit_n_values"):
-        try:
-            return [int(part) for part in str(raw).split(",") if part != ""]
-        except ValueError:
-            raise ConfigError(f"--{key} expects comma-separated integers") from None
-    if key == "reference":
-        return raw if raw == "exact" else _parse_int(key, raw)
-    if key == "problem_params":
-        return _decode_json(raw, "--problem-params")
-    return raw
+def _int_list(raw: str) -> list:
+    return [int(part) for part in raw.split(",") if part != ""]
 
 
-def _parse_int(key: str, raw) -> int:
+# the text rule of each config key whose flag text is not the value itself
+_FLAG_RULES = {
+    "problem_params": lambda raw: _decode_json(raw, "--problem-params"),
+    "levels": _int_list,
+    "reference": lambda raw: raw if raw == "exact" else int(raw),
+    "p": float, "q": float, "paths": int, "master_seed": int, "level": int,
+    "audit_n_values": _int_list, "audit_samples": int, "audit_radius": float,
+}
+
+
+def _flag_value(key: str, raw: str):
+    """The config value that ``--<key>``'s text ``raw`` stands for."""
     try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"--{key} expects an integer") from None
+        return _FLAG_RULES.get(key, str)(raw)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"--{key.replace('_', '-')} {raw!r}: {exc}") from None
 
 
 def _decode_json(document, source: str):
@@ -476,14 +462,13 @@ def run_command(argv) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    flags = vars(args)
+    command, path = flags.pop("command"), flags.pop("config")
     try:
-        mapping = load_config(args.config) if args.config else {}
-        for key in (f.name for f in dataclasses.fields(ExperimentConfig)):
-            override = _parse_override(key, getattr(args, key, None))
-            if override is not None:
-                mapping[key] = override
+        mapping = load_config(path) if path is not None else {}
+        mapping.update({key: _flag_value(key, raw) for key, raw in flags.items()})
         config = ExperimentConfig.from_mapping(mapping)
-        _RUNNERS[args.command](config)
+        _RUNNERS[command](config)
     except (ConfigError, model.InvalidParameterError, analysis.DegenerateDataError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

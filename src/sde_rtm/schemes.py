@@ -127,13 +127,17 @@ def tame_drift(mu_value, x, n: int, xi: float):
 
     The denominator is always >= 1, so ``|tamed| <= |mu|`` exactly, and
     ``|mu - tamed| <= |mu| |x|^(2 xi) / n`` pointwise.  Accepts a single
-    vector with state ``(d,)`` or batches ``(..., d)``.  An integer ``n`` in
-    [1, 2**62] and a finite real ``xi >= 0``, else InvalidParameterError.
+    vector with state ``(d,)`` or batches ``(..., d)``; ``mu`` must have the
+    state's shape, else DimensionError.  An integer ``n`` in [1, 2**62] and a
+    finite real ``xi >= 0``, else InvalidParameterError.
     """
     n = _check_int("n", n, 1, 1 << _MAX_LEVEL)
     _check_real("xi", xi, 0)
-    return _tame(np.asarray(mu_value, dtype=float),
-                 np.atleast_1d(np.asarray(x, dtype=float)), n, xi)
+    mu_value, x = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (mu_value, x))
+    if mu_value.shape != x.shape:
+        raise DimensionError(f"drift shape {mu_value.shape} differs from "
+                             f"state shape {x.shape}")
+    return _tame(mu_value, x, n, xi)
 
 
 def _tamed_drift(problem: SdeProblem, n: int):

@@ -1,6 +1,9 @@
 import dataclasses
+import importlib.util
 import json
 import os
+import pathlib
+import sys
 import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sde_rtm import analysis, model
+from sde_rtm import analysis, cli, model
 from sde_rtm.analysis import ErrorRow, ErrorTable, MomentTable, RateFit, fit_rate
 from sde_rtm.cli import (ConfigError, CsvReport, ExperimentConfig, _format_value,
                          render_svg, run_command)
@@ -119,6 +122,66 @@ def test_cli_overrides_apply(tmp_path):
     assert lines[1].split(",")[4] == "30"
 
 
+# flag text and the JSON value it stands for, for every config key; a key
+# added to ExperimentConfig without an entry here fails the test below
+_FLAG_EXAMPLES = {
+    "problem": [("gbm", "gbm")],
+    "problem_params": [('{"sigma": 0.3}', {"sigma": 0.3})],
+    "scheme": [("tamed_euler", "tamed_euler")],
+    "levels": [("2,3", [2, 3])],
+    "reference": [("exact", "exact"), ("9", 9)],
+    "p": [("3.5", 3.5)],
+    "q": [("6.5", 6.5)],
+    "paths": [("7", 7)],
+    "master_seed": [("99", 99)],
+    "outdir": [("elsewhere", "elsewhere")],
+    "level": [("3", 3)],
+    "audit_n_values": [("8,32", [8, 32])],
+    "audit_samples": [("11", 11)],
+    "audit_radius": [("2.5", 2.5)],
+}
+
+
+def _capture_configs(monkeypatch):
+    # the command's runner replaced by one that records the config it gets
+    seen = []
+    monkeypatch.setitem(cli._RUNNERS, "converge", seen.append)
+    return seen
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ExperimentConfig)])
+def test_every_flag_sets_its_config_key(tmp_path, monkeypatch, key):
+    seen = _capture_configs(monkeypatch)
+    assert key in _FLAG_EXAMPLES, f"no flag example for config key {key}"
+    for text, value in _FLAG_EXAMPLES[key]:
+        assert value != getattr(ExperimentConfig(), key)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: value}))
+        flag = "--" + key.replace("_", "-")
+        assert run_command(["converge", flag, text]) == 0
+        assert run_command(["converge", "--config", str(path)]) == 0
+        from_flag, from_file = seen[-2:]
+        assert from_flag == from_file == ExperimentConfig.from_mapping({key: value})
+        # a flag replaces the config file's value
+        path.write_text(json.dumps({key: getattr(ExperimentConfig(), key)}))
+        assert run_command(["converge", "--config", str(path), flag, text]) == 0
+        assert seen[-1] == from_flag
+
+
+@pytest.mark.parametrize("flag,text", [
+    ("--paths", "x"), ("--p", "x"), ("--q", "1/2"), ("--levels", "a,b"),
+    ("--reference", "1.5"), ("--level", "x"), ("--master-seed", "y"),
+    ("--audit-n-values", "16;64"), ("--audit-samples", "2.0"),
+    ("--audit-radius", "r"),
+])
+def test_bad_flag_text_exits_2_naming_the_flag(monkeypatch, capsys, flag, text):
+    seen = _capture_configs(monkeypatch)
+    assert run_command(["converge", flag, text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag} ")
+    assert not seen
+
+
 # --- validation and exit codes ------------------------------------------------
 
 @pytest.mark.parametrize("overrides,fragment", [
@@ -182,10 +245,22 @@ def test_undecodable_json_exits_2(tmp_path, capsys, where, document):
     assert "is not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("document", ["null", "[1]", '"sigma"', "0.5"])
+def test_problem_params_flag_must_be_an_object(tmp_path, capsys, document):
+    # the flag replaces the whole object, as the config file's key does;
+    # JSON null is a value like any other, not "no override"
+    path, _ = write_config(tmp_path)
+    for argv in (["--problem-params", document],
+                 ["--config", str(path), "--problem-params", document]):
+        assert run_command(["converge", *argv]) == 2
+        assert "problem_params must be a JSON object" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
-    assert run_command(["converge", "--config", str(missing)]) == 2
-    assert "config" in capsys.readouterr().err
+    for path in (str(missing), ""):
+        assert run_command(["converge", "--config", path]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
 
 
 def test_reference_exact_requires_exact_solution(tmp_path, capsys):
@@ -279,6 +354,62 @@ def test_unwritable_outdir_exits_1(tmp_path, capsys):
 def test_bad_flags_exit_2(capsys):
     assert run_command(["frobnicate"]) == 2
     assert run_command([]) == 2
+
+
+def test_help_names_every_config_key_and_its_default(capsys):
+    assert run_command(["--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for f in dataclasses.fields(ExperimentConfig):
+        default = json.dumps(getattr(ExperimentConfig(), f.name))
+        assert f"--{f.name.replace('_', '-')}" in text
+        assert f"config key {f.name} (default {default})" in text
+
+
+_SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name[:-3], _SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("script", ["run_audit.py", "run_blowup.py"])
+def test_experiment_scripts_pass_real_flags(tmp_path, monkeypatch, script):
+    # every argv a script would run parses, and every flag value reads
+    module = _load_script(script)
+    calls = []
+    monkeypatch.setattr(module, "run_command", lambda argv: calls.append(argv) or 0)
+    monkeypatch.setattr(sys, "argv", [script, str(tmp_path / "out")])
+    assert module.main() == 0
+    assert calls
+    for argv in calls:
+        flags = vars(cli._build_parser().parse_args(argv))
+        assert flags.pop("command") in cli._RUNNERS
+        assert flags.pop("config") is None
+        mapping = {key: cli._flag_value(key, raw) for key, raw in flags.items()}
+        ExperimentConfig.from_mapping(mapping).validate()
+
+
+def test_convergence_script_reads_the_default_outdir(tmp_path, monkeypatch, capsys):
+    # a config without "outdir" writes under the default one, where the
+    # script then reads rate.txt
+    module = _load_script("run_convergence.py")
+    path = tmp_path / "config.json"
+    path.write_text("{}")
+
+    def fake_run(argv):
+        outdir = pathlib.Path(ExperimentConfig().outdir)
+        outdir.mkdir()
+        (outdir / "rate.txt").write_text("slope=1\n")
+        return 0
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(module, "run_command", fake_run)
+    monkeypatch.setattr(sys, "argv", ["run_convergence.py", str(path)])
+    assert module.main() == 0
+    assert "slope=1" in capsys.readouterr().out
 
 
 # Any JSON object as a config: small valid values (a few paths on coarse

@@ -81,6 +81,10 @@ def test_tame_drift_validation():
     for n, xi in ((2.5, 2.0), (True, 2.0), (4, float("inf"))):
         with pytest.raises(InvalidParameterError):
             tame_drift(np.ones(2), np.ones(2), n, xi)
+    # the drift has the state's shape, also for batches
+    for mu, x in ((np.ones(3), np.ones(2)), (np.ones((5, 3)), np.ones((4, 2)))):
+        with pytest.raises(DimensionError):
+            tame_drift(mu, x, 4, 1.0)
 
 
 # --- single steps ------------------------------------------------------------
