@@ -54,7 +54,7 @@ from typing import Union
 import numpy as np
 
 from .model import (InvalidParameterError, SdeProblem, _check_int, _check_ints,
-                    _check_real, _is_int, make_builtin)
+                    _check_real, _is_int, _stacked, make_builtin)
 from .noise import _MAX_LEVEL, SeedPolicy, SlabStream, StreamRole, coarsen_chunks
 from .schemes import _MAX_COUNT, BatchStepper, SchemeKind
 
@@ -427,7 +427,7 @@ def strong_error_experiment(problem: SdeProblem, kind: SchemeKind, levels,
         block_ok = np.empty((n_rows, stop - start), dtype=bool)
         with np.errstate(all="ignore"):
             if exact:
-                ref_term = np.asarray(problem.exact_terminal(w_terminal), dtype=float)
+                ref_term = _stacked(problem.exact_terminal, w_terminal)
                 ref_ok = np.isfinite(ref_term).all(axis=1)
             else:
                 reference, *steppers = steppers
@@ -444,24 +444,25 @@ def strong_error_experiment(problem: SdeProblem, kind: SchemeKind, levels,
     included = np.concatenate([block_ok for _, block_ok in results], axis=1)
 
     rows = []
-    for row, level in enumerate(levels):
-        mask = included[row]
-        values = err_pow[row][mask]
-        kept = int(values.size)
-        overflowed = paths - kept
-        if kept == 0:
-            lp_error, stderr = float("inf"), 0.0
-        else:
-            mean_pow = float(np.mean(values))
-            lp_error = mean_pow ** (1.0 / p)
-            if kept > 1 and mean_pow > 0.0:
-                se_mean = float(np.std(values, ddof=1)) / float(np.sqrt(kept))
-                stderr = se_mean * mean_pow ** (1.0 / p - 1.0) / p
+    with np.errstate(all="ignore"):  # overflowing error powers give inf, silently
+        for row, level in enumerate(levels):
+            mask = included[row]
+            values = err_pow[row][mask]
+            kept = int(values.size)
+            overflowed = paths - kept
+            if kept == 0:
+                lp_error, stderr = float("inf"), 0.0
             else:
-                stderr = 0.0
-        n = 1 << level
-        rows.append(ErrorRow(level, n, horizon / n, lp_error, kept, p, stderr,
-                             overflowed))
+                mean_pow = float(np.mean(values))
+                lp_error = mean_pow ** (1.0 / p)
+                if kept > 1 and mean_pow > 0.0:
+                    se_mean = float(np.std(values, ddof=1)) / float(np.sqrt(kept))
+                    stderr = se_mean * mean_pow ** (1.0 / p - 1.0) / p
+                else:
+                    stderr = 0.0
+            n = 1 << level
+            rows.append(ErrorRow(level, n, horizon / n, lp_error, kept, p, stderr,
+                                 overflowed))
     return ErrorTable(tuple(rows), "exact" if exact else f"level {gen_level}", p)
 
 
@@ -516,13 +517,14 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
             # finite) as a (chunk, slab) piece, initial state first, and
             # returns the overflow steps
             def observe(index, states):
-                finite = np.isfinite(states).all(axis=2)
-                sq = (states * states).sum(axis=2)
+                # states are (chunk, d, slab); |x|^2 sums the components in order
+                finite = np.isfinite(states).all(axis=1)
+                sq = (states * states).sum(axis=1)
                 _piece_sink(start, index, np.where(finite, sq ** (q / 2.0), 0.0))
 
             with np.errstate(all="ignore"):
-                observe(0, np.repeat(problem.initial_state[None, None, :],
-                                     stop - start, axis=1))
+                observe(0, np.repeat(problem.initial_state[None, :, None],
+                                     stop - start, axis=2))
             steppers, _ = _sweep(problem, kind, policy, start, stop, _level,
                                  [_level], observe=observe)
             return (steppers[0].overflow,)

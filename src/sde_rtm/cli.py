@@ -268,6 +268,8 @@ def render_svg(table: analysis.ErrorTable, fit: analysis.RateFit, path: str) -> 
 
 def _cmd_converge(config: ExperimentConfig) -> None:
     problem, kind, policy = config.validate()
+    if len(config.levels) < 2:
+        raise ConfigError("converge fits a rate, so levels needs at least two levels")
     table = analysis.strong_error_experiment(
         problem, kind, config.levels, config.reference, config.p,
         config.paths, policy,

@@ -5,13 +5,13 @@ diffusion-gradient contraction used by Milstein-type correction terms,
 together with the regularity metadata (superlinearity exponent ``xi``,
 temporal Hoelder exponent ``beta``) that downstream rate predictions use.
 
-Coefficient callables follow numpy broadcasting conventions: the state
-``x`` may be a single vector of shape ``(d,)`` or a batch ``(N, d)``, and
-the time ``t`` may be a scalar or an array broadcastable against the
-leading batch axes.  The vectorised path engine in
-:mod:`sde_rtm.schemes` relies on this, so the built-in problems are all
-written batch-friendly.  Problems are immutable after construction and
-coefficient evaluation is safe to call concurrently.
+Coefficients are written component by component: the state ``x`` is a
+sequence of d arrays of one shape (the step kernel passes d ``(B,)``
+arrays), and each coefficient returns nested entries, each an array or a
+Python float.  The float ``0.0`` is a structural zero, which the kernel
+skips.  ``_stacked`` gives the stacked ``(..., d)`` view of this form.
+Problems are immutable after construction and coefficient evaluation is
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -100,12 +100,13 @@ class NoiseStructure(Enum):
 class TamingSplit:
     """Optional decomposition ``drift = superlinear + remainder``.
 
-    Tamed integrators divide only the ``superlinear`` summand by the taming
-    denominator, leaving ``remainder`` untouched, and compute the
-    denominator norm from the state components in ``norm_indices`` instead
-    of the full Euclidean norm.  This is how the FitzHugh-Nagumo builtin
-    reproduces the usual per-component taming of its cubic term; the
-    generic default (no split) tames the whole drift vector.
+    Both summands return d drift entries.  Tamed integrators divide only the
+    ``superlinear`` summand by the taming denominator, leaving ``remainder``
+    untouched, and compute the denominator norm from the state components
+    that ``norm_indices`` picks instead of the full Euclidean norm.  This is
+    how the FitzHugh-Nagumo builtin reproduces the usual per-component
+    taming of its cubic term; the generic default (no split) tames the
+    whole drift vector.
     """
 
     superlinear: Callable
@@ -126,9 +127,9 @@ class SdeProblem:
     initial_state : array of shape (d,)
         Deterministic initial value.
     drift, diffusion, milstein_tensor : callables
-        ``drift(t, x) -> (..., d)``, ``diffusion(t, x) -> (..., d, m)`` and
-        ``milstein_tensor(t, x) -> (..., d, m, m)`` with
-        ``tensor[i, k, l] = sum_r d(rho[i, k])/d(x_r) * rho[r, l]``.
+        ``drift(t, x)`` returns d entries, ``diffusion(t, x)`` d rows of m
+        entries and ``milstein_tensor(t, x)`` d x m x m entries with
+        ``tensor[i][k][l] = sum_r d(rho[i][k])/d(x_r) * rho[r][l]``.
     noise_structure : NoiseStructure
     xi : float
         Superlinearity exponent of the drift, a finite real >= 0.
@@ -136,8 +137,8 @@ class SdeProblem:
         Temporal Hoelder exponent of the drift, in (0, 1].  Metadata only;
         the predicted strong rate is min(beta + 1/2, 1).
     exact_terminal : callable, optional
-        ``exact_terminal(w_T) -> (..., d)`` closed-form terminal value from
-        the terminal Brownian value, when available.
+        ``exact_terminal(w)``, the d entries of the closed-form terminal
+        value from the m components of the terminal Brownian value.
     taming_split : TamingSplit, optional
         Per-summand taming mask; see :class:`TamingSplit`.
     """
@@ -180,6 +181,22 @@ class SdeProblem:
                         0, self.d - 1)
 
 
+def _stacked(coefficient, *args):
+    """``coefficient(*args)`` with its last argument, an ``(..., k)`` array,
+    passed as its k components and its nested entries stacked the same way,
+    to ``(..., d)``, ``(..., d, m)`` or ``(..., d, m, m)``."""
+    *head, x = args
+    x = np.asarray(x, dtype=float)
+    batch = x.shape[:-1]
+
+    def stack(entries):
+        if isinstance(entries, (tuple, list)):
+            return np.stack([stack(entry) for entry in entries], axis=len(batch))
+        return np.broadcast_to(np.asarray(entries, dtype=float), batch)
+
+    return stack(coefficient(*head, tuple(x[..., i] for i in range(x.shape[-1]))))
+
+
 # --- built-in problems -------------------------------------------------------
 
 
@@ -196,35 +213,16 @@ def _fhn_family(external_input, sigma, beta):
         raise InvalidParameterError("sigma must be nonnegative")
 
     def cubic_part(t, x):
-        xa = np.asarray(x, dtype=float)
-        v = xa[..., 0]
-        out = np.zeros(xa.shape)
-        out[..., 0] = v - v ** 3 / 3.0
-        return out
+        v = x[0]
+        return v - v ** 3 / 3.0, 0.0
 
     def linear_part(t, x):
-        xa = np.asarray(x, dtype=float)
-        v = xa[..., 0]
-        r = xa[..., 1]
-        out = np.empty_like(xa)
-        out[..., 0] = external_input(t) - r
-        out[..., 1] = 0.8 * (v + 0.7 - 0.8 * r)
-        return out
+        v, r = x
+        return external_input(t) - r, 0.8 * (v + 0.7 - 0.8 * r)
 
     def drift(t, x):
-        return cubic_part(t, x) + linear_part(t, x)
-
-    def diffusion(t, x):
-        xa = np.asarray(x, dtype=float)
-        out = np.zeros(xa.shape + (1,))
-        out[..., 0, 0] = sigma * xa[..., 0]
-        return out
-
-    def milstein_tensor(t, x):
-        xa = np.asarray(x, dtype=float)
-        out = np.zeros(xa.shape + (1, 1))
-        out[..., 0, 0, 0] = sigma * sigma * xa[..., 0]
-        return out
+        (cubic, _), (linear, recovery) = cubic_part(t, x), linear_part(t, x)
+        return cubic + linear, recovery
 
     return SdeProblem(
         d=2,
@@ -232,8 +230,8 @@ def _fhn_family(external_input, sigma, beta):
         horizon=1.0,
         initial_state=np.array([2.0, -1.0]),
         drift=drift,
-        diffusion=diffusion,
-        milstein_tensor=milstein_tensor,
+        diffusion=lambda t, x: ((sigma * x[0],), (0.0,)),
+        milstein_tensor=lambda t, x: (((sigma * sigma * x[0],),), ((0.0,),)),
         noise_structure=NoiseStructure.SCALAR,
         xi=2.0,
         beta=beta,
@@ -260,30 +258,17 @@ def _make_geometric_brownian(a=0.5, sigma=0.5, x0=1.0):
     if not sigma >= 0:
         raise InvalidParameterError("sigma must be nonnegative")
 
-    def drift(t, x):
-        return a * np.asarray(x, dtype=float)
-
-    def diffusion(t, x):
-        xa = np.asarray(x, dtype=float)
-        return sigma * xa[..., None]
-
-    def milstein_tensor(t, x):
-        xa = np.asarray(x, dtype=float)
-        return (sigma * sigma * xa)[..., None, None]
-
-    def exact_terminal(w_terminal):
-        wa = np.asarray(w_terminal, dtype=float)
-        val = x0 * np.exp((a - 0.5 * sigma * sigma) + sigma * wa[..., 0])
-        return val[..., None]
+    def exact_terminal(w):
+        return (x0 * np.exp((a - 0.5 * sigma * sigma) + sigma * w[0]),)
 
     return SdeProblem(
         d=1,
         m=1,
         horizon=1.0,
         initial_state=np.array([x0]),
-        drift=drift,
-        diffusion=diffusion,
-        milstein_tensor=milstein_tensor,
+        drift=lambda t, x: (a * x[0],),
+        diffusion=lambda t, x: ((sigma * x[0],),),
+        milstein_tensor=lambda t, x: (((sigma * sigma * x[0],),),),
         noise_structure=NoiseStructure.SCALAR,
         xi=0.0,
         beta=1.0,
@@ -295,27 +280,14 @@ def _make_double_well():
     """dx = (x - x^3) dt + dw with x_0 = 2: the classical setting in which
     untamed explicit Euler loses moment control while tamed variants stay
     bounded (the problem behind the blow-up demonstration)."""
-
-    def drift(t, x):
-        xa = np.asarray(x, dtype=float)
-        return xa - xa ** 3
-
-    def diffusion(t, x):
-        xa = np.asarray(x, dtype=float)
-        return np.ones(xa.shape + (1,))
-
-    def milstein_tensor(t, x):
-        xa = np.asarray(x, dtype=float)
-        return np.zeros(xa.shape + (1, 1))
-
     return SdeProblem(
         d=1,
         m=1,
         horizon=1.0,
         initial_state=np.array([2.0]),
-        drift=drift,
-        diffusion=diffusion,
-        milstein_tensor=milstein_tensor,
+        drift=lambda t, x: (x[0] - x[0] ** 3,),
+        diffusion=lambda t, x: ((1.0,),),
+        milstein_tensor=lambda t, x: (((0.0,),),),
         noise_structure=NoiseStructure.SCALAR,
         xi=2.0,
         beta=1.0,

@@ -24,8 +24,9 @@ The diffusion and the correction tensor are always evaluated at the left
 endpoint; only the drift time is randomized.
 
 Apart from the state a :class:`BatchStepper` carries, everything here is a
-pure function of its inputs.  The batch variants step ``(B, d)`` blocks of
-states with elementwise numpy ops only, so per-path results are
+pure function of its inputs.  The kernel steps d ``(B,)`` state components
+(the component form of :mod:`sde_rtm.model`, whose structural zeros it
+skips) with elementwise numpy ops only, so per-path results are
 bit-identical however paths are grouped into batches.
 
 One loop steps every path: :class:`BatchStepper` holds a block's state,
@@ -34,27 +35,28 @@ piece by piece as its increments are drawn; :func:`simulate_batch` feeds
 it a whole grid.  Each piece is walked in chunks of ``_CHUNK`` steps.  What
 depends only on the noise is prepared once per chunk: a contiguous
 ``(C, B, m)`` copy of the increments, the iterated integrals of that whole
-block (Milstein kinds) and the randomized drift times.  The per-step loop
-then runs only the state-dependent work.  Each step writes its state into a
-``(C, B, d)`` buffer, and one vectorised scan per chunk finds the first
-non-finite step of each path.  That scan is exact because every step
-computes ``x + ...`` and a non-finite component stays non-finite under
-addition, so a path that overflows stays non-finite for the rest of the
-chunk.  The same buffer is handed to any observer of the states.  The
-arithmetic of each step is unchanged, so results are bit-identical for any
-chunk size and any cut of the grid into pieces.
+block (Milstein kinds) and the randomized drift times; each step reads
+``(B,)`` views of them and runs only the state-dependent work.  Each step
+writes its state into a ``(C, d, B)`` buffer, and one vectorised scan per
+chunk finds the first non-finite step of each path.  That scan is exact
+because every step computes ``x + ...`` and a non-finite component stays
+non-finite under addition, so a path that overflows stays non-finite for
+the rest of the chunk.  The same buffer is handed to any observer of the
+states.  The arithmetic of each step is unchanged, so results are
+bit-identical for any chunk size and any cut of the grid into pieces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .model import (NoiseStructure, SdeProblem, _check_int, _check_ints, _check_positive,
-                    _check_real, _check_type, _is_int)
+                    _check_real, _check_type, _is_int, _stacked)
 from .noise import (
     _MAX_LEVEL,
     BrownianGrid,
@@ -114,12 +116,29 @@ class PathResult:
     overflow_step: Optional[int] = None
 
 
+def _is_zero(entry) -> bool:
+    # the structural zero of the component form: the Python float 0.0
+    return type(entry) is float and entry == 0.0
+
+
+def _contract(entries, factors):
+    # sum_k entries[k] * factors[k] in index order without the structural
+    # zeros; None if every entry is one
+    total = None
+    for entry, factor in zip(entries, factors):
+        if not _is_zero(entry):
+            total = entry * factor if total is None else total + entry * factor
+    return total
+
+
 def _tame(mu, x, n: int, xi: float):
-    # tame_drift's formula, unchecked, for the kernel; |x| over the last axis,
-    # whose sum, when it has one component, is that component
-    square = x * x
-    nrm = np.sqrt(square[..., 0] if x.shape[-1] == 1 else square.sum(axis=-1))
-    return mu / (1.0 + nrm ** (2.0 * xi) / n)[..., None]
+    # tame_drift's formula, unchecked, on drift entries and state components;
+    # |x|^2 sums the components in index order
+    square = x[0] * x[0]
+    for component in x[1:]:
+        square = square + component * component
+    denominator = 1.0 + np.sqrt(square) ** (2.0 * xi) / n
+    return [entry if _is_zero(entry) else entry / denominator for entry in mu]
 
 
 def tame_drift(mu_value, x, n: int, xi: float):
@@ -137,75 +156,82 @@ def tame_drift(mu_value, x, n: int, xi: float):
     if mu_value.shape != x.shape:
         raise DimensionError(f"drift shape {mu_value.shape} differs from "
                              f"state shape {x.shape}")
-    return _tame(mu_value, x, n, xi)
+    components = [x[..., i] for i in range(x.shape[-1])]
+    return _stacked(lambda mu: _tame(mu, components, n, xi), mu_value)
 
 
 def _tamed_drift(problem: SdeProblem, n: int):
-    """Return ``b(t, x)``, the drift after taming, honouring an optional
-    per-summand split."""
+    """Return ``b(t, x)``, the drift entries after taming, honouring an
+    optional per-summand split."""
     split = problem.taming_split
     drift, xi = problem.drift, problem.xi
     if split is None:
         return lambda t, x: _tame(drift(t, x), x, n, xi)
     superlinear, remainder = split.superlinear, split.remainder
-    index = list(split.norm_indices)
-    if index == list(range(index[0], index[-1] + 1)):
-        index = slice(index[0], index[-1] + 1)  # a view; a fancy index copies
-    return lambda t, x: (_tame(superlinear(t, x), x[..., index], n, xi)
-                         + remainder(t, x))
+    index = tuple(split.norm_indices)
+
+    def tamed(t, x):
+        wild = _tame(superlinear(t, x), [x[i] for i in index], n, xi)
+        return [b if _is_zero(a) else a if _is_zero(b) else a + b
+                for a, b in zip(wild, remainder(t, x))]
+    return tamed
 
 
 def _step_batch(problem: SdeProblem, kind: SchemeKind, dt: float, n: int):
     """The stepping kernel :class:`BatchStepper` runs.
 
-    Returns ``advance(x, t_left, t_drift, dw, iw)``, which moves a (B, d)
-    block of states by one step of size ``dt`` with taming parameter ``n``.
-    The noise inputs arrive in broadcast form: ``t_drift`` is the drift
-    time (``t_left``, or a (B,) array for the randomized kind), ``dw`` the
-    increments as (B, 1, m) and ``iw`` the iterated integrals as
-    (B, 1, m, m) (Milstein kinds; None otherwise).  The coefficient
+    Returns ``advance(x, t_left, t_drift, dw, iw)``, which moves the d (B,)
+    state components ``x`` by one step of size ``dt`` with taming parameter
+    ``n``: component i becomes ``((x_i + b_i dt) + sum_k rho_ik dw_k) +
+    sum_kl L_ikl iw_kl``, each sum in index order without its structural
+    zeros.  ``t_drift`` is ``t_left`` or a (B,) array for the randomized
+    kind, ``dw`` the m (B,) increments and ``iw`` the m * m (B,) iterated
+    integrals, row-major (Milstein kinds; None otherwise).  The coefficient
     callables are looked up once, here, and general noise is rejected for
     the Milstein kinds, whose iterated integrals it would make inexact.
     """
     if kind in _MILSTEIN_KINDS and problem.noise_structure is NoiseStructure.GENERAL:
-        raise UnsupportedNoiseStructureError(
-            "Milstein kinds do not support general noise"
-        )
-    if kind is SchemeKind.EULER_MARUYAMA:
-        drift = problem.drift
-    else:
-        drift = _tamed_drift(problem, n)
+        raise UnsupportedNoiseStructureError("Milstein kinds do not support general noise")
+    drift = problem.drift if kind is SchemeKind.EULER_MARUYAMA else _tamed_drift(problem, n)
     diffusion = problem.diffusion
     milstein_tensor = problem.milstein_tensor if kind in _MILSTEIN_KINDS else None
 
-    if problem.m == 1:
-        # a sum over a length-1 axis is its one term, so index it: the
-        # values are the same and the step skips numpy's costlier reductions
-        def advance(x, t_left, t_drift, dw, iw):
-            out = x + drift(t_drift, x) * dt + diffusion(t_left, x)[..., 0] * dw[..., 0]
-            if milstein_tensor is not None:
-                out = out + milstein_tensor(t_left, x)[..., 0, 0] * iw[..., 0, 0]
-            return out
-    else:
-        def advance(x, t_left, t_drift, dw, iw):
-            out = x + drift(t_drift, x) * dt + (diffusion(t_left, x) * dw).sum(axis=-1)
-            if milstein_tensor is not None:
-                out = out + (milstein_tensor(t_left, x) * iw).sum(axis=(-2, -1))
-            return out
+    def advance(x, t_left, t_drift, dw, iw):
+        b, rho = drift(t_drift, x), diffusion(t_left, x)
+        lam = None if milstein_tensor is None else milstein_tensor(t_left, x)
+        out = []
+        for i, component in enumerate(x):
+            if not _is_zero(b[i]):
+                component = component + b[i] * dt
+            noise = _contract(rho[i], dw)
+            if noise is not None:
+                component = component + noise
+            if lam is not None:
+                correction = _contract(chain.from_iterable(lam[i]), iw)
+                if correction is not None:
+                    component = component + correction
+            out.append(component)
+        return out
 
     return advance
+
+
+def _per_step(block):
+    # a (C, B, k) block as C tuples of k (B,) views, contiguous when k == 1
+    return zip(*block.transpose(2, 0, 1))
 
 
 class BatchStepper:
     """Resumable integration of a block of ``batch`` paths on an n-step grid.
 
-    The state ``x`` (B, d), the first overflow step of each path
-    ``overflow`` (B,) and the number of steps taken ``steps`` carry over
-    from one :meth:`feed` to the next, so a grid can be integrated piece by
-    piece as its increments arrive.  Per-path results do not depend on how
-    the grid is cut into pieces.  ``n_steps`` below 1 raises
-    :class:`DimensionError`; ``kind`` must be a :class:`SchemeKind` and
-    ``batch`` an integer in [1, 2**24], else ``InvalidParameterError``.
+    The state's d (B,) components ``state`` (stacked: ``x``, (B, d)), the
+    first overflow step of each path ``overflow`` (B,) and the number of
+    steps taken ``steps`` carry over from one :meth:`feed` to the next, so a
+    grid can be integrated piece by piece as its increments arrive.
+    Per-path results do not depend on how the grid is cut into pieces.
+    ``n_steps`` below 1 raises :class:`DimensionError`; ``kind`` must be a
+    :class:`SchemeKind` and ``batch`` an integer in [1, 2**24], else
+    ``InvalidParameterError``.
     """
 
     def __init__(self, problem: SdeProblem, kind: SchemeKind, n_steps: int,
@@ -220,10 +246,12 @@ class BatchStepper:
         self.randomized = kind is SchemeKind.RANDOMIZED_TAMED_MILSTEIN
         self.milstein = kind in _MILSTEIN_KINDS
         self.advance = _step_batch(problem, kind, self.dt, n_steps)
-        self.x = np.repeat(problem.initial_state[None, :], batch, axis=0)
+        self.state = [np.full(batch, value) for value in problem.initial_state]
         self.overflow = np.full(batch, -1, dtype=np.int64)
         self.steps = 0
-        self._states = np.empty((min(_CHUNK, n_steps), batch, problem.d))
+        self._states = np.empty((min(_CHUNK, n_steps), problem.d, batch))
+
+    x = property(lambda self: np.stack(self.state, axis=1))
 
     def feed(self, increments, uniforms=None, observe=None) -> None:
         """Take the next ``C`` steps.
@@ -234,14 +262,13 @@ class BatchStepper:
         ``InvalidParameterError``.  Any other shape, or more steps than the
         grid has, raises :class:`DimensionError`.  ``observe(index,
         states)``, if given, receives the states at grid indices ``index``
-        to ``index + len(states) - 1`` as a (len, B, d) buffer that is
-        reused afterwards.
+        to ``index + len(states) - 1`` as a component-major (len, d, B)
+        buffer that is reused afterwards.
         """
+        batch, m = len(self.overflow), self.problem.m
         inc = np.ascontiguousarray(increments, dtype=float)
-        if inc.shape[1:] != (len(self.x), self.problem.m):
-            raise DimensionError(
-                f"increments must have shape (C, {len(self.x)}, {self.problem.m})"
-            )
+        if inc.shape[1:] != (batch, m):
+            raise DimensionError(f"increments must have shape (C, {batch}, {m})")
         if self.steps + len(inc) > self.n_steps:
             raise DimensionError(f"more than {self.n_steps} steps fed")
         if self.randomized:
@@ -252,39 +279,34 @@ class BatchStepper:
             uniforms = np.ascontiguousarray(uniforms, dtype=float)
         dt, advance = self.dt, self.advance
         structure = self.problem.noise_structure
-        x, overflow = self.x, self.overflow
+        x, overflow = self.state, self.overflow
         with np.errstate(all="ignore"):
             for c0 in range(0, len(inc), _CHUNK):
                 c1 = min(c0 + _CHUNK, len(inc))
                 j0 = self.steps + c0
                 t_left = np.arange(j0, j0 + c1 - c0) * dt
                 dw = inc[c0:c1]
-                iw = (
-                    iterated_integrals(dw, dt, structure)[:, :, None]
-                    if self.milstein
-                    else [None] * (c1 - c0)
-                )
-                t_drift = (
-                    randomized_time(t_left[:, None], dt, uniforms[c0:c1])
-                    if self.randomized
-                    else t_left
-                )
+                iw = (_per_step(iterated_integrals(dw, dt, structure).reshape(c1 - c0, batch, -1))
+                      if self.milstein else [None] * (c1 - c0))
+                t_drift = (randomized_time(t_left[:, None], dt, uniforms[c0:c1])
+                           if self.randomized else t_left)
                 states = self._states[: c1 - c0]
                 for c, step_inputs in enumerate(
-                    zip(t_left, t_drift, dw[:, :, None, :], iw)
+                    zip(t_left, t_drift, _per_step(dw), iw)
                 ):
                     x = advance(x, *step_inputs)
-                    states[c] = x
+                    for i, component in enumerate(x):
+                        states[c, i] = component
                 # one scan per chunk: a non-finite component stays non-finite
                 # under ``x + ...``, so a path's last state in the chunk tells
                 # whether it overflowed and argmax finds the first such step
-                bad = ~np.isfinite(states).all(axis=2)
+                bad = ~np.isfinite(states).all(axis=1)
                 fresh = (overflow < 0) & bad[-1]
                 if fresh.any():
                     overflow[fresh] = j0 + bad[:, fresh].argmax(axis=0)
                 if observe is not None:
                     observe(j0 + 1, states)
-        self.x = x
+        self.state = x
         self.steps += len(inc)
 
 
@@ -390,7 +412,7 @@ def audit_taming(problem: SdeProblem, n_values, sample_count: int, radius: float
     )
     radii = radius * stream.random(sample_count) ** (1.0 / problem.d)
     xs = direction * radii[:, None]
-    mus = np.asarray(problem.drift(times, xs), dtype=float)
+    mus = _stacked(problem.drift, times, xs)
     mu_norm = np.sqrt(np.sum(mus * mus, axis=1))
     x_norm = np.sqrt(np.sum(xs * xs, axis=1))
     rows = []

@@ -39,7 +39,8 @@ from sde_rtm import (
     simulate_batch,
     terminal_value,
 )
-from tests.conftest import make_zero_problem, src_env
+from sde_rtm.model import _stacked
+from tests.conftest import make_commuting_gbm, make_zero_problem, src_env
 
 RTM = SchemeKind.RANDOMIZED_TAMED_MILSTEIN
 TM = SchemeKind.TAMED_MILSTEIN
@@ -125,37 +126,6 @@ def test_gbm_exact_reference_rms_small():
     assert table.rows[0].paths == 500
 
 
-def _commuting_gbm():
-    """The 2-d GBM dx_i = a_i x_i dt + x_i sum_k S_ik dW_k from (1, 2).
-
-    Its Milstein tensor x_i S_ik S_il is symmetric in (k, l), which is the
-    commutativity condition of Kloeden & Platen (1992), and each component
-    is a scalar GBM, so the terminal value has a closed form.
-    """
-    a = np.array([0.3, -0.2])
-    s = np.array([[0.4, 0.2], [0.1, 0.5]])
-    x0 = np.array([1.0, 2.0])
-
-    def drift(t, x):
-        return a * np.asarray(x, dtype=float)
-
-    def diffusion(t, x):
-        return np.asarray(x, dtype=float)[..., :, None] * s
-
-    def milstein_tensor(t, x):
-        xa = np.asarray(x, dtype=float)
-        return xa[..., :, None, None] * (s[:, :, None] * s[:, None, :])
-
-    def exact_terminal(w_terminal):
-        w = np.asarray(w_terminal, dtype=float)
-        return x0 * np.exp(a - 0.5 * (s * s).sum(axis=1) + w @ s.T)
-
-    return SdeProblem(d=2, m=2, horizon=1.0, initial_state=x0, drift=drift,
-                      diffusion=diffusion, milstein_tensor=milstein_tensor,
-                      noise_structure=NoiseStructure.COMMUTATIVE, xi=0.0, beta=1.0,
-                      exact_terminal=exact_terminal)
-
-
 @pytest.mark.parametrize("kind,low,high", [
     (TM, 0.9, 1.1),   # criterion 2's band around order 1
     (RTM, 0.9, 1.1),
@@ -164,7 +134,7 @@ def _commuting_gbm():
 def test_two_dimensional_commuting_noise_rates(kind, low, high):
     # the m = 2 Milstein path end to end: iterated integrals of two Brownian
     # components contracted against a (2, 2, 2) tensor, against the closed form
-    table = strong_error_experiment(_commuting_gbm(), kind, [4, 5, 6, 7, 8, 9],
+    table = strong_error_experiment(make_commuting_gbm(), kind, [4, 5, 6, 7, 8, 9],
                                     "exact", 2.0, 1000, SeedPolicy(20260810))
     fit = fit_rate(table)
     assert low <= fit.slope <= high, fit
@@ -232,7 +202,7 @@ def _per_path_reference(problem, kind, levels, ref, p, paths, policy):
                 return term[0], ovf[0] < 0
 
             if exact:
-                ref_term = problem.exact_terminal(terminal_value(grid)[None])[0]
+                ref_term = _stacked(problem.exact_terminal, terminal_value(grid)[None])[0]
                 ref_ok = np.isfinite(ref_term).all()
             else:
                 ref_term, ref_ok = run(ref)
@@ -449,17 +419,11 @@ def test_moment_rows_cover_every_grid_point(fhn):
 
 
 def test_moment_overflow_counting():
-    def drift(t, x):
-        xa = np.asarray(x, dtype=float)
-        return xa ** 3
-
-    from sde_rtm import NoiseStructure, SdeProblem
-
     explosive = SdeProblem(
         d=1, m=1, horizon=1.0, initial_state=[2.0],
-        drift=drift,
-        diffusion=lambda t, x: np.zeros(np.asarray(x).shape + (1,)),
-        milstein_tensor=lambda t, x: np.zeros(np.asarray(x).shape + (1, 1)),
+        drift=lambda t, x: (x[0] ** 3,),
+        diffusion=lambda t, x: ((0.0,),),
+        milstein_tensor=lambda t, x: (((0.0,),),),
         noise_structure=NoiseStructure.SCALAR, xi=2.0, beta=1.0,
     )
     table = moment_experiment(explosive, SchemeKind.EULER_MARUYAMA, 2.0, [4],
@@ -557,7 +521,7 @@ def test_worker_error_keeps_its_type_at_any_worker_count(monkeypatch):
     def drift(t, x):
         if np.max(t) > 0.5:
             raise _MidStreamError("past half time")
-        return -x
+        return tuple(-component for component in x)
 
     failing = dataclasses.replace(make_zero_problem(d=2), drift=drift)
     healthy = make_builtin("fhn")

@@ -67,6 +67,21 @@ def test_converge_outputs(tmp_path, capsys):
     assert "slope" in out
 
 
+@pytest.mark.filterwarnings("error")
+def test_converge_statistics_raise_no_numpy_warnings(tmp_path, capsys, monkeypatch):
+    # explosive fhn under explicit Euler: level 4's error powers overflow in
+    # the variance, which reports inf as the standard error and warns nothing
+    monkeypatch.setenv("SDE_RTM_THREADS", "1")
+    path, config = write_config(
+        tmp_path, problem="fhn", problem_params={"sigma": 3.0, "i_amp": 60.0},
+        scheme="euler_maruyama", levels=[4, 5, 6], reference=8, paths=64,
+        master_seed=20260810)
+    assert run_command(["converge", "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = read(os.path.join(config["outdir"], "converge.csv")).decode().splitlines()
+    assert rows[1].split(",")[0] == "4" and rows[1].split(",")[-1] == "inf"
+
+
 def test_converge_determinism_across_worker_counts(tmp_path, monkeypatch):
     path, config = write_config(tmp_path)
     monkeypatch.setenv("SDE_RTM_THREADS", "1")
@@ -280,6 +295,18 @@ def test_exact_reference_rejected_before_workers_and_outdir(tmp_path, capsys,
     path, config = write_config(tmp_path, problem="fhn", problem_params={})
     assert run_command(["converge", "--config", str(path)]) == 2
     assert "no exact terminal" in capsys.readouterr().err
+    assert not os.path.exists(config["outdir"])
+
+
+def test_converge_needs_two_levels_before_it_runs(tmp_path, capsys, monkeypatch):
+    # one level has no rate to fit: refused before a path is stepped
+    def no_experiment(*args):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(analysis, "strong_error_experiment", no_experiment)
+    path, config = write_config(tmp_path, levels=[4])
+    assert run_command(["converge", "--config", str(path)]) == 2
+    assert "levels" in capsys.readouterr().err
     assert not os.path.exists(config["outdir"])
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sde_rtm import InvalidParameterError, NoiseStructure, SdeProblem, make_builtin
-from sde_rtm.model import TamingSplit
+from sde_rtm.model import TamingSplit, _stacked
+from tests.conftest import make_commuting_gbm
 
 
 def _finite_difference_milstein_tensor(problem, t, x, rel_step=1e-6):
@@ -12,13 +13,14 @@ def _finite_difference_milstein_tensor(problem, t, x, rel_step=1e-6):
     ``sum_r d(rho[i, k])/d(x_r) * rho[r, l]`` from ``diffusion`` alone.
     """
     xa = np.asarray(x, dtype=float)
-    rho = problem.diffusion(t, xa)
+    rho = _stacked(problem.diffusion, t, xa)
     lam = np.zeros((problem.d, problem.m, problem.m))
     for r in range(problem.d):
         h = rel_step * max(1.0, abs(xa[r]))
         e = np.zeros(problem.d)
         e[r] = h
-        drho = (problem.diffusion(t, xa + e) - problem.diffusion(t, xa - e)) / (2 * h)
+        drho = (_stacked(problem.diffusion, t, xa + e)
+                - _stacked(problem.diffusion, t, xa - e)) / (2 * h)
         lam += drho[:, :, None] * rho[r][None, None, :]
     return lam
 
@@ -43,7 +45,7 @@ def test_gbm_zero_drift():
 
 
 def test_fhn_diffusion_column(fhn):
-    out = fhn.diffusion(0.0, np.array([2.0, -1.0]))
+    out = _stacked(fhn.diffusion, 0.0, np.array([2.0, -1.0]))
     assert out == pytest.approx(np.array([[0.002], [0.0]]), rel=1e-12)
 
 
@@ -52,45 +54,41 @@ def test_fhn_recovery_row_has_no_noise(fhn):
     for _ in range(50):
         t = rng.random()
         x = rng.normal(scale=4.0, size=2)
-        assert fhn.diffusion(t, x)[1, 0] == 0.0
+        assert fhn.diffusion(t, x)[1][0] == 0.0
+        assert _stacked(fhn.diffusion, t, x)[1, 0] == 0.0
 
 
 def test_gbm_diffusion_linear():
     problem = make_builtin("gbm", a=0.0, sigma=1.0, x0=1.0)
-    assert problem.diffusion(0.0, np.array([3.0])) == pytest.approx(np.array([[3.0]]))
+    assert _stacked(problem.diffusion, 0.0, np.array([3.0])) == pytest.approx(
+        np.array([[3.0]]))
 
 
 def test_zero_diffusion_matrix(zero_problem):
-    assert np.all(zero_problem.diffusion(0.5, np.array([1.0, 2.0])) == 0.0)
+    assert np.all(_stacked(zero_problem.diffusion, 0.5, np.array([1.0, 2.0])) == 0.0)
 
 
 def test_milstein_tensor_gbm():
     problem = make_builtin("gbm", a=0.0, sigma=1.0, x0=1.0)
-    lam = problem.milstein_tensor(0.0, np.array([2.0]))
+    lam = _stacked(problem.milstein_tensor, 0.0, np.array([2.0]))
     assert lam[0, 0, 0] == pytest.approx(2.0)
 
 
 def test_milstein_tensor_fhn(fhn):
-    lam = fhn.milstein_tensor(0.0, np.array([2.0, -1.0]))
+    lam = _stacked(fhn.milstein_tensor, 0.0, np.array([2.0, -1.0]))
     assert lam[0, 0, 0] == pytest.approx(0.001 ** 2 * 2.0, rel=1e-12)
     assert lam[1, 0, 0] == 0.0
 
 
 def test_milstein_tensor_constant_diffusion():
-    def diffusion(t, x):
-        xa = np.asarray(x, dtype=float)
-        out = np.zeros(xa.shape + (1,))
-        out[..., 0, 0] = 0.7
-        return out
-
     problem = SdeProblem(
         d=1, m=1, horizon=1.0, initial_state=[0.0],
-        drift=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-        diffusion=diffusion,
-        milstein_tensor=lambda t, x: np.zeros(np.asarray(x).shape + (1, 1)),
+        drift=lambda t, x: (0.0,),
+        diffusion=lambda t, x: ((0.7,),),
+        milstein_tensor=lambda t, x: (((0.0,),),),
         noise_structure=NoiseStructure.SCALAR, xi=0.0, beta=1.0,
     )
-    assert np.all(problem.milstein_tensor(0.2, np.array([5.0])) == 0.0)
+    assert np.all(_stacked(problem.milstein_tensor, 0.2, np.array([5.0])) == 0.0)
     assert _finite_difference_milstein_tensor(problem, 0.2, [5.0]) == pytest.approx(
         np.zeros((1, 1, 1)), abs=1e-9
     )
@@ -101,14 +99,16 @@ def test_milstein_tensor_constant_diffusion():
     ("gbm", {"a": 0.5, "sigma": 0.5, "x0": 1.0}),
     ("rough_drift", {"beta": 0.25, "c": 25.0}),
     ("double_well", {}),
+    ("commuting_gbm", {}),  # d = m = 2, a test problem
 ])
 def test_tensor_matches_finite_differences(kind, params):
-    problem = make_builtin(kind, **params)
+    problem = (make_commuting_gbm() if kind == "commuting_gbm"
+               else make_builtin(kind, **params))
     rng = np.random.default_rng(11)
     for _ in range(100):
         t = rng.random() * problem.horizon
         x = rng.normal(scale=3.0, size=problem.d)
-        analytic = problem.milstein_tensor(t, x)
+        analytic = _stacked(problem.milstein_tensor, t, x)
         numeric = _finite_difference_milstein_tensor(problem, t, x)
         assert analytic == pytest.approx(numeric, rel=1e-5, abs=1e-10)
 
@@ -124,12 +124,12 @@ def test_builtin_defaults(fhn):
 def test_gbm_exact_terminal_degenerate():
     problem = make_builtin("gbm", a=0.0, sigma=0.0, x0=1.0)
     for w in (-2.0, 0.0, 1.5):
-        assert problem.exact_terminal(np.array([w])) == pytest.approx([1.0])
+        assert _stacked(problem.exact_terminal, np.array([w])) == pytest.approx([1.0])
 
 
 def test_gbm_exact_terminal_deterministic_limit():
     problem = make_builtin("gbm", a=0.7, sigma=0.0, x0=2.0)
-    assert problem.exact_terminal(np.array([0.3])) == pytest.approx(
+    assert _stacked(problem.exact_terminal, np.array([0.3])) == pytest.approx(
         [2.0 * np.exp(0.7)], rel=1e-12
     )
 
@@ -186,9 +186,9 @@ def test_invalid_parameters_rejected():
 def test_problem_validation():
     good = dict(
         d=1, m=1, horizon=1.0, initial_state=[1.0],
-        drift=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-        diffusion=lambda t, x: np.zeros(np.asarray(x).shape + (1,)),
-        milstein_tensor=lambda t, x: np.zeros(np.asarray(x).shape + (1, 1)),
+        drift=lambda t, x: (0.0,),
+        diffusion=lambda t, x: ((0.0,),),
+        milstein_tensor=lambda t, x: (((0.0,),),),
         noise_structure=NoiseStructure.SCALAR, xi=0.0, beta=1.0,
     )
     SdeProblem(**good)

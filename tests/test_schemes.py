@@ -29,7 +29,7 @@ from sde_rtm import (
     simulate_batch,
     tame_drift,
 )
-from tests.conftest import make_zero_problem
+from tests.conftest import make_commuting_gbm, make_zero_problem
 
 POLICY = SeedPolicy(1357)
 FHN = make_builtin("fhn")
@@ -98,17 +98,17 @@ def _one_step(problem, kind, x, t_left, dt, dw, iw, u, n):
     drift time of the randomized kind at ``randomized_time(t_left, dt, u)``.
     """
     advance = schemes._step_batch(problem, kind, dt, n)
-    xa = np.asarray(x, dtype=float)
-    dw = np.asarray(dw, dtype=float).reshape(1, 1, -1)
-    if kind in schemes._MILSTEIN_KINDS:
-        iw = np.asarray(iw, dtype=float).reshape(1, 1, problem.m, problem.m)
-    else:
-        iw = None
+
+    def components(values):  # (B,) arrays of one path
+        return [np.array([value]) for value in np.ravel(values)]
+
+    iw = components(iw) if kind in schemes._MILSTEIN_KINDS else None
     if kind is SchemeKind.RANDOMIZED_TAMED_MILSTEIN:
         t_drift = randomized_time(t_left, dt, np.array([u]))
     else:
         t_drift = t_left
-    return advance(xa[None, :], t_left, t_drift, dw, iw)[0]
+    return np.stack(advance(components(x), t_left, t_drift, components(dw), iw),
+                    axis=1)[0]
 
 
 def test_step_gbm_correction_cancels(gbm_unit):
@@ -246,15 +246,11 @@ def test_deterministic_taming_limit():
 
 
 def test_overflow_marker_on_explosive_problem():
-    def drift(t, x):
-        xa = np.asarray(x, dtype=float)
-        return xa ** 3
-
     explosive = SdeProblem(
         d=1, m=1, horizon=1.0, initial_state=[2.0],
-        drift=drift,
-        diffusion=lambda t, x: np.zeros(np.asarray(x).shape + (1,)),
-        milstein_tensor=lambda t, x: np.zeros(np.asarray(x).shape + (1, 1)),
+        drift=lambda t, x: (x[0] ** 3,),
+        diffusion=lambda t, x: ((0.0,),),
+        milstein_tensor=lambda t, x: (((0.0,),),),
         noise_structure=NoiseStructure.SCALAR, xi=2.0, beta=1.0,
     )
     grid, uniforms = _grid_and_uniforms(4)
@@ -306,14 +302,11 @@ def test_integrate_validation(fhn):
 def _late_blowup_problem():
     # x' = x^3 from 0.8 blows up near t = 0.78, so explicit Euler on 512
     # steps overflows well past the first 256-step chunk
-    def drift(t, x):
-        return np.asarray(x, dtype=float) ** 3
-
     return SdeProblem(
         d=1, m=1, horizon=1.0, initial_state=[0.8],
-        drift=drift,
-        diffusion=lambda t, x: np.full(np.asarray(x).shape + (1,), 0.5),
-        milstein_tensor=lambda t, x: np.zeros(np.asarray(x).shape + (1, 1)),
+        drift=lambda t, x: (x[0] ** 3,),
+        diffusion=lambda t, x: ((0.5,),),
+        milstein_tensor=lambda t, x: (((0.0,),),),
         noise_structure=NoiseStructure.SCALAR, xi=1.0, beta=1.0,
     )
 
@@ -377,8 +370,8 @@ def _fed_in_pieces(problem, kind, inc, uniforms, cuts):
     paths = np.full((batch, n + 1, problem.d), -7.0)
     paths[:, 0] = problem.initial_state
 
-    def observe(index, states):
-        paths[:, index:index + len(states)] = states.transpose(1, 0, 2)
+    def observe(index, states):  # (C, d, B)
+        paths[:, index:index + len(states)] = states.transpose(2, 0, 1)
 
     stepper = schemes.BatchStepper(problem, kind, n, batch)
     bounds = [0, *np.cumsum(cuts)[np.cumsum(cuts) < n], n]
@@ -388,6 +381,45 @@ def _fed_in_pieces(problem, kind, inc, uniforms, cuts):
     with pytest.raises(DimensionError):
         stepper.feed(inc[:, :1].transpose(1, 0, 2), uniforms[:, :1].T)
     return stepper.x, stepper.overflow, paths
+
+
+def _with_zero_arrays(problem):
+    """``problem`` with every structural zero written as a zero array."""
+    def arrays(entries, like):
+        if isinstance(entries, (tuple, list)):
+            return tuple(arrays(entry, like) for entry in entries)
+        return np.zeros(np.shape(like)) if schemes._is_zero(entries) else entries
+
+    def wrap(coefficient):
+        return lambda t, x: arrays(coefficient(t, x), x[0])
+
+    split = problem.taming_split
+    if split is not None:
+        split = dataclasses.replace(split, superlinear=wrap(split.superlinear),
+                                    remainder=wrap(split.remainder))
+    return dataclasses.replace(problem, drift=wrap(problem.drift),
+                               diffusion=wrap(problem.diffusion),
+                               milstein_tensor=wrap(problem.milstein_tensor),
+                               taming_split=split)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("problem", [
+    make_builtin("fhn", sigma=3.0, i_amp=60.0),         # m = 1, overflows
+    make_commuting_gbm(s=((0.4, 0.0), (0.1, 0.5))),     # m = 2
+], ids=["fhn", "commuting_gbm"])
+def test_structural_zeros_step_as_zero_arrays(kind, problem):
+    # skipping a 0.0 entry gives the bits that multiplying a zero array gives
+    x = [np.ones(3)] * problem.d
+    zeros = [entry for row in problem.diffusion(0.0, x) for entry in row]
+    assert any(schemes._is_zero(entry) for entry in zeros)
+    inc, uniforms = _batch_inputs(problem, 24, 16, seed=16)
+    skipped = _fed_in_pieces(problem, kind, inc, uniforms, [5, 11])
+    multiplied = _fed_in_pieces(_with_zero_arrays(problem), kind, inc, uniforms,
+                                [5, 11])
+    _assert_same(skipped, multiplied)
+    if kind is SchemeKind.EULER_MARUYAMA and problem.m == 1:
+        assert (skipped[1] >= 0).any()  # overflowed paths compare too
 
 
 def test_overflow_steps_past_first_chunk_match_stepping():
@@ -407,12 +439,12 @@ def test_randomized_drift_time_stays_inside_each_step():
 
     def drift(t, x):
         seen.append(np.array(t, dtype=float))
-        return np.zeros_like(x)
+        return (0.0,)
 
     problem = SdeProblem(
         d=1, m=1, horizon=1.0, initial_state=[0.0], drift=drift,
-        diffusion=lambda t, x: np.zeros(x.shape + (1,)),
-        milstein_tensor=lambda t, x: np.zeros(x.shape + (1, 1)),
+        diffusion=lambda t, x: ((0.0,),),
+        milstein_tensor=lambda t, x: (((0.0,),),),
         noise_structure=NoiseStructure.SCALAR, xi=0.0, beta=1.0,
     )
     n, batch, u = 1 << 14, 2, np.nextafter(1.0, 0.0)
