@@ -122,21 +122,17 @@ class ExperimentConfig:
 _BLOCK_ROWS = 4096
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 @dataclass(frozen=True)
 class CsvReport:
     """A CSV artifact: header row then data rows.
 
     ``rows`` may be any iterable of rows, a generator included; :meth:`write`
-    consumes it once, formatting and writing ``_BLOCK_ROWS`` rows at a time,
-    so no whole-file string is built.  Floats are written with 17
-    significant digits so that reruns of the same config produce
-    byte-identical files.
+    consumes it once, formatting and writing ``_BLOCK_ROWS`` rows at a time
+    through one ``%`` template, so no whole-file string is built.  A column
+    whose first value is a float is written ``%.17g`` (17 significant digits,
+    so reruns of a config are byte-identical), any other ``%s``: each column
+    keeps its first row's format, and every writer's floats come from
+    ``.tolist()`` or float fields, so its float columns hold only floats.
     """
 
     header: tuple
@@ -146,8 +142,14 @@ class CsvReport:
         rows = iter(self.rows)
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(",".join(self.header) + "\n")
+            first = next(rows, None)
+            if first is None:
+                return
+            template = ",".join(["%.17g" if isinstance(v, float) else "%s"
+                                 for v in first]) + "\n"
+            rows = itertools.chain([first], rows)
             # a formatted row is never empty, so an empty block ends the rows
-            while block := "".join([",".join([_format_value(v) for v in row]) + "\n"
+            while block := "".join([template % tuple(row)
                                     for row in itertools.islice(rows, _BLOCK_ROWS)]):
                 handle.write(block)
 
@@ -274,9 +276,9 @@ def _cmd_converge(config: ExperimentConfig) -> None:
         problem, kind, config.levels, config.reference, config.p,
         config.paths, policy,
     )
-    fit = analysis.fit_rate(table)
     outdir = config.outdir
     os.makedirs(outdir, exist_ok=True)
+    # written before the fit, which refuses a level whose error overflowed
     CsvReport(
         ("level", "n", "dt", "lp_error", "paths", "p", "stderr"),
         tuple(
@@ -284,6 +286,7 @@ def _cmd_converge(config: ExperimentConfig) -> None:
             for r in table.rows
         ),
     ).write(os.path.join(outdir, "converge.csv"))
+    fit = analysis.fit_rate(table)
     with open(os.path.join(outdir, "rate.txt"), "w", encoding="utf-8",
               newline="\n") as handle:
         handle.write(f"slope={fit.slope:.17g}\n")

@@ -15,13 +15,13 @@ pinned numpy version this transform is bit-stable.
 serves a whole slab of consecutive paths at vectorized cost instead: it
 runs numpy's published SeedSequence hash (a pool of four uint32 words,
 ``hashmix`` and ``mix``, then ``generate_state(2, uint64)``) once over all
-path indices to get every path's Philox key, and draws through one reused
-Philox generator, set to a path's key and position before each of its
-draws.  The draws are those of :func:`derive_substream` bit for bit, which
-rests on numpy keeping that algorithm; every slab stream checks its first
-path's key against ``SeedSequence`` itself and raises ``RuntimeError`` if
-they differ, so a change in numpy fails loudly instead of silently
-changing every number.
+path indices to get every path's Philox key.  One reused Philox generator
+draws a path-major block of paths at a time, each path set through one
+reused state dict or resumed where its last piece left off, and the block
+is copied transposed into the time-major piece.  The draws equal
+:func:`derive_substream`'s bit for bit, which rests on numpy keeping that
+algorithm: each slab stream checks its first key against ``SeedSequence``
+and raises ``RuntimeError`` on a mismatch, so a numpy change fails loudly.
 """
 
 from __future__ import annotations
@@ -212,18 +212,23 @@ def _philox_keys(master_seed: int, indices: np.ndarray, role: int) -> np.ndarray
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
 
 
+_DRAW_BLOCK = 32  # paths drawn path-major at a time, then copied into a piece
+
+
 class SlabStream:
     """The substreams of one role for the paths ``start`` to ``stop - 1``.
 
     Every path's Philox key comes from one vectorized pass of numpy's
     SeedSequence hash, and one generator, the first path's
-    :func:`derive_substream`, serves the whole slab: it is set to a path's
-    key and position before each of that path's draws.  The draws equal
-    those of ``derive_substream(policy, path, role)`` bit for bit.  The
-    first path's hashed key is checked against its ``SeedSequence`` key; a
-    ``RuntimeError`` means numpy's algorithm changed.  A :class:`SeedPolicy`,
-    integer path indices ``0 <= start < stop <= 2**32`` and a
-    :class:`StreamRole`, else InvalidParameterError.
+    :func:`derive_substream`, serves the whole slab: it starts a path from
+    one reused state dict (only the key or counter changes) and draws it
+    into a path-major block of ``_DRAW_BLOCK`` paths, copied transposed into
+    the time-major piece.  The draws equal those of ``derive_substream(policy,
+    path, role)`` bit for bit.  The first path's hashed key is checked
+    against its ``SeedSequence`` key; a ``RuntimeError`` means numpy's
+    algorithm changed.  A :class:`SeedPolicy`, integer path indices
+    ``0 <= start < stop <= 2**32`` and a :class:`StreamRole`, else
+    InvalidParameterError.
     """
 
     def __init__(self, policy: SeedPolicy, start: int, stop: int, role: StreamRole):
@@ -241,20 +246,31 @@ class SlabStream:
                 f"vectorized Philox key of path {start} ({role.name}) differs from "
                 "numpy.random.SeedSequence's: numpy's SeedSequence algorithm has "
                 "changed, so slab draws would not match derive_substream")
-        self._keys = keys
-        self._state = {"bit_generator": "Philox", "has_uint32": 0, "uinteger": 0}
+        # the state setter reads plain lists faster than array rows
+        self._keys = keys.tolist()
+        self._state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
+                       "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def __len__(self) -> int:
         return len(self._keys)
 
-    def _seek(self, key, counter, buffer, buffer_pos) -> None:
-        # put the shared generator at one path's key and position; the state
-        # setter reads plain lists faster than array rows
-        state = self._state
-        state["state"] = {"counter": counter, "key": key}
-        state["buffer"] = buffer
-        state["buffer_pos"] = buffer_pos
-        self._bitgen.state = state
+    def _piece(self, shape, block, draw, lead: int = 0) -> np.ndarray:
+        # a fresh time-major piece of ``shape`` (steps, width, ...):
+        # ``draw(b, row)`` fills path b's row of the path-major ``block``, and
+        # each block of rows, from column ``lead`` on, is copied transposed in
+        out = np.empty(shape)
+        for b0 in range(0, shape[1], len(block)):
+            rows = block[:shape[1] - b0]
+            for b, row in enumerate(rows, b0):
+                draw(b, row)
+            out[:, b0:b0 + len(rows)] = rows[:, lead:].swapaxes(0, 1)
+        return out
+
+    def _start(self, b: int, counter: int = 0) -> dict:
+        # the reused state dict at path b's key and counter, buffer empty
+        position = self._state["state"]
+        position["key"], position["counter"][0] = self._keys[b], counter
+        return self._state
 
     def brownian(self, level: int, m: int, horizon: float, chunk: int):
         """Yield every path's increments on the 2**level grid, ``chunk``
@@ -265,32 +281,27 @@ class SlabStream:
         ``b`` of the pieces concatenates to ``sample_brownian_grid(level, m,
         horizon, derive_substream(policy, start + b, role)).increments``:
         consecutive Gaussian draws from one substream equal a single draw,
-        and scaling the whole block by sqrt(dt) is the same elementwise
+        and scaling the whole piece by sqrt(dt) is the same elementwise
         product.  The ziggurat takes a varying number of Philox words per
-        value, so each path's counter, buffer and buffer position are kept
-        in arrays between pieces.
+        value, so each path resumes from the state its last piece left.
         """
         _check_grid(level, m, horizon)
         _check_chunk(chunk, level)
         n = 1 << level
         width = len(self)
         scale = np.sqrt(horizon / n)
-        counter = np.zeros((width, 4), dtype=np.uint64)
-        buffer = np.zeros((width, 4), dtype=np.uint64)
-        buffer_pos = np.full(width, 4)
+        block = np.empty((min(width, _DRAW_BLOCK), chunk, m))
+        resume = [None] * width  # each path's state after its previous piece
+
+        def draw(b, row):
+            self._bitgen.state = resume[b] or self._start(b)
+            self._gen.standard_normal(out=row)
+            if keep:
+                resume[b] = self._bitgen.state
+
         for piece in range(n // chunk):
-            out = np.empty((chunk, width, m))
             keep = piece < n // chunk - 1
-            positions = zip(self._keys.tolist(), counter.tolist(), buffer.tolist(),
-                            buffer_pos.tolist())
-            for b, position in enumerate(positions):
-                self._seek(*position)
-                out[:, b] = self._gen.standard_normal((chunk, m))
-                if keep:
-                    state = self._bitgen.state
-                    counter[b] = state["state"]["counter"]
-                    buffer[b] = state["buffer"]
-                    buffer_pos[b] = state["buffer_pos"]
+            out = self._piece((chunk, width, m), block, draw)
             out *= scale
             yield out
 
@@ -311,15 +322,15 @@ class SlabStream:
                 and chunk >= 1) or count % chunk:
             raise InvalidParameterError(f"need integer offset {offset} >= 0, count {count} "
                                         f"and chunk {chunk} >= 1 dividing it")
-        fresh = [0] * 4
+        block = np.empty((min(len(self), _DRAW_BLOCK), 3 + chunk))
         for pos in range(offset, offset + count, chunk):
             lead = pos % 4
-            counter = [pos // 4, 0, 0, 0]
-            out = np.empty((chunk, len(self)))
-            for b, key in enumerate(self._keys.tolist()):
-                self._seek(key, counter, fresh, 4)
-                out[:, b] = self._gen.random(lead + chunk)[lead:]
-            yield out
+
+            def draw(b, row):
+                self._bitgen.state = self._start(b, pos // 4)
+                self._gen.random(out=row)
+
+            yield self._piece((chunk, len(self)), block[:, :lead + chunk], draw, lead)
 
 
 def coarsen(grid: BrownianGrid, target_level: int) -> BrownianGrid:

@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 
 from sde_rtm import analysis, cli, model
 from sde_rtm.analysis import ErrorRow, ErrorTable, MomentTable, RateFit, fit_rate
-from sde_rtm.cli import (ConfigError, CsvReport, ExperimentConfig, _format_value,
-                         render_svg, run_command)
-from sde_rtm.schemes import SchemeKind
+from sde_rtm.cli import ConfigError, CsvReport, ExperimentConfig, render_svg, run_command
+from sde_rtm.schemes import SchemeKind, TamingAuditRow
 from tests.conftest import make_zero_problem
 
 
@@ -80,6 +79,23 @@ def test_converge_statistics_raise_no_numpy_warnings(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err == ""
     rows = read(os.path.join(config["outdir"], "converge.csv")).decode().splitlines()
     assert rows[1].split(",")[0] == "4" and rows[1].split(",")[-1] == "inf"
+
+
+def test_converge_writes_its_table_before_the_fit_refuses_it(tmp_path, capsys,
+                                                             monkeypatch):
+    # explosive fhn under explicit Euler: level 3's mean error power
+    # overflows, so the fit exits 2, but the table showing it is written
+    monkeypatch.setenv("SDE_RTM_THREADS", "1")
+    path, config = write_config(
+        tmp_path, problem="fhn", problem_params={"sigma": 3.0, "i_amp": 60.0},
+        scheme="euler_maruyama", levels=[3, 4, 6], reference=9, paths=10,
+        master_seed=5)
+    assert run_command(["converge", "--config", str(path)]) == 2
+    assert "rate fitting needs finite positive errors" in capsys.readouterr().err
+    rows = read(os.path.join(config["outdir"], "converge.csv")).decode().splitlines()
+    assert rows[0] == "level,n,dt,lp_error,paths,p,stderr" and len(rows) == 4
+    assert rows[1].split(",")[:4] == ["3", "8", "0.125", "inf"]
+    assert sorted(os.listdir(config["outdir"])) == ["converge.csv"]
 
 
 def test_converge_determinism_across_worker_counts(tmp_path, monkeypatch):
@@ -567,6 +583,19 @@ def test_blowup_output(tmp_path):
 
 # --- CSV / SVG units ----------------------------------------------------------
 
+def _format_value(value) -> str:
+    # the per-value rule every CSV column follows: 17 significant digits for
+    # a float, str for anything else
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _csv_formula(header, rows) -> bytes:
+    return (",".join(header) + "\n" + "".join(
+        ",".join(_format_value(v) for v in row) + "\n" for row in rows)).encode()
+
+
 def test_csv_seventeen_significant_digits(tmp_path):
     report = CsvReport(("a", "b"), ((1.0 / 3.0, 7),))
     target = tmp_path / "report.csv"
@@ -599,9 +628,8 @@ def test_simulate_csv_matches_the_whole_table_formula(tmp_path, monkeypatch, pat
     # the formula the whole-table writer used: one Python row per path
     rows = ((i, *(float(v) for v in terminals[i]), int(overflow[i]))
             for i in range(paths))
-    want = "path,x0,x1,overflow_step\n" + "".join(
-        ",".join(_format_value(v) for v in row) + "\n" for row in rows)
-    assert read(os.path.join(config["outdir"], "simulate.csv")) == want.encode()
+    assert read(os.path.join(config["outdir"], "simulate.csv")) == _csv_formula(
+        ("path", "x0", "x1", "overflow_step"), rows)
 
 
 def test_simulate_csv_holds_one_block_of_rows(tmp_path, monkeypatch):
@@ -642,8 +670,8 @@ def test_moment_csvs_match_the_whole_table_formula(tmp_path, monkeypatch):
     monkeypatch.setattr(analysis, "blowup_demo", lambda *args: demo)
     path, config = write_config(tmp_path, levels=levels)
     for command, header, tables in (
-        ("moments", "level,t_index,moment_q,overflows", {(): table}),
-        ("blowup", "scheme,level,t_index,moment_q,overflows",
+        ("moments", ("level", "t_index", "moment_q", "overflows"), {(): table}),
+        ("blowup", ("scheme", "level", "t_index", "moment_q", "overflows"),
          {(kind.value,): demo[kind] for kind in demo}),
     ):
         assert run_command([command, "--config", str(path)]) == 0
@@ -651,9 +679,120 @@ def test_moment_csvs_match_the_whole_table_formula(tmp_path, monkeypatch):
         rows = ((*prefix, level, t, float(got.moments[level][t]), got.overflows[level])
                 for prefix, got in tables.items() for level in levels
                 for t in range((1 << level) + 1))
-        want = header + "\n" + "".join(
-            ",".join(_format_value(v) for v in row) + "\n" for row in rows)
-        assert read(os.path.join(config["outdir"], f"{command}.csv")) == want.encode()
+        assert read(os.path.join(config["outdir"], f"{command}.csv")) == _csv_formula(
+            header, rows)
+
+
+# floats whose text the per-value rule fixes: NaN, +-inf, -0.0, a subnormal,
+# an np.float64 and the largest float, among ordinary ones
+_SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, np.float64(1.0 / 3.0),
+                   1.7976931348623157e308, 0.1, np.float64(-2.5e-300)]
+
+
+def _special_moments(levels, overflows):
+    # object arrays, so that .tolist() hands the writer each np.float64 as it is
+    moments = {level: np.array(np.resize(np.array(_SPECIAL_FLOATS, dtype=object),
+                                         (1 << level) + 1), dtype=object)
+               for level in levels}
+    return MomentTable(moments, dict(zip(levels, overflows)))
+
+
+def _stub_converge(monkeypatch):
+    rows = tuple(ErrorRow(level=i, n=bool(i % 2), dt=v, lp_error=np.float64(v),
+                          paths=f"kept {i}", p=_SPECIAL_FLOATS[-1 - i], stderr=-0.0,
+                          overflowed=i)
+                 for i, v in enumerate(_SPECIAL_FLOATS))
+    monkeypatch.setattr(analysis, "strong_error_experiment",
+                        lambda *args: ErrorTable(rows, "exact", 2.0))
+    monkeypatch.setattr(analysis, "fit_rate", lambda table: RateFit(1.0, 0.0, 1.0))
+    monkeypatch.setattr(cli, "render_svg", lambda table, fit, path: None)
+    return ("level", "n", "dt", "lp_error", "paths", "p", "stderr"), [
+        (r.level, r.n, r.dt, r.lp_error, r.paths, r.p, r.stderr) for r in rows]
+
+
+def _stub_simulate(monkeypatch):
+    paths = 2 * len(_SPECIAL_FLOATS) + 1
+    terminals = np.empty((paths, 2), dtype=object)
+    terminals[:, 0] = np.resize(np.array(_SPECIAL_FLOATS, dtype=object), paths)
+    terminals[:, 1] = [f"s{i}" for i in range(paths)]
+    overflow = np.arange(paths) % 3 == 0
+    monkeypatch.setattr(analysis, "simulate_terminals", lambda *args: (terminals, overflow))
+    return ("path", "x0", "x1", "overflow_step"), [
+        (i, *terminals[i], bool(overflow[i])) for i in range(paths)]
+
+
+def _stub_moments(monkeypatch):
+    table = _special_moments([2, 3], [True, "many"])
+    monkeypatch.setattr(analysis, "moment_experiment", lambda *args: table)
+    return ("level", "t_index", "moment_q", "overflows"), [
+        (level, t, value, table.overflows[level])
+        for level in (2, 3) for t, value in enumerate(table.moments[level])]
+
+
+def _stub_blowup(monkeypatch):
+    demo = {SchemeKind.EULER_MARUYAMA: _special_moments([2, 3], [False, 7]),
+            SchemeKind.TAMED_EULER: _special_moments([2, 3], ["none", 0])}
+    monkeypatch.setattr(analysis, "blowup_demo", lambda *args: demo)
+    return ("scheme", "level", "t_index", "moment_q", "overflows"), [
+        (kind.value, level, t, value, table.overflows[level])
+        for kind, table in demo.items()
+        for level in (2, 3) for t, value in enumerate(table.moments[level])]
+
+
+def _stub_audit(monkeypatch):
+    rows = tuple(TamingAuditRow(n=i % 2 == 0, max_drift_ratio=v,
+                                growth_constant=np.float64(v), consistency_ratio=-0.0)
+                 for i, v in enumerate(_SPECIAL_FLOATS))
+    monkeypatch.setattr(cli.schemes, "audit_taming", lambda *args: rows)
+    return ("n", "max_drift_ratio", "growth_constant", "consistency_ratio"), [
+        (r.n, r.max_drift_ratio, r.growth_constant, r.consistency_ratio) for r in rows]
+
+
+# a stub moment table holds NaN, which a real one never does; only the printed
+# sup moment compares it
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("command,stub", [
+    ("converge", _stub_converge), ("simulate", _stub_simulate),
+    ("moments", _stub_moments), ("blowup", _stub_blowup), ("audit", _stub_audit),
+])
+def test_every_csv_writer_follows_the_per_value_rule(tmp_path, monkeypatch, capsys,
+                                                     command, stub):
+    header, rows = stub(monkeypatch)
+    path, config = write_config(tmp_path, problem="fhn", problem_params={},
+                                reference=9, levels=[2, 3], paths=len(rows))
+    assert run_command([command, "--config", str(path)]) == 0, capsys.readouterr().err
+    written = read(os.path.join(config["outdir"], f"{command}.csv"))
+    assert written == _csv_formula(header, rows)
+    for token in (b"nan", b"inf", b"-inf", b"-0,", b"4.9406564584124654e-324",
+                  b"0.33333333333333331"):
+        assert token in written
+
+
+def test_csv_rows_may_be_lists_tuples_or_a_generator(tmp_path):
+    header = ("f", "i", "s", "b", "g")
+    rows = [[v, i, f"s{i}", i % 2 == 1, np.float64(v)]
+            for i, v in enumerate(_SPECIAL_FLOATS)]
+    target = tmp_path / "report.csv"
+    for given in (rows, [tuple(row) for row in rows], (row for row in rows)):
+        CsvReport(header, given).write(str(target))
+        assert target.read_bytes() == _csv_formula(header, rows)
+
+
+@pytest.mark.parametrize("rows", [(), [], iter(())])
+def test_empty_csv_report_writes_only_its_header(tmp_path, rows):
+    target = tmp_path / "report.csv"
+    CsvReport(("a", "b"), rows).write(str(target))
+    assert target.read_bytes() == b"a,b\n"
+
+
+def test_csv_column_keeps_its_first_rows_format(tmp_path):
+    # documented rule: a float first value makes the column %.17g, so a later
+    # bool or int is written as a number; any other first value makes it
+    # str, so a later float is written as its repr
+    target = tmp_path / "report.csv"
+    CsvReport(("a", "b"), [(0.5, "x"), (True, 0.1), (2 ** 60, 1.0 / 3.0)]).write(str(target))
+    assert target.read_bytes() == (b"a,b\n0.5,x\n1,0.1\n"
+                                   b"1.152921504606847e+18,0.3333333333333333\n")
 
 
 def synthetic_table():

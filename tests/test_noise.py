@@ -136,6 +136,42 @@ def test_slab_stream_matches_per_path_draws(start, stop, level, chunk, m):
             offset += count
 
 
+@pytest.mark.parametrize("width", [31, 32, 33, 70])
+def test_slab_stream_pieces_cross_draw_blocks(width):
+    # widths below, at, just above and off a multiple of the draw block, m = 2,
+    # several pieces, and uniform runs that start off a multiple of 4, read
+    # interleaved as the experiments read them
+    start, level, chunk, m, horizon = 9, 5, 4, 2, 0.75
+    runs = [(3, 12, 4), (15, 10, 5), (25, 6, 1)]
+    brownian = SlabStream(POLICY, start, start + width, StreamRole.BROWNIAN)
+    randomization = SlabStream(POLICY, start, start + width, StreamRole.RANDOMIZATION)
+    streams = [brownian.brownian(level, m, horizon, chunk),
+               *(randomization.uniforms(*run) for run in runs)]
+    shapes = [(chunk, width, m), *((piece, width) for _, _, piece in runs)]
+    counts = [(1 << level) // chunk, *(count // piece for _, count, piece in runs)]
+    drawn = [[] for _ in streams]
+    seen = []  # every piece with a copy taken as it was yielded
+    for step in range(max(counts)):
+        for stream, shape, count, pieces in zip(streams, shapes, counts, drawn):
+            if step < count:
+                piece = next(stream)
+                assert piece.shape == shape
+                assert piece.flags.c_contiguous and piece.flags.owndata
+                pieces.append(piece)
+                seen.append((piece, piece.copy()))
+    assert all(next(stream, None) is None for stream in streams)
+    # no later piece wrote into an earlier one
+    assert all(np.array_equal(piece, copy) for piece, copy in seen)
+    got, *uniforms = [np.concatenate(pieces) for pieces in drawn]
+    for b, path in enumerate(range(start, start + width)):
+        grid = sample_brownian_grid(level, m, horizon,
+                                    derive_substream(POLICY, path, StreamRole.BROWNIAN))
+        assert np.array_equal(got[:, b], grid.increments)
+        want = derive_substream(POLICY, path, StreamRole.RANDOMIZATION).random(31)
+        for (offset, count, _), values in zip(runs, uniforms):
+            assert np.array_equal(values[:, b], want[offset:offset + count])
+
+
 def test_slab_bounds_are_checked():
     # a path index of 2**32 or more would hash as two spawn words
     for start, stop in ((2 ** 32 - 1, 2 ** 32 + 1), (-1, 2), (4, 4), (0.5, 3),
