@@ -26,10 +26,11 @@ Philox counter and not by replaying the draws.  The slab stream checks its
 first path's key against numpy's ``SeedSequence`` and raises
 ``RuntimeError`` on a mismatch, so a numpy release that changed the
 algorithm stops the run instead of changing its numbers.  Moment tracking
-reduces every chunk of states to ``|x_t|^q`` as it is stepped and sends
-that (chunk x slab) piece straight to the parent, which adds it to the
-running sums in path order as soon as every earlier slab has added the
-same grid points, so no process holds a slab's per-path rows of powers.
+reduces every chunk of states to ``|x_t|^q`` as it is stepped, and the
+slab folds that (chunk x slab) piece itself into running sums held in
+memory shared with the parent, in path order, once every earlier slab has
+added the same grid points.  So no process holds a slab's per-path rows of
+powers, and only slab results and failures cross the workers' pipe.
 
 Each path's result depends only on the seed policy and its index, never on
 its slab; the parent reduces per-path results in path order, so outputs
@@ -79,12 +80,10 @@ _SLAB = 4096
 _DRAW_BUDGET = 1 << 18
 # Largest accepted SDE_RTM_THREADS: a huge value would fork one process per slab.
 _MAX_THREADS = 256
-# Where a worker sends the pieces it streams: ``_piece_sink(*piece)``.  An
-# experiment sets its consumer here for the pool's lifetime (the pool and
-# its workers keep their signatures, which bench/trace_child.py wraps); a
-# forked worker rebinds it to the pool's pipe, whose parent end hands each
-# piece on.
-_piece_sink = None
+try:  # the context workers fork from; None where the platform cannot fork
+    _FORK = multiprocessing.get_context("fork")
+except ValueError:
+    _FORK = None
 
 
 class DegenerateDataError(ValueError):
@@ -93,6 +92,10 @@ class DegenerateDataError(ValueError):
 
 @dataclass(frozen=True)
 class ErrorRow:
+    """One level's strong error.  An infinite ``lp_error`` (no path kept, or
+    the kept paths' mean error power overflowed) has an infinite ``stderr``,
+    as does a finite one whose error powers overflow the variance."""
+
     level: int
     n: int
     dt: float
@@ -160,38 +163,32 @@ def _map_blocks(worker, count: int, threads: int) -> list:
     steps as wide a block as it can.  Returns the workers' results in slab
     order.  With more than one worker the slabs run in forked processes
     (path simulation is CPU-bound numpy work, which the GIL would
-    serialise).  Each path's result is a pure function of the seed policy
-    and the path index, whatever slab it lands in, and callers reduce in
-    path order, so outputs are identical however many workers run.
-    Platforms without fork fall back to serial execution.
+    serialise), worker ``w`` running slabs ``w, w + workers, ...`` in that
+    order; so a slab that waits on the slab before it (as a
+    :class:`_PathOrderSum` fold does) waits on another process, or on one
+    that ran earlier in the same process when the run is serial.  Each
+    path's result is a pure function of the seed policy and the path index,
+    whatever slab it lands in, and callers reduce in path order, so outputs
+    are identical however many workers run.  Platforms without fork fall
+    back to serial execution.
 
-    A worker may also stream pieces of its result before it returns, by
-    calling ``_piece_sink(*piece)``: a serial run calls the consumer the
-    caller set there, and a forked worker sends each piece through the pipe
-    that carries the slab results.  So the pipe carries two message kinds
-    (besides a failure report), pieces and results; the parent hands every
-    piece to the consumer as it arrives, in the order its slab sent it, and
-    each slab's pieces come before its result.
-
-    A worker's exception is re-raised here with its own type, as in a serial
-    run (one that cannot be rebuilt from a pickle becomes a ``RuntimeError``
-    naming it); a worker that dies unreported raises ``RuntimeError``.
+    The pipe carries each slab's result, or a worker's failure.  A worker's
+    exception is re-raised here with its own type, as in a serial run (one
+    that cannot be rebuilt from a pickle becomes a ``RuntimeError`` naming
+    it); a worker that dies unreported raises ``RuntimeError``.  Either way
+    every other worker is terminated, waiting or not.
     """
     width = min(_SLAB, -(-count // threads))
     blocks = [(start, min(start + width, count)) for start in range(0, count, width)]
-    if threads <= 1 or len(blocks) == 1:
-        return [worker(start, stop) for start, stop in blocks]
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
+    if threads <= 1 or len(blocks) == 1 or _FORK is None:
         return [worker(start, stop) for start, stop in blocks]
     # numpy loads numpy.random lazily, on first use: load it once here, before
     # the fork, or every forked worker of every pool imports it again (8-17 ms
     # each) on its first draw; at module load it would slow every start-up
     import numpy.random  # noqa: F401
     workers = min(threads, len(blocks))
-    reader, writer = ctx.Pipe(duplex=False)
-    send_lock = ctx.Lock()
+    reader, writer = _FORK.Pipe(duplex=False)
+    send_lock = _FORK.Lock()
 
     def send(message) -> None:
         with send_lock:
@@ -200,21 +197,19 @@ def _map_blocks(worker, count: int, threads: int) -> list:
     def run_chunk(chunk: int) -> None:
         # round-robin over slabs so chunks are balanced; closures and the
         # problem's coefficient callables reach the child via fork, and only
-        # pieces and the small result arrays travel back through the pipe,
-        # one whole message at a time under the lock
-        global _piece_sink
-        _piece_sink = lambda *piece: send(("piece", piece))
+        # the small result arrays travel back through the pipe, one whole
+        # (index, result) message at a time under the lock
         try:
             for index in range(chunk, len(blocks), workers):
-                send(("result", (index, worker(*blocks[index]))))
+                send((index, worker(*blocks[index])))
         except BaseException as exc:  # re-raised in the parent below
             try:  # a class that cannot take back its args pickles, then fails to load
                 pickle.loads(pickle.dumps(exc))
             except Exception:
                 exc = RuntimeError(f"worker process failed: {exc!r}")
-            send(("failure", exc))
+            send((None, exc))
 
-    procs = [ctx.Process(target=run_chunk, args=(chunk,)) for chunk in range(workers)]
+    procs = [_FORK.Process(target=run_chunk, args=(chunk,)) for chunk in range(workers)]
     for proc in procs:
         proc.start()
     # wait on the pipe and on every child's sentinel together, so a child
@@ -226,14 +221,11 @@ def _map_blocks(worker, count: int, threads: int) -> list:
     while failure is None and len(results) < len(blocks):
         ready = wait([reader, *running])
         if reader in ready:
-            kind, payload = reader.recv()
-            if kind == "piece":
-                _piece_sink(*payload)
-            elif kind == "result":
-                index, result = payload
-                results[index] = result
-            else:
+            index, payload = reader.recv()
+            if index is None:
                 failure = payload
+            else:
+                results[index] = payload
             continue
         for sentinel in ready:
             proc = running.pop(sentinel)
@@ -254,48 +246,43 @@ def _map_blocks(worker, count: int, threads: int) -> list:
 
 
 class _PathOrderSum:
-    """Per-column sums of per-path rows, added in path order from pieces.
+    """Per-column sums of per-path rows, folded in path order by the slabs
+    that make the rows.
 
-    :meth:`add` takes the rows of paths ``start`` to ``start + B - 1`` at
-    columns ``index`` to ``index + C - 1`` as a (C, B) array, which it
-    overwrites.  Each column's sum is the sequential chain
-    ``((0 + row_0) + row_1) + ...`` over every path in path order, bit for
-    bit what adding whole rows one by one gives, however the rows arrive
-    cut.  A piece is added whole as soon as every earlier path has added
-    all of its columns; an early piece waits.  Each slab must send its
-    columns in ascending order without gaps, starting at column 0.
+    The sums and each column's count of added paths live in memory that the
+    parent allocates before :func:`_map_blocks` forks, so forked workers and
+    the parent share them, and one cross-process condition guards the
+    counts.  :meth:`add` takes the rows of paths ``start`` to
+    ``start + B - 1`` at columns ``index`` to ``index + C - 1`` as a (C, B)
+    array, which it overwrites.  It waits until every earlier path is in
+    those columns, folds the piece in and publishes the new counts.  Each
+    column's sum is the sequential chain ``((0 + row_0) + row_1) + ...``
+    over every path in path order, bit for bit what adding whole rows one by
+    one gives, however the rows are cut.  Each slab must add its columns in
+    ascending order without gaps, starting at column 0, and the slab before
+    it must be adding from another process or thread, or have finished:
+    a caller that adds a later slab first, alone, waits forever.
     """
 
     def __init__(self, columns: int):
-        self.sums = np.zeros(columns)
-        self._added = np.zeros(columns, dtype=np.int64)  # paths added per column
-        self._waiting: dict = {}  # slab start -> [(index, values), ...] in order
+        ctx = _FORK or multiprocessing.get_context()
+        self.sums = np.frombuffer(ctx.RawArray("d", columns))
+        self._added = np.frombuffer(ctx.RawArray("q", columns), dtype=np.int64)
+        self._ready = ctx.Condition()
 
     def add(self, start: int, index: int, values) -> None:
-        self._waiting.setdefault(start, []).append((index, values))
-        while start is not None:
-            start = self._drain(start)
-
-    def _drain(self, start: int):
-        # add what slab ``start`` can; returns the next slab's start if it
-        # made progress (that slab may now be ready too), else None
-        queue = self._waiting.get(start, [])
-        stop = None
-        while queue:
-            index, values = queue[0]
-            columns = slice(index, index + len(values))
-            if not (self._added[columns] == start).all():
-                break
-            queue.pop(0)
-            stop = start + values.shape[1]
-            # accumulate runs the chain path by path, never pairwise; it
-            # starts from the running sum, folded into the first path
-            values[:, 0] += self.sums[columns]
-            self.sums[columns] = np.add.accumulate(values, axis=1, out=values)[:, -1]
-            self._added[columns] = stop
-        if not queue:
-            self._waiting.pop(start, None)
-        return stop
+        columns = slice(index, index + len(values))
+        added = self._added[columns]  # paths added per column, shared
+        with self._ready:
+            self._ready.wait_for(lambda: (added == start).all())
+        # only this slab may touch these columns until it publishes; accumulate
+        # runs the chain path by path, never pairwise, from the running sum
+        # folded into the first path
+        values[:, 0] += self.sums[columns]
+        self.sums[columns] = np.add.accumulate(values, axis=1, out=values)[:, -1]
+        with self._ready:
+            added[:] = start + values.shape[1]
+            self._ready.notify_all()
 
     def total(self, paths: int):
         """The sums, once all ``paths`` rows are in at every column."""
@@ -450,16 +437,15 @@ def strong_error_experiment(problem: SdeProblem, kind: SchemeKind, levels,
             values = err_pow[row][mask]
             kept = int(values.size)
             overflowed = paths - kept
-            if kept == 0:
-                lp_error, stderr = float("inf"), 0.0
+            mean_pow = float(np.mean(values)) if kept else float("inf")
+            lp_error = mean_pow ** (1.0 / p)
+            if lp_error == float("inf"):
+                stderr = float("inf")
+            elif kept > 1 and mean_pow > 0.0:
+                se_mean = float(np.std(values, ddof=1)) / float(np.sqrt(kept))
+                stderr = se_mean * mean_pow ** (1.0 / p - 1.0) / p
             else:
-                mean_pow = float(np.mean(values))
-                lp_error = mean_pow ** (1.0 / p)
-                if kept > 1 and mean_pow > 0.0:
-                    se_mean = float(np.std(values, ddof=1)) / float(np.sqrt(kept))
-                    stderr = se_mean * mean_pow ** (1.0 / p - 1.0) / p
-                else:
-                    stderr = 0.0
+                stderr = 0.0
             n = 1 << level
             rows.append(ErrorRow(level, n, horizon / n, lp_error, kept, p, stderr,
                                  overflowed))
@@ -503,7 +489,6 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
     Bounds: a finite real q >= 2, distinct integer levels in [0, 62] and 1
     to 2**24 paths.
     """
-    global _piece_sink
     _check_q(q)
     _check_paths(paths)
     levels = _check_levels(levels)
@@ -511,16 +496,17 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
     moments, overflows = {}, {}
     for level in levels:
         n = 1 << level
+        reduction = _PathOrderSum(n + 1)
 
         def worker(start: int, stop: int, _level=level):
-            # streams each chunk's per-path |x_t|^q (0 where x_t is not
-            # finite) as a (chunk, slab) piece, initial state first, and
-            # returns the overflow steps
+            # folds each chunk's per-path |x_t|^q (0 where x_t is not
+            # finite) into the reduction as a (chunk, slab) piece, initial
+            # state first, and returns the overflow steps
             def observe(index, states):
                 # states are (chunk, d, slab); |x|^2 sums the components in order
                 finite = np.isfinite(states).all(axis=1)
                 sq = (states * states).sum(axis=1)
-                _piece_sink(start, index, np.where(finite, sq ** (q / 2.0), 0.0))
+                reduction.add(start, index, np.where(finite, sq ** (q / 2.0), 0.0))
 
             with np.errstate(all="ignore"):
                 observe(0, np.repeat(problem.initial_state[None, :, None],
@@ -529,12 +515,7 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
                                  [_level], observe=observe)
             return (steppers[0].overflow,)
 
-        reduction = _PathOrderSum(n + 1)
-        _piece_sink = reduction.add
-        try:
-            results = _map_blocks(worker, paths, threads)
-        finally:
-            _piece_sink = None
+        results = _map_blocks(worker, paths, threads)
         # a path is finite up to its first overflow step and non-finite from
         # grid index overflow + 1 on, as the kernel's overflow scan assumes
         overflow = np.concatenate([block_overflow for (block_overflow,) in results])

@@ -33,16 +33,16 @@ def make_zero_problem(d=2, m=1):
     )
 
 
-def make_commuting_gbm(s=((0.4, 0.2), (0.1, 0.5))):
-    """The 2-d GBM dx_i = a_i x_i dt + x_i sum_k s_ik dW_k from (1, 2).
+def make_commuting_gbm(s=((0.4, 0.2), (0.1, 0.5)), x0=(1.0, 2.0), a=(0.3, -0.2)):
+    """The GBM dx_i = a_i x_i dt + x_i sum_k s_ik dW_k from ``x0``, with
+    d = len(s) components and m = len(s[0]) Brownian motions (by default
+    d = m = 2 from (1, 2)).
 
     Its Milstein tensor x_i s_ik s_il is symmetric in (k, l), which is the
     commutativity condition of Kloeden & Platen (1992), and each component
     is a scalar GBM, so the terminal value has a closed form.  A zero
     ``s_ik`` is written as a structural zero.
     """
-    a, x0 = (0.3, -0.2), (1.0, 2.0)
-
     def times(x_i, s_ik):
         return 0.0 if s_ik == 0.0 else x_i * s_ik
 
@@ -58,7 +58,7 @@ def make_commuting_gbm(s=((0.4, 0.2), (0.1, 0.5))):
                                    + sum(w_k * s_ik for w_k, s_ik in zip(w, row)))
                      for x0_i, a_i, row in zip(x0, a, s))
 
-    return SdeProblem(d=2, m=2, horizon=1.0, initial_state=x0,
+    return SdeProblem(d=len(s), m=len(s[0]), horizon=1.0, initial_state=x0,
                       drift=lambda t, x: tuple(a_i * x_i for a_i, x_i in zip(a, x)),
                       diffusion=diffusion, milstein_tensor=milstein_tensor,
                       noise_structure=NoiseStructure.COMMUTATIVE, xi=0.0, beta=1.0,

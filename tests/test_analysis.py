@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -140,6 +141,24 @@ def test_two_dimensional_commuting_noise_rates(kind, low, high):
     assert low <= fit.slope <= high, fit
 
 
+@pytest.mark.parametrize("kind,low,high", [
+    (TM, 0.9, 1.1),   # order 1 with the Milstein correction
+    (RTM, 0.9, 1.1),
+    (SchemeKind.EULER_MARUYAMA, 0.4, 0.6),  # order 1/2 without it
+    (SchemeKind.TAMED_EULER, 0.4, 0.6),
+])
+def test_three_dimensional_commuting_noise_rates(kind, low, high):
+    # d = m = 3: the kernel sums three noise terms and nine Milstein terms
+    # per component, in index order, against the closed form
+    problem = make_commuting_gbm(s=((0.3, 0.1, 0.2), (0.2, 0.4, 0.1), (0.1, 0.2, 0.3)),
+                                 x0=(1.0, 2.0, 0.5), a=(0.3, -0.2, 0.1))
+    table = strong_error_experiment(problem, kind, [3, 4, 5, 6, 7, 8], "exact", 2.0,
+                                    1000, SeedPolicy(20260810))
+    fit = fit_rate(table)
+    assert low <= fit.slope <= high, fit
+    assert fit.r_squared >= 0.99, fit
+
+
 def test_worker_count_does_not_change_results(fhn, monkeypatch):
     def run(threads, experiment, *args):
         monkeypatch.setenv("SDE_RTM_THREADS", str(threads))
@@ -167,8 +186,8 @@ def test_worker_count_does_not_change_results(fhn, monkeypatch):
         assert all(repr(run) == repr(runs[0]) for run in runs[1:])
         if paths > 100:
             assert runs[0][1].overflows[4] > 0  # overflows reach the reduction
-    # moments stream (steps x slab) pieces whose length follows the slab
-    # width: slabs 4096 + 1 stream 64-step pieces, slabs 2049 + 2048 stream
+    # moments fold (steps x slab) pieces whose length follows the slab
+    # width: slabs 4096 + 1 fold 64-step pieces, slabs 2049 + 2048 fold
     # 128-step pieces, and the path-order sums must still agree bit for bit
     moments = [repr(run(threads, moment_experiment, fhn, RTM, 4.0, [8], 4097,
                         SeedPolicy(4)))
@@ -292,6 +311,26 @@ def test_overflowing_paths_excluded_and_counted():
         assert np.isfinite(row.lp_error)
 
 
+def test_infinite_error_has_infinite_stderr():
+    # explosive fhn under explicit Euler: at level 3, 4 of 10 paths stay
+    # finite but their mean error power overflows
+    explosive = make_builtin("fhn", sigma=3.0, i_amp=60.0)
+    row = strong_error_experiment(explosive, SchemeKind.EULER_MARUYAMA, [3, 4, 6], 9,
+                                  2.0, 10, SeedPolicy(5)).rows[0]
+    assert (row.level, row.lp_error, row.paths, row.stderr) == (3, np.inf, 4, np.inf)
+    # dx = x^3 dt from 2 leaves no path finite, at any level
+    cubic = SdeProblem(
+        d=1, m=1, horizon=1.0, initial_state=[2.0],
+        drift=lambda t, x: (x[0] ** 3,),
+        diffusion=lambda t, x: ((0.0,),),
+        milstein_tensor=lambda t, x: (((0.0,),),),
+        noise_structure=NoiseStructure.SCALAR, xi=2.0, beta=1.0,
+    )
+    for row in strong_error_experiment(cubic, SchemeKind.EULER_MARUYAMA, [3, 4], 6,
+                                       2.0, 5, SeedPolicy(3)).rows:
+        assert (row.lp_error, row.paths, row.stderr) == (np.inf, 0, np.inf)
+
+
 def test_experiment_validation(fhn, monkeypatch):
     policy = SeedPolicy(1)
     with pytest.raises(ValueError):
@@ -378,21 +417,35 @@ def test_path_order_sum_matches_row_by_row_in_any_arrival_order():
             streams.append([(start, a, rows[start:start + width, a:b].T.copy())
                             for a, b in zip(bounds, bounds[1:])])
             start += width
-        # shuffle the arrival order, keeping each slab's own order
-        arrivals = rng.permutation(np.repeat(np.arange(len(widths)),
-                                             [len(stream) for stream in streams]))
+        # every slab folds its own pieces from its own thread, the threads
+        # started in a shuffled order, so a later slab often waits
         reduction = analysis._PathOrderSum(columns)
-        for slab in arrivals:
-            reduction.add(*streams[slab].pop(0))
+        folds = [threading.Thread(target=lambda stream=stream: [reduction.add(*piece)
+                                                                for piece in stream],
+                                  daemon=True)
+                 for stream in streams]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, mid-fold too
+        try:
+            for slab in rng.permutation(len(widths)):
+                folds[slab].start()
+            for fold in folds:
+                fold.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(fold.is_alive() for fold in folds)
         assert np.array_equal(reduction.total(len(rows)), _row_by_row(rows))
 
 
 def test_path_order_sum_reports_missing_pieces():
     reduction = analysis._PathOrderSum(4)
-    reduction.add(2, 0, np.ones((4, 3)))  # waits for paths 0 and 1
+    reduction.add(0, 0, np.ones((4, 2)))  # paths 0 and 1
     with pytest.raises(RuntimeError, match="missing"):
         reduction.total(5)
-    reduction.add(0, 0, np.ones((4, 2)))
+    reduction.add(2, 0, np.ones((2, 3)))  # paths 2 to 4, columns 0 and 1 only
+    with pytest.raises(RuntimeError, match="missing"):
+        reduction.total(5)
+    reduction.add(2, 2, np.ones((2, 3)))
     assert np.array_equal(reduction.total(5), np.full(4, 5.0))
 
 
@@ -515,7 +568,7 @@ def test_worker_error_keeps_its_type_at_any_worker_count(monkeypatch):
         with pytest.raises(UnsupportedNoiseStructureError):
             strong_error_experiment(general, TM, [2, 3], 4, 2.0, 600, SeedPolicy(5))
 
-    # a moments worker that fails after it has streamed pieces: its error
+    # a moments worker that fails after it has folded pieces: its error
     # keeps its type, no worker outlives the run, and the next run reduces
     # as a fresh one does
     def drift(t, x):
@@ -527,22 +580,24 @@ def test_worker_error_keeps_its_type_at_any_worker_count(monkeypatch):
     healthy = make_builtin("fhn")
     args = (4.0, [9], 600, SeedPolicy(5))
     fresh = moment_experiment(healthy, RTM, *args)
-    pieces = []
-    add = analysis._PathOrderSum.add
+    reductions = []
+    init = analysis._PathOrderSum.__init__
 
-    def counted_add(self, start, index, values):
-        pieces.append(index)
-        add(self, start, index, values)
+    def recorded_init(self, columns):
+        init(self, columns)
+        reductions.append(self)
 
-    monkeypatch.setattr(analysis._PathOrderSum, "add", counted_add)
+    monkeypatch.setattr(analysis._PathOrderSum, "__init__", recorded_init)
     for threads in ("1", "2"):
         monkeypatch.setenv("SDE_RTM_THREADS", threads)
-        pieces.clear()
+        reductions.clear()
         with pytest.raises(_MidStreamError, match="past half time"):
             moment_experiment(failing, TM, *args)
-        assert max(pieces) > 0  # stepped states were streamed before the error
+        # stepped states were folded before the error, wherever the slab ran:
+        # the path counts are shared with the workers
+        (reduction,) = reductions
+        assert reduction._added[1:].max() > 0
         assert multiprocessing.active_children() == []
-        assert analysis._piece_sink is None
         again = moment_experiment(healthy, RTM, *args)
         assert again.overflows == fresh.overflows
         assert np.array_equal(again.moments[9], fresh.moments[9])
@@ -585,3 +640,77 @@ def test_forked_workers_find_numpy_random_loaded():
     assert done.returncode == 0, done.stderr
     # two slabs, each in its own forked worker that found the module loaded
     assert done.stdout.split() == ["True"] * 4
+
+
+def test_round_robin_slabs_fold_as_one_worker_does(monkeypatch):
+    # 200 paths in slabs of at most 48: 2 and 3 workers each run several
+    # slabs (48 x 4 + 8) in turn, and the narrow last slab cuts its grid
+    # into longer pieces than the others
+    monkeypatch.setattr(analysis, "_SLAB", 48)
+    monkeypatch.setattr(analysis, "_DRAW_BUDGET", 1024)
+    explosive = make_builtin("fhn", sigma=3.0, i_amp=60.0)
+    runs = {}
+    for threads in (1, 2, 3):
+        monkeypatch.setenv("SDE_RTM_THREADS", str(threads))
+        runs[threads] = (
+            moment_experiment(make_builtin("fhn"), RTM, 4.0, [6, 8], 200, SeedPolicy(9)),
+            moment_experiment(explosive, SchemeKind.EULER_MARUYAMA, 2.0, [3, 6], 200,
+                              SeedPolicy(9)),
+        )
+    assert runs[1][1].overflows[3] > 0  # overflows reach the reduction
+    for threads in (2, 3):
+        for table, serial in zip(runs[threads], runs[1]):
+            assert table.overflows == serial.overflows
+            for level, moments in serial.moments.items():
+                assert table.moments[level].tobytes() == moments.tobytes()
+
+
+_FIRST_SLAB_FAILS_WHILE_THE_NEXT_WAITS = """
+import multiprocessing, os, sys
+import numpy as np
+from sde_rtm import (NoiseStructure, SchemeKind, SdeProblem, SeedPolicy,
+                     moment_experiment)
+
+class MidStreamError(ValueError):
+    pass
+
+def drift(t, x):
+    # 601 paths over 2 workers make slabs of 301 and 300 paths: only the
+    # first fails, past half time, so the second steps on and waits for the
+    # first slab's later grid points, which never come
+    if len(x[0]) == 301 and np.max(t) > 0.5:
+        if sys.argv[1] == "kill":
+            os._exit(3)
+        raise MidStreamError("first slab failed")
+    return (-x[0],)
+
+problem = SdeProblem(d=1, m=1, horizon=1.0, initial_state=[1.0], drift=drift,
+                     diffusion=lambda t, x: ((0.5,),),
+                     milstein_tensor=lambda t, x: (((0.0,),),),
+                     noise_structure=NoiseStructure.SCALAR, xi=0.0, beta=1.0)
+try:
+    moment_experiment(problem, SchemeKind.EULER_MARUYAMA, 2.0, [10], 601,
+                      SeedPolicy(1))
+except Exception as exc:
+    print(type(exc).__name__, exc)
+print("children", len(multiprocessing.active_children()))
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs fork-based workers")
+@pytest.mark.parametrize("failure,expected", [
+    ("raise", "MidStreamError first slab failed"),
+    ("kill", "RuntimeError worker exited with code 3"),
+])
+def test_failed_slab_ends_a_run_whose_next_slab_waits_on_it(failure, expected):
+    # the run fails with the worker's own error (a dead worker's is a
+    # RuntimeError) instead of hanging on the waiting slab, and no child
+    # outlives it; the subprocess timeout bounds the wait
+    started = time.monotonic()
+    done = subprocess.run([sys.executable, "-c", _FIRST_SLAB_FAILS_WHILE_THE_NEXT_WAITS,
+                           failure], env=src_env(SDE_RTM_THREADS="2"),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [expected, "children 0"]
+    assert time.monotonic() - started < 30.0

@@ -94,7 +94,7 @@ def test_converge_writes_its_table_before_the_fit_refuses_it(tmp_path, capsys,
     assert "rate fitting needs finite positive errors" in capsys.readouterr().err
     rows = read(os.path.join(config["outdir"], "converge.csv")).decode().splitlines()
     assert rows[0] == "level,n,dt,lp_error,paths,p,stderr" and len(rows) == 4
-    assert rows[1].split(",")[:4] == ["3", "8", "0.125", "inf"]
+    assert rows[1].split(",") == ["3", "8", "0.125", "inf", "4", "2", "inf"]
     assert sorted(os.listdir(config["outdir"])) == ["converge.csv"]
 
 
