@@ -10,27 +10,33 @@ coarse run consume fresh uniforms from the path's randomization substream
 (reference first, then levels in ascending order), while the Brownian path
 is the only thing shared across levels.
 
-One streaming sweep serves every experiment.  Workers split the paths
-into contiguous slabs of ``min(4096, ceil(paths / workers))`` paths.  A
-slab draws its fine Brownian increments a power-of-two chunk of steps at a
-time, coarsens each chunk to every level in play (a binary carry finishes
-coarse steps that span several chunks, in the same pairwise order as
-``noise.coarsen``) and feeds the reference and every coarse level to
-resumable steppers in the same pass, so no increment, uniform or state
-buffer outgrows (slab x chunk).  A slab derives its substreams once per
-role as a ``noise.SlabStream``: one vectorized SeedSequence hash gives
-every path's Philox key and one reused generator draws for the whole slab,
-so no path builds a generator of its own.  Each run reads its uniforms at
-its offset in the order above (after the draws of every earlier run), by
-Philox counter and not by replaying the draws.  The slab stream checks its
-first path's key against numpy's ``SeedSequence`` and raises
-``RuntimeError`` on a mismatch, so a numpy release that changed the
-algorithm stops the run instead of changing its numbers.  Moment tracking
-reduces every chunk of states to ``|x_t|^q`` as it is stepped, and the
-slab folds that (chunk x slab) piece itself into running sums held in
+One streaming sweep, :func:`_sweep`, is the worker of every experiment's
+one pool.  Workers split the paths into contiguous slabs of
+``min(4096, ceil(paths / workers))`` paths.  A slab draws its fine Brownian
+increments a power-of-two chunk of steps at a time, coarsens each chunk to
+every level in play (a binary carry finishes coarse steps that span
+several chunks, in the same pairwise order as ``noise.coarsen``) and feeds
+the reference and every coarse level to resumable steppers in the same
+pass, so no increment, uniform or state buffer outgrows (slab x chunk).  A
+slab derives its substreams once per role as a ``noise.SlabStream``: one
+vectorized SeedSequence hash gives every path's Philox key and one reused
+generator draws for the whole slab, so no path builds a generator of its
+own.  Each run reads its uniforms at its offset in the order above (after
+the draws of every earlier run), by Philox counter and not by replaying
+the draws.  The slab stream checks its first path's key against numpy's
+``SeedSequence`` and raises ``RuntimeError`` on a mismatch, so a numpy
+release that changed the algorithm stops the run instead of changing its
+numbers.
+
+A slab returns every run's terminal states and first overflow steps and
+the terminal Brownian values, path-major; the parent gathers them along
+paths and computes every error reduction (distance, ``p``-th power,
+inclusion mask) itself.  Moment tracking steps each level of a slab in
+turn, reduces every chunk of states to ``|x_t|^q`` as it is stepped and
+folds that (chunk x slab) piece into the level's running sums, held in
 memory shared with the parent, in path order, once every earlier slab has
-added the same grid points.  So no process holds a slab's per-path rows of
-powers, and only slab results and failures cross the workers' pipe.
+added the same grid points.  So no process holds per-path rows of powers,
+and only overflow steps and failures cross the pipe.
 
 Each path's result depends only on the seed policy and its index, never on
 its slab; the parent reduces per-path results in path order, so outputs
@@ -45,6 +51,7 @@ runtime restriction; defaults are p = 2 and q = 4.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import pickle
@@ -175,8 +182,9 @@ def _map_blocks(worker, count: int, threads: int) -> list:
     The pipe carries each slab's result, or a worker's failure.  A worker's
     exception is re-raised here with its own type, as in a serial run (one
     that cannot be rebuilt from a pickle becomes a ``RuntimeError`` naming
-    it); a worker that dies unreported raises ``RuntimeError``.  Either way
-    every other worker is terminated, waiting or not.
+    it); a worker that dies unreported raises ``RuntimeError``.  Either way,
+    and when an exception such as ``KeyboardInterrupt`` ends the wait, every
+    worker still running is terminated and joined, waiting or not.
     """
     width = min(_SLAB, -(-count // threads))
     blocks = [(start, min(start + width, count)) for start in range(0, count, width)]
@@ -218,28 +226,30 @@ def _map_blocks(worker, count: int, threads: int) -> list:
     running = {proc.sentinel: proc for proc in procs}
     results: dict = {}
     failure = None
-    while failure is None and len(results) < len(blocks):
-        ready = wait([reader, *running])
-        if reader in ready:
-            index, payload = reader.recv()
-            if index is None:
-                failure = payload
-            else:
-                results[index] = payload
-            continue
-        for sentinel in ready:
-            proc = running.pop(sentinel)
+    try:
+        while failure is None and len(results) < len(blocks):
+            ready = wait([reader, *running])
+            if reader in ready:
+                index, payload = reader.recv()
+                if index is None:
+                    failure = payload
+                else:
+                    results[index] = payload
+                continue
+            for sentinel in ready:
+                proc = running.pop(sentinel)
+                proc.join()
+                if proc.exitcode != 0:
+                    failure = RuntimeError(f"worker exited with code {proc.exitcode}")
+            if failure is None and not running and not reader.poll():
+                failure = RuntimeError("workers exited without reporting every block")
+    finally:  # a failure, or an exception such as Ctrl-C, ends every worker left
+        for proc in procs:
+            if len(results) < len(blocks):
+                proc.terminate()
             proc.join()
-            if proc.exitcode != 0:
-                failure = RuntimeError(f"worker exited with code {proc.exitcode}")
-        if failure is None and not running and not reader.poll():
-            failure = RuntimeError("workers exited without reporting every block")
-    for proc in procs:
-        if failure is not None:
-            proc.terminate()
-        proc.join()
-    reader.close()
-    writer.close()
+        reader.close()
+        writer.close()
     if failure is not None:
         raise failure
     return [results[index] for index in range(len(blocks))]
@@ -299,8 +309,8 @@ def _split(blocks, piece: int):
 
 
 def _sweep(problem: SdeProblem, kind: SchemeKind, policy: SeedPolicy,
-           start: int, stop: int, gen_level: int, run_levels: list, *,
-           terminal: bool = False, observe=None):
+           gen_level: int, run_levels: list, start: int, stop: int, *,
+           observe=None):
     """Integrate paths ``start`` to ``stop - 1`` on coupled grids, chunk by chunk.
 
     Each path draws one Brownian grid at ``gen_level`` from its Brownian
@@ -308,9 +318,10 @@ def _sweep(problem: SdeProblem, kind: SchemeKind, policy: SeedPolicy,
     each level in ``run_levels`` and fed to that level's stepper, so no
     buffer outgrows (paths x chunk).  The randomized kind draws run ``i``'s
     uniforms from the path's randomization substream right after the
-    ``2**level`` draws of every earlier run.  Returns the steppers in run
-    order and, with ``terminal``, the terminal Brownian values (B, m).
-    ``observe`` is passed to every :meth:`BatchStepper.feed`.
+    ``2**level`` draws of every earlier run.  ``observe`` is passed to every
+    :meth:`BatchStepper.feed`.  Returns path-major arrays, runs in order:
+    terminal states (B, runs, d), first overflow steps (B, runs), -1 where a
+    path stayed finite, and the terminal Brownian values (B, m).
     """
     batch = stop - start
     chunk = min(1 << gen_level,
@@ -330,15 +341,18 @@ def _sweep(problem: SdeProblem, kind: SchemeKind, policy: SeedPolicy,
             offset += total
     fine = SlabStream(policy, start, stop, StreamRole.BROWNIAN).brownian(
         gen_level, problem.m, problem.horizon, chunk)
-    w_terminal = None
-    targets = set(run_levels) | ({0} if terminal else set())
-    for coarse in coarsen_chunks(fine, gen_level, targets):
+    for coarse in coarsen_chunks(fine, gen_level, {0, *run_levels}):
         for stepper, level, u in zip(steppers, run_levels, uniforms):
             if level in coarse:
                 stepper.feed(coarse[level], None if u is None else next(u), observe)
-        if terminal and 0 in coarse:
-            w_terminal = coarse[0][0]
-    return steppers, w_terminal
+    return (np.stack([stepper.x for stepper in steppers], axis=1),
+            np.stack([stepper.overflow for stepper in steppers], axis=1),
+            coarse[0][0])
+
+
+def _gather(results) -> list:
+    # the workers' per-slab arrays, each concatenated along paths
+    return [np.concatenate(arrays) for arrays in zip(*results)]
 
 
 # --- input rules, checked before any worker starts (and by the CLI) ----------
@@ -389,7 +403,8 @@ def strong_error_experiment(problem: SdeProblem, kind: SchemeKind, levels,
     grid is drawn at the generation level from the (path, BROWNIAN)
     substream; coarse runs use exact coarsenings of it.  Randomized
     integrators consume fresh uniforms from the (path, RANDOMIZATION)
-    substream, reference first, then levels ascending.
+    substream, reference first, then levels ascending.  The parent computes
+    every path's error power and inclusion from the pool's terminals.
     Paths whose coarse run or reference overflows are excluded from the
     average and counted.
 
@@ -403,40 +418,24 @@ def strong_error_experiment(problem: SdeProblem, kind: SchemeKind, levels,
     if exact and problem.exact_terminal is None:
         raise InvalidParameterError("problem has no exact terminal solution")
     gen_level = max(levels) if exact else int(ref)
-    horizon = problem.horizon
-    n_rows = len(levels)
     run_levels = levels if exact else [gen_level] + levels
-
-    def worker(start: int, stop: int):
-        steppers, w_terminal = _sweep(problem, kind, policy, start, stop,
-                                      gen_level, run_levels, terminal=exact)
-        block_err = np.empty((n_rows, stop - start))
-        block_ok = np.empty((n_rows, stop - start), dtype=bool)
-        with np.errstate(all="ignore"):
-            if exact:
-                ref_term = _stacked(problem.exact_terminal, w_terminal)
-                ref_ok = np.isfinite(ref_term).all(axis=1)
-            else:
-                reference, *steppers = steppers
-                ref_term, ref_ok = reference.x, reference.overflow < 0
-            for row, stepper in enumerate(steppers):
-                delta = ref_term - stepper.x
-                dist = np.sqrt(np.sum(delta * delta, axis=1))
-                block_err[row] = dist ** p
-                block_ok[row] = ref_ok & (stepper.overflow < 0)
-        return block_err, block_ok
-
-    results = _map_blocks(worker, paths, _resolve_threads())
-    err_pow = np.concatenate([block_err for block_err, _ in results], axis=1)
-    included = np.concatenate([block_ok for _, block_ok in results], axis=1)
-
+    terminals, overflow, w_terminal = _gather(_map_blocks(
+        functools.partial(_sweep, problem, kind, policy, gen_level, run_levels),
+        paths, _resolve_threads()))
     rows = []
     with np.errstate(all="ignore"):  # overflowing error powers give inf, silently
+        if exact:
+            ref_term = _stacked(problem.exact_terminal, w_terminal)
+            ref_ok = np.isfinite(ref_term).all(axis=1)
+        else:
+            ref_term, ref_ok = terminals[:, 0], overflow[:, 0] < 0
+            terminals, overflow = terminals[:, 1:], overflow[:, 1:]
+        delta = ref_term[:, None] - terminals
+        err_pow = np.sqrt(np.sum(delta * delta, axis=2)) ** p  # (paths, levels)
+        included = ref_ok[:, None] & (overflow < 0)
         for row, level in enumerate(levels):
-            mask = included[row]
-            values = err_pow[row][mask]
+            values = err_pow[:, row][included[:, row]]
             kept = int(values.size)
-            overflowed = paths - kept
             mean_pow = float(np.mean(values)) if kept else float("inf")
             lp_error = mean_pow ** (1.0 / p)
             if lp_error == float("inf"):
@@ -447,8 +446,8 @@ def strong_error_experiment(problem: SdeProblem, kind: SchemeKind, levels,
             else:
                 stderr = 0.0
             n = 1 << level
-            rows.append(ErrorRow(level, n, horizon / n, lp_error, kept, p, stderr,
-                                 overflowed))
+            rows.append(ErrorRow(level, n, problem.horizon / n, lp_error, kept, p,
+                                 stderr, paths - kept))
     return ErrorTable(tuple(rows), "exact" if exact else f"level {gen_level}", p)
 
 
@@ -482,9 +481,11 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
                       paths: int, policy: SeedPolicy) -> MomentTable:
     """Track empirical E|x_t|^q over every grid point, per level.
 
-    Overflowed paths are excluded from the averages from the moment they
-    turn non-finite and counted per level; a grid point where no path is
-    finite reports an infinite moment.
+    One pool steps every level: each slab runs the levels in order and
+    folds its powers into one shared sum per level.  Overflowed paths are
+    excluded from the averages from the moment they turn non-finite and
+    counted per level; a grid point where no path is finite reports an
+    infinite moment.
 
     Bounds: a finite real q >= 2, distinct integer levels in [0, 62] and 1
     to 2**24 paths.
@@ -492,16 +493,14 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
     _check_q(q)
     _check_paths(paths)
     levels = _check_levels(levels)
-    threads = _resolve_threads()
-    moments, overflows = {}, {}
-    for level in levels:
-        n = 1 << level
-        reduction = _PathOrderSum(n + 1)
+    reductions = [_PathOrderSum((1 << level) + 1) for level in levels]
 
-        def worker(start: int, stop: int, _level=level):
-            # folds each chunk's per-path |x_t|^q (0 where x_t is not
-            # finite) into the reduction as a (chunk, slab) piece, initial
-            # state first, and returns the overflow steps
+    def worker(start: int, stop: int):
+        # steps each level in turn, folding each chunk's per-path |x_t|^q (0
+        # where x_t is not finite) into the level's reduction as a (chunk,
+        # slab) piece, initial state first; returns the overflow steps (B, levels)
+        overflow = []
+        for level, reduction in zip(levels, reductions):
             def observe(index, states):
                 # states are (chunk, d, slab); |x|^2 sums the components in order
                 finite = np.isfinite(states).all(axis=1)
@@ -511,17 +510,18 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
             with np.errstate(all="ignore"):
                 observe(0, np.repeat(problem.initial_state[None, :, None],
                                      stop - start, axis=2))
-            steppers, _ = _sweep(problem, kind, policy, start, stop, _level,
-                                 [_level], observe=observe)
-            return (steppers[0].overflow,)
+            overflow.append(_sweep(problem, kind, policy, level, [level], start, stop,
+                                   observe=observe)[1])
+        return (np.concatenate(overflow, axis=1),)
 
-        results = _map_blocks(worker, paths, threads)
+    (overflow,) = _gather(_map_blocks(worker, paths, _resolve_threads()))
+    moments, overflows = {}, {}
+    for level, reduction, steps in zip(levels, reductions, overflow.T):
         # a path is finite up to its first overflow step and non-finite from
         # grid index overflow + 1 on, as the kernel's overflow scan assumes
-        overflow = np.concatenate([block_overflow for (block_overflow,) in results])
-        lost = np.cumsum(np.bincount(overflow[overflow >= 0] + 1, minlength=n + 1))
-        counts = paths - lost
         sums = reduction.total(paths)
+        lost = np.cumsum(np.bincount(steps[steps >= 0] + 1, minlength=len(sums)))
+        counts = paths - lost
         with np.errstate(all="ignore"):
             moments[level] = np.where(counts > 0, sums / np.maximum(counts, 1), np.inf)
         moments[level].setflags(write=False)
@@ -545,17 +545,13 @@ def simulate_terminals(problem: SdeProblem, kind: SchemeKind, level: int,
     """Terminal states of ``paths`` independent paths at one level.
 
     Returns ``(terminals, overflow_steps)`` with shapes (paths, d) and
-    (paths,); overflow steps are -1 where the path stayed finite.
+    (paths,), the one run of :func:`_sweep` gathered along paths; overflow
+    steps are -1 where the path stayed finite.
     Bounds: an integer level in [0, 62] and 1 to 2**24 paths.
     """
     level = _check_level(level)
     _check_paths(paths)
-
-    def worker(start: int, stop: int):
-        steppers, _ = _sweep(problem, kind, policy, start, stop, level, [level])
-        return steppers[0].x, steppers[0].overflow
-
-    results = _map_blocks(worker, paths, _resolve_threads())
-    terminals = np.concatenate([term for term, _ in results])
-    overflow_steps = np.concatenate([ovf for _, ovf in results])
-    return terminals, overflow_steps
+    terminals, overflow, _ = _gather(_map_blocks(
+        functools.partial(_sweep, problem, kind, policy, level, [level]),
+        paths, _resolve_threads()))
+    return terminals[:, 0], overflow[:, 0]

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import multiprocessing
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sde_rtm import analysis
+from sde_rtm import analysis, cli
 from sde_rtm import (
     DegenerateDataError,
     ErrorRow,
@@ -542,6 +543,71 @@ def test_dead_worker_raises_instead_of_hanging():
     assert time.monotonic() - started < 5.0
 
 
+_INTERRUPTED_SIMULATE = """
+import os, sys
+from sde_rtm import analysis, cli
+
+sweep = analysis._sweep
+
+def announced(*args, **kwargs):
+    # tells the test that a worker steps a slab, in one write
+    os.write(1, b"stepping\\n")
+    return sweep(*args, **kwargs)
+
+analysis._sweep = announced
+sys.exit(cli.run_command(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs fork-based workers")
+def test_interrupted_parent_ends_its_workers(tmp_path):
+    # only the parent gets SIGINT, in its wait on the pool: it must end its
+    # workers, not join them at exit while they step or block on the pipe
+    command = [sys.executable, "-c", _INTERRUPTED_SIMULATE, "simulate",
+               "--problem", "gbm", "--level", "10", "--paths", "200000",
+               "--outdir", str(tmp_path)]
+    proc = subprocess.Popen(command, env=src_env(SDE_RTM_THREADS="2"),
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                            text=True, start_new_session=True)
+    try:
+        # both workers step their first slab, so the parent is in its wait
+        assert [proc.stdout.readline() for _ in range(2)] == ["stepping\n"] * 2
+        os.kill(proc.pid, signal.SIGINT)
+        assert proc.wait(timeout=10) != 0
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # no process is left in the run's group
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        proc.stdout.close()
+
+
+def test_each_experiment_runs_one_pool(monkeypatch, tmp_path):
+    # moments steps all its levels in each slab of one pool, and blowup
+    # runs one moments pool per kind
+    pools = []
+    map_blocks = analysis._map_blocks
+
+    def counted(worker, count, threads):
+        pools.append(count)
+        return map_blocks(worker, count, threads)
+
+    monkeypatch.setattr(analysis, "_map_blocks", counted)
+    monkeypatch.setenv("SDE_RTM_THREADS", "2")
+    common = ["--problem", "fhn", "--paths", "20", "--outdir", str(tmp_path)]
+    for argv in (["converge", "--levels", "2,3", "--reference", "5"],
+                 ["simulate", "--level", "3"],
+                 ["moments", "--levels", "3,4,5"]):
+        pools.clear()
+        assert cli.run_command(argv + common) == 0
+        assert pools == [20], argv
+    pools.clear()
+    blowup_demo([2, 4], 20, SeedPolicy(1))
+    assert pools == [20, 20]
+
+
 class _UnloadableError(Exception):
     # pickles, but cannot be rebuilt from its args in the parent
     def __init__(self, a, b):
@@ -568,18 +634,18 @@ def test_worker_error_keeps_its_type_at_any_worker_count(monkeypatch):
         with pytest.raises(UnsupportedNoiseStructureError):
             strong_error_experiment(general, TM, [2, 3], 4, 2.0, 600, SeedPolicy(5))
 
-    # a moments worker that fails after it has folded pieces: its error
-    # keeps its type, no worker outlives the run, and the next run reduces
-    # as a fresh one does
+    # a moments worker that fails after it has folded pieces, in its only
+    # level or in the second level of the one pool: its error keeps its
+    # type, no worker outlives the run, and the next run reduces as a fresh
+    # one does
     def drift(t, x):
-        if np.max(t) > 0.5:
+        # past half time and off the level-3 grid: only a level-9 run fails
+        if np.max(t) > 0.5 and np.max(t) * 8 % 1:
             raise _MidStreamError("past half time")
         return tuple(-component for component in x)
 
     failing = dataclasses.replace(make_zero_problem(d=2), drift=drift)
     healthy = make_builtin("fhn")
-    args = (4.0, [9], 600, SeedPolicy(5))
-    fresh = moment_experiment(healthy, RTM, *args)
     reductions = []
     init = analysis._PathOrderSum.__init__
 
@@ -588,19 +654,25 @@ def test_worker_error_keeps_its_type_at_any_worker_count(monkeypatch):
         reductions.append(self)
 
     monkeypatch.setattr(analysis._PathOrderSum, "__init__", recorded_init)
-    for threads in ("1", "2"):
-        monkeypatch.setenv("SDE_RTM_THREADS", threads)
-        reductions.clear()
-        with pytest.raises(_MidStreamError, match="past half time"):
-            moment_experiment(failing, TM, *args)
-        # stepped states were folded before the error, wherever the slab ran:
-        # the path counts are shared with the workers
-        (reduction,) = reductions
-        assert reduction._added[1:].max() > 0
-        assert multiprocessing.active_children() == []
-        again = moment_experiment(healthy, RTM, *args)
-        assert again.overflows == fresh.overflows
-        assert np.array_equal(again.moments[9], fresh.moments[9])
+    for levels in ([9], [3, 9]):
+        args = (4.0, levels, 600, SeedPolicy(5))
+        fresh = moment_experiment(healthy, RTM, *args)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SDE_RTM_THREADS", threads)
+            reductions.clear()
+            with pytest.raises(_MidStreamError, match="past half time"):
+                moment_experiment(failing, TM, *args)
+            # the levels before the failing one folded every grid point, and
+            # the failing one its stepped states, wherever the slab ran: the
+            # path counts are shared with the workers
+            assert len(reductions) == len(levels)
+            assert all(reduction._added.min() > 0 for reduction in reductions[:-1])
+            assert reductions[-1]._added[1:].max() > 0
+            assert multiprocessing.active_children() == []
+            again = moment_experiment(healthy, RTM, *args)
+            assert again.overflows == fresh.overflows
+            for level in levels:
+                assert np.array_equal(again.moments[level], fresh.moments[level])
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
