@@ -35,8 +35,9 @@ inclusion mask) itself.  Moment tracking steps each level of a slab in
 turn, reduces every chunk of states to ``|x_t|^q`` as it is stepped and
 folds that (chunk x slab) piece into the level's running sums, held in
 memory shared with the parent, in path order, once every earlier slab has
-added the same grid points.  So no process holds per-path rows of powers,
-and only overflow steps and failures cross the pipe.
+added the same grid points, and counts the paths the step kernel found
+finite there.  So no process holds per-path rows of powers, and only
+failures cross the pipe.
 
 Each path's result depends only on the seed policy and its index, never on
 its slab; the parent reduces per-path results in path order, so outputs
@@ -256,31 +257,34 @@ def _map_blocks(worker, count: int, threads: int) -> list:
 
 
 class _PathOrderSum:
-    """Per-column sums of per-path rows, folded in path order by the slabs
-    that make the rows.
+    """Per-column sums of per-path rows and counts of their finite entries,
+    folded in path order by the slabs that make the rows.
 
-    The sums and each column's count of added paths live in memory that the
-    parent allocates before :func:`_map_blocks` forks, so forked workers and
-    the parent share them, and one cross-process condition guards the
-    counts.  :meth:`add` takes the rows of paths ``start`` to
-    ``start + B - 1`` at columns ``index`` to ``index + C - 1`` as a (C, B)
-    array, which it overwrites.  It waits until every earlier path is in
-    those columns, folds the piece in and publishes the new counts.  Each
-    column's sum is the sequential chain ``((0 + row_0) + row_1) + ...``
-    over every path in path order, bit for bit what adding whole rows one by
-    one gives, however the rows are cut.  Each slab must add its columns in
-    ascending order without gaps, starting at column 0, and the slab before
-    it must be adding from another process or thread, or have finished:
-    a caller that adds a later slab first, alone, waits forever.
+    The sums, the finite counts and each column's count of added paths live
+    in memory that the parent allocates before :func:`_map_blocks` forks, so
+    forked workers and the parent share them, and one cross-process
+    condition guards the added counts.  :meth:`add` takes the rows of paths
+    ``start`` to ``start + B - 1`` at columns ``index`` to ``index + C - 1``
+    as a (C, B) array and its (C, B) finite mask, outside which a row adds 0.
+    It waits until every earlier path is in those columns, folds the piece
+    in and publishes the new counts.  Each column's sum is the sequential
+    chain ``((0 + row_0) + row_1) + ...`` over every path in path order, bit
+    for bit what adding whole rows one by one gives, however the rows are
+    cut.  Each slab must add its columns in ascending order without gaps,
+    starting at column 0, and the slab before it must be adding from another
+    process or thread, or have finished: a caller that adds a later slab
+    first, alone, waits forever.
     """
 
     def __init__(self, columns: int):
         ctx = _FORK or multiprocessing.get_context()
         self.sums = np.frombuffer(ctx.RawArray("d", columns))
+        self.counts = np.frombuffer(ctx.RawArray("q", columns), dtype=np.int64)
         self._added = np.frombuffer(ctx.RawArray("q", columns), dtype=np.int64)
         self._ready = ctx.Condition()
 
-    def add(self, start: int, index: int, values) -> None:
+    def add(self, start: int, index: int, values, finite) -> None:
+        values = np.where(finite, values, 0.0)
         columns = slice(index, index + len(values))
         added = self._added[columns]  # paths added per column, shared
         with self._ready:
@@ -290,15 +294,16 @@ class _PathOrderSum:
         # folded into the first path
         values[:, 0] += self.sums[columns]
         self.sums[columns] = np.add.accumulate(values, axis=1, out=values)[:, -1]
+        self.counts[columns] += finite.sum(axis=1)
         with self._ready:
             added[:] = start + values.shape[1]
             self._ready.notify_all()
 
     def total(self, paths: int):
-        """The sums, once all ``paths`` rows are in at every column."""
+        """The sums and finite counts, once all ``paths`` rows are in everywhere."""
         if not (self._added == paths).all():
             raise RuntimeError("moment pieces missing from the reduction")
-        return self.sums
+        return self.sums, self.counts
 
 
 def _split(blocks, piece: int):
@@ -496,36 +501,22 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
     reductions = [_PathOrderSum((1 << level) + 1) for level in levels]
 
     def worker(start: int, stop: int):
-        # steps each level in turn, folding each chunk's per-path |x_t|^q (0
-        # where x_t is not finite) into the level's reduction as a (chunk,
-        # slab) piece, initial state first; returns the overflow steps (B, levels)
-        overflow = []
+        # each level in turn folds every (chunk, d, slab) piece of states as
+        # per-path |x_t|^q, |x|^2 summed over the components in order
         for level, reduction in zip(levels, reductions):
-            def observe(index, states):
-                # states are (chunk, d, slab); |x|^2 sums the components in order
-                finite = np.isfinite(states).all(axis=1)
-                sq = (states * states).sum(axis=1)
-                reduction.add(start, index, np.where(finite, sq ** (q / 2.0), 0.0))
+            def observe(index, states, finite):
+                reduction.add(start, index, (states * states).sum(axis=1) ** (q / 2.0), finite)
 
-            with np.errstate(all="ignore"):
-                observe(0, np.repeat(problem.initial_state[None, :, None],
-                                     stop - start, axis=2))
-            overflow.append(_sweep(problem, kind, policy, level, [level], start, stop,
-                                   observe=observe)[1])
-        return (np.concatenate(overflow, axis=1),)
+            _sweep(problem, kind, policy, level, [level], start, stop, observe=observe)
+        return ()
 
-    (overflow,) = _gather(_map_blocks(worker, paths, _resolve_threads()))
+    _map_blocks(worker, paths, _resolve_threads())
     moments, overflows = {}, {}
-    for level, reduction, steps in zip(levels, reductions, overflow.T):
-        # a path is finite up to its first overflow step and non-finite from
-        # grid index overflow + 1 on, as the kernel's overflow scan assumes
-        sums = reduction.total(paths)
-        lost = np.cumsum(np.bincount(steps[steps >= 0] + 1, minlength=len(sums)))
-        counts = paths - lost
-        with np.errstate(all="ignore"):
-            moments[level] = np.where(counts > 0, sums / np.maximum(counts, 1), np.inf)
+    for level, reduction in zip(levels, reductions):
+        sums, counts = reduction.total(paths)
+        moments[level] = np.where(counts > 0, sums / np.maximum(counts, 1), np.inf)
         moments[level].setflags(write=False)
-        overflows[level] = int(lost[-1])
+        overflows[level] = paths - int(counts[-1])
     return MomentTable(moments, overflows)
 
 

@@ -41,9 +41,10 @@ writes its state into a ``(C, d, B)`` buffer, and one vectorised scan per
 chunk finds the first non-finite step of each path.  That scan is exact
 because every step computes ``x + ...`` and a non-finite component stays
 non-finite under addition, so a path that overflows stays non-finite for
-the rest of the chunk.  The same buffer is handed to any observer of the
-states.  The arithmetic of each step is unchanged, so results are
-bit-identical for any chunk size and any cut of the grid into pieces.
+the rest of the chunk.  The same buffer and the scan's finite mask are
+handed to any observer of the states.  The arithmetic of each step is
+unchanged, so results are bit-identical for any chunk size and any cut of
+the grid into pieces.
 """
 
 from __future__ import annotations
@@ -260,10 +261,12 @@ class BatchStepper:
         paths and the problem's ``m``; ``uniforms`` (C, B) is required for
         the randomized kind, and a value outside [0, 1) raises
         ``InvalidParameterError``.  Any other shape, or more steps than the
-        grid has, raises :class:`DimensionError`.  ``observe(index,
-        states)``, if given, receives the states at grid indices ``index``
+        grid has, raises :class:`DimensionError`.  ``observe(index, states,
+        finite)``, if given, receives the states at grid indices ``index``
         to ``index + len(states) - 1`` as a component-major (len, d, B)
-        buffer that is reused afterwards.
+        buffer that is reused afterwards, and the overflow scan's own mask
+        ``finite`` (len, B).  The first feed that takes a step also observes
+        grid point 0, so an observer sees indices 0 to n once each, in order.
         """
         batch, m = len(self.overflow), self.problem.m
         inc = np.ascontiguousarray(increments, dtype=float)
@@ -281,6 +284,9 @@ class BatchStepper:
         structure = self.problem.noise_structure
         x, overflow = self.state, self.overflow
         with np.errstate(all="ignore"):
+            if observe is not None and self.steps == 0 and len(inc):
+                self._states[0] = x  # grid point 0, the initial state
+                observe(0, self._states[:1], np.isfinite(self._states[:1]).all(axis=1))
             for c0 in range(0, len(inc), _CHUNK):
                 c1 = min(c0 + _CHUNK, len(inc))
                 j0 = self.steps + c0
@@ -299,13 +305,13 @@ class BatchStepper:
                         states[c, i] = component
                 # one scan per chunk: a non-finite component stays non-finite
                 # under ``x + ...``, so a path's last state in the chunk tells
-                # whether it overflowed and argmax finds the first such step
-                bad = ~np.isfinite(states).all(axis=1)
-                fresh = (overflow < 0) & bad[-1]
+                # whether it overflowed and argmin finds the first such step
+                finite = np.isfinite(states).all(axis=1)
+                fresh = (overflow < 0) & ~finite[-1]
                 if fresh.any():
-                    overflow[fresh] = j0 + bad[:, fresh].argmax(axis=0)
+                    overflow[fresh] = j0 + finite[:, fresh].argmin(axis=0)
                 if observe is not None:
-                    observe(j0 + 1, states)
+                    observe(j0 + 1, states, finite)
         self.state = x
         self.steps += len(inc)
 

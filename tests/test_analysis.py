@@ -396,18 +396,23 @@ def test_zero_problem_moments_constant():
     assert table.overflows == {2: 0, 3: 0}
 
 
-def _row_by_row(rows):
-    sums = np.zeros(rows.shape[1])
-    for row in rows:
-        sums += row
-    return sums
+def _row_by_row(rows, finite):
+    # the sums of the finite entries, row by row, and their counts
+    sums, counts = np.zeros(rows.shape[1]), np.zeros(rows.shape[1], dtype=np.int64)
+    for row, keep in zip(rows, finite):
+        sums += np.where(keep, row, 0.0)
+        counts += keep
+    return sums, counts
 
 
 def test_path_order_sum_matches_row_by_row_in_any_arrival_order():
     rng = np.random.default_rng(5)
     columns, widths = 97, (5, 11, 3)
     rows = rng.standard_exponential((sum(widths), columns)) ** 4
-    assert not np.array_equal(_row_by_row(rows[::-1]), _row_by_row(rows))  # order shows
+    finite = rng.random(rows.shape) < 0.8
+    rows[~finite] = np.inf  # what a masked entry holds must not reach the sums
+    assert not np.array_equal(_row_by_row(rows[::-1], finite[::-1])[0],
+                              _row_by_row(rows, finite)[0])  # order shows
     for _ in range(20):
         # every slab cuts its columns at its own points, as unequal slab
         # widths give unequal observe pieces
@@ -415,7 +420,8 @@ def test_path_order_sum_matches_row_by_row_in_any_arrival_order():
         for width in widths:
             cuts = sorted(rng.choice(np.arange(1, columns), 4, replace=False))
             bounds = [0, *cuts, columns]
-            streams.append([(start, a, rows[start:start + width, a:b].T.copy())
+            streams.append([(start, a, rows[start:start + width, a:b].T.copy(),
+                             finite[start:start + width, a:b].T.copy())
                             for a, b in zip(bounds, bounds[1:])])
             start += width
         # every slab folds its own pieces from its own thread, the threads
@@ -435,19 +441,29 @@ def test_path_order_sum_matches_row_by_row_in_any_arrival_order():
         finally:
             sys.setswitchinterval(interval)
         assert not any(fold.is_alive() for fold in folds)
-        assert np.array_equal(reduction.total(len(rows)), _row_by_row(rows))
+        sums, counts = reduction.total(len(rows))
+        want_sums, want_counts = _row_by_row(rows, finite)
+        assert np.array_equal(sums, want_sums)
+        assert np.array_equal(counts, want_counts)
 
 
 def test_path_order_sum_reports_missing_pieces():
     reduction = analysis._PathOrderSum(4)
-    reduction.add(0, 0, np.ones((4, 2)))  # paths 0 and 1
+    finite = np.ones((4, 5), dtype=bool)
+    finite[2:, 1] = finite[3, 4] = False  # path 1 from column 2, path 4 at column 3
+    reduction.add(0, 0, np.ones((4, 2)), finite[:, :2])  # paths 0 and 1
     with pytest.raises(RuntimeError, match="missing"):
         reduction.total(5)
-    reduction.add(2, 0, np.ones((2, 3)))  # paths 2 to 4, columns 0 and 1 only
+    # paths 2 to 4, columns 0 and 1 only
+    reduction.add(2, 0, np.ones((2, 3)), finite[:2, 2:])
     with pytest.raises(RuntimeError, match="missing"):
         reduction.total(5)
-    reduction.add(2, 2, np.ones((2, 3)))
-    assert np.array_equal(reduction.total(5), np.full(4, 5.0))
+    reduction.add(2, 2, np.ones((2, 3)), finite[2:, 2:])
+    sums, counts = reduction.total(5)
+    want_sums, want_counts = _row_by_row(np.ones((5, 4)), finite.T)
+    assert np.array_equal(sums, want_sums)
+    assert np.array_equal(counts, want_counts)
+    assert counts.tolist() == [5, 5, 4, 3]
 
 
 def test_moments_never_hold_a_slab_of_rows(monkeypatch):
@@ -721,13 +737,14 @@ def test_round_robin_slabs_fold_as_one_worker_does(monkeypatch):
     monkeypatch.setattr(analysis, "_SLAB", 48)
     monkeypatch.setattr(analysis, "_DRAW_BUDGET", 1024)
     explosive = make_builtin("fhn", sigma=3.0, i_amp=60.0)
+    euler = SchemeKind.EULER_MARUYAMA
     runs = {}
     for threads in (1, 2, 3):
         monkeypatch.setenv("SDE_RTM_THREADS", str(threads))
         runs[threads] = (
             moment_experiment(make_builtin("fhn"), RTM, 4.0, [6, 8], 200, SeedPolicy(9)),
-            moment_experiment(explosive, SchemeKind.EULER_MARUYAMA, 2.0, [3, 6], 200,
-                              SeedPolicy(9)),
+            moment_experiment(explosive, euler, 2.0, [3, 6], 200, SeedPolicy(9)),
+            moment_experiment(explosive, euler, 2.0, [3, 4], 200, SeedPolicy(9)),
         )
     assert runs[1][1].overflows[3] > 0  # overflows reach the reduction
     for threads in (2, 3):
@@ -735,6 +752,13 @@ def test_round_robin_slabs_fold_as_one_worker_does(monkeypatch):
             assert table.overflows == serial.overflows
             for level, moments in serial.moments.items():
                 assert table.moments[level].tobytes() == moments.tobytes()
+    # the folded finite counts give each level's overflows, with overflowing
+    # paths in every slab
+    for level in (3, 4):
+        overflow = simulate_terminals(explosive, euler, level, 200, SeedPolicy(9))[1]
+        assert all((overflow[s:s + 48] >= 0).any() for s in range(0, 200, 48))
+        for threads in (1, 2, 3):
+            assert runs[threads][2].overflows[level] == (overflow >= 0).sum()
 
 
 _FIRST_SLAB_FAILS_WHILE_THE_NEXT_WAITS = """

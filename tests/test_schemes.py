@@ -358,19 +358,24 @@ def test_simulate_batch_independent_of_chunk_size(monkeypatch, kind, params, n):
         terminal, overflow, path = simulate_batch(problem, kind, inc, u)
         _assert_same((terminal, overflow), expected[:2])
         assert path is None
-        # the resumable stepper fed the whole grid, then uneven pieces
-        for cuts in ([n], [5, 1, 13], [2, n - 3]):
+        # the resumable stepper fed the whole grid, then uneven pieces, then
+        # pieces led by and holding empty ones
+        for cuts in ([n], [5, 1, 13], [2, n - 3], [0, 5, 0, 11]):
             _assert_same(_fed_in_pieces(problem, kind, inc, uniforms, cuts), expected)
 
 
 def _fed_in_pieces(problem, kind, inc, uniforms, cuts):
     """Feed a BatchStepper the grid in pieces split at the running sums of
-    ``cuts``, collecting the observed states into whole paths."""
+    ``cuts``, collecting the observed states into whole paths and checking
+    the observer contract: grid points 0 to n arrive once each, in order,
+    each with the finite mask of its states."""
     batch, n, _ = inc.shape
     paths = np.full((batch, n + 1, problem.d), -7.0)
-    paths[:, 0] = problem.initial_state
+    seen = []
 
-    def observe(index, states):  # (C, d, B)
+    def observe(index, states, finite):  # (C, d, B) and (C, B)
+        assert np.array_equal(finite, np.isfinite(states).all(axis=1))
+        seen.extend(range(index, index + len(states)))
         paths[:, index:index + len(states)] = states.transpose(2, 0, 1)
 
     stepper = schemes.BatchStepper(problem, kind, n, batch)
@@ -378,6 +383,7 @@ def _fed_in_pieces(problem, kind, inc, uniforms, cuts):
     for j0, j1 in zip(bounds, bounds[1:]):
         stepper.feed(inc[:, j0:j1].transpose(1, 0, 2), uniforms[:, j0:j1].T, observe)
     assert stepper.steps == n
+    assert seen == list(range(n + 1))
     with pytest.raises(DimensionError):
         stepper.feed(inc[:, :1].transpose(1, 0, 2), uniforms[:, :1].T)
     return stepper.x, stepper.overflow, paths
