@@ -11,7 +11,6 @@ from .model import (
 )
 from .noise import (
     BrownianGrid,
-    LevelError,
     RandomizationStream,
     SeedPolicy,
     StreamRole,
@@ -25,7 +24,6 @@ from .noise import (
     terminal_value,
 )
 from .schemes import (
-    DimensionError,
     PathResult,
     SchemeKind,
     audit_taming,

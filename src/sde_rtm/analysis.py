@@ -64,7 +64,8 @@ import numpy as np
 
 from .model import (InvalidParameterError, SdeProblem, _check_int, _check_ints,
                     _check_real, _is_int, _stacked, make_builtin)
-from .noise import _MAX_LEVEL, SeedPolicy, SlabStream, StreamRole, coarsen_chunks
+from .noise import (_MAX_LEVEL, SeedPolicy, SlabStream, StreamRole, _check_level,
+                    coarsen_chunks)
 from .schemes import _MAX_COUNT, BatchStepper, SchemeKind
 
 __all__ = [
@@ -378,10 +379,6 @@ def _check_reference(ref, levels) -> bool:
         raise InvalidParameterError("reference must be 'exact' or an integer "
                                     f"level in [{max(levels) + 1}, {_MAX_LEVEL}]")
     return exact
-
-
-def _check_level(level) -> int:
-    return _check_int("level", level, 0, _MAX_LEVEL)
 
 
 def _check_paths(paths) -> int:

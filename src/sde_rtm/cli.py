@@ -170,13 +170,14 @@ def render_svg(table: analysis.ErrorTable, fit: analysis.RateFit, path: str) -> 
 
     Data points are the only ``circle`` elements in the document and carry
     ``class="data-point"``; the fit annotation carries the full-precision
-    slope in its ``data-slope`` attribute.
+    slope in its ``data-slope`` attribute.  An empty table or a non-finite
+    or non-positive error raises ``DegenerateDataError``, as the rate fit does.
     """
     rows = table.rows
     if not rows:
-        raise ValueError("cannot render an empty error table")
+        raise analysis.DegenerateDataError("cannot render an empty error table")
     if any(not (r.lp_error > 0 and math.isfinite(r.lp_error)) for r in rows):
-        raise ValueError("error table must contain finite positive errors")
+        raise analysis.DegenerateDataError("error table must contain finite positive errors")
     xs = [math.log10(r.dt) for r in rows]
     ys = [math.log10(r.lp_error) for r in rows]
     x_lo, x_hi = min(xs), max(xs)

@@ -39,7 +39,6 @@ __all__ = [
     "SeedPolicy",
     "BrownianGrid",
     "RandomizationStream",
-    "LevelError",
     "UnsupportedNoiseStructureError",
     "derive_substream",
     "sample_brownian_grid",
@@ -53,16 +52,15 @@ __all__ = [
 ]
 
 
-class LevelError(ValueError):
-    """A dyadic level argument is out of range."""
-
-
 _MAX_LEVEL = 62  # the finest level whose 1 << level steps fit int64 step indices
 
 
+def _check_level(level) -> int:
+    return _check_int("level", level, 0, _MAX_LEVEL)
+
+
 def _check_grid(level, m, horizon) -> None:
-    if not (_is_int(level) and 0 <= level <= _MAX_LEVEL):
-        raise LevelError(f"level must be an integer in [0, {_MAX_LEVEL}], got {level!r}")
+    _check_level(level)
     if not (_is_int(m) and m >= 1):
         raise InvalidParameterError(f"m must be a positive integer, got {m!r}")
     _check_positive("horizon", horizon)
@@ -71,7 +69,8 @@ def _check_grid(level, m, horizon) -> None:
 def _check_chunk(chunk, level: int) -> None:
     # the dyadic piece rule: a power of two in [1, 2**level]
     if not (_is_int(chunk) and 1 <= chunk <= 1 << level) or chunk & (chunk - 1):
-        raise LevelError(f"chunk must be a power of two in [1, {1 << level}], got {chunk}")
+        raise InvalidParameterError(
+            f"chunk must be a power of two in [1, {1 << level}], got {chunk}")
 
 
 def _check_unit_interval(name: str, values: np.ndarray) -> None:
@@ -127,7 +126,8 @@ class BrownianGrid:
 
     ``increments[j]`` is w(t_{j+1}) - w(t_j) on the uniform grid with
     2**level steps of size horizon / 2**level.  The level is an integer in
-    [0, 62] (else :class:`LevelError`), m an integer >= 1, the horizon finite > 0.
+    [0, 62], m an integer >= 1 and the horizon finite > 0, else
+    :class:`InvalidParameterError`.
     """
 
     level: int
@@ -339,7 +339,7 @@ def coarsen(grid: BrownianGrid, target_level: int) -> BrownianGrid:
     The grid is the one piece of :func:`coarsen_chunks`, so coarsening is
     repeated one-level halving and telescopes bit exactly:
     coarsen(coarsen(g, a), b) == coarsen(g, b) for b <= a.  An integer
-    target level in [0, grid.level], else :class:`LevelError`.
+    target level in [0, grid.level], else :class:`InvalidParameterError`.
     """
     (pieces,) = coarsen_chunks([grid.increments], grid.level, [target_level])
     return BrownianGrid(level=target_level, horizon=grid.horizon, m=grid.m,
@@ -352,21 +352,22 @@ def coarsen_chunks(chunks, level: int, targets):
     ``chunks`` yields consecutive pieces of one grid (or a batch of grids
     along trailing axes), time on axis 0: arrays of the first one's shape,
     whose length is a power of two in [1, 2**level], that cover the
-    2**level steps, else
-    :class:`LevelError` at the piece that breaks the rule or at the end of a
-    short stream.  For each piece this yields ``{target: increments}`` with
-    the target-level increments that the piece completes; a target whose
-    steps span several pieces appears only in the piece that completes a
-    step.  Within a piece, coarsening is repeated halving; across pieces,
-    the roots of whole pieces are combined by a binary carry (left + right).
-    Both follow one pairwise tree, of which :func:`coarsen` is the one-piece
-    case, and target 0 yields the terminal value of :func:`terminal_value`.
-    ``targets`` holds integer levels in [0, level], else :class:`LevelError`.
+    2**level steps, else :class:`InvalidParameterError` at the piece that
+    breaks the rule or at the end of a short stream.  For each piece this
+    yields ``{target: increments}`` with the target-level increments that
+    the piece completes; a target whose steps span several pieces appears
+    only in the piece that completes a step.  Within a piece, coarsening is
+    repeated halving; across pieces, the roots of whole pieces are combined
+    by a binary carry (left + right).  Both follow one pairwise tree, of
+    which :func:`coarsen` is the one-piece case, and target 0 yields the
+    terminal value of :func:`terminal_value`.  ``targets`` holds integer
+    levels in [0, level], else :class:`InvalidParameterError`.
     """
     targets = list(targets) if np.iterable(targets) else []
     if not (targets and all(_is_int(t) and 0 <= t <= level <= _MAX_LEVEL
                             for t in [level, *targets])):
-        raise LevelError(f"targets must be a nonempty set of levels in [0, {level}]")
+        raise InvalidParameterError(
+            f"targets must be a nonempty set of levels in [0, {level}]")
     targets = sorted(set(targets), reverse=True)
     n, covered = 1 << level, 0
     pending = {}  # level -> left half of an unfinished coarse step
@@ -376,7 +377,8 @@ def coarsen_chunks(chunks, level: int, targets):
             _check_chunk(len(chunk), level)
         covered += len(chunk)
         if chunk.shape != shape or covered > n:
-            raise LevelError(f"pieces must all have shape {shape} and cover {n} in all")
+            raise InvalidParameterError(
+                f"pieces must all have shape {shape} and cover {n} in all")
         out = {}
         cur, cur_level = chunk, level
         for target in targets:
@@ -395,7 +397,7 @@ def coarsen_chunks(chunks, level: int, targets):
                 out[cur_level] = cur
         yield out
     if covered != n:
-        raise LevelError(f"pieces cover {covered} of the {n} steps")
+        raise InvalidParameterError(f"pieces cover {covered} of the {n} steps")
 
 
 def terminal_value(grid: BrownianGrid) -> np.ndarray:

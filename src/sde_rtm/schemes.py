@@ -56,8 +56,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (NoiseStructure, SdeProblem, _check_int, _check_ints, _check_positive,
-                    _check_real, _check_type, _is_int, _stacked)
+from .model import (InvalidParameterError, NoiseStructure, SdeProblem, _check_int,
+                    _check_ints, _check_positive, _check_real, _check_type, _stacked)
 from .noise import (
     _MAX_LEVEL,
     BrownianGrid,
@@ -71,7 +71,6 @@ from .noise import (
 __all__ = [
     "SchemeKind",
     "PathResult",
-    "DimensionError",
     "tame_drift",
     "integrate_path",
     "BatchStepper",
@@ -79,10 +78,6 @@ __all__ = [
     "audit_taming",
     "TamingAuditRow",
 ]
-
-
-class DimensionError(ValueError):
-    """Shape mismatch between a problem and the supplied noise inputs."""
 
 
 class SchemeKind(Enum):
@@ -148,15 +143,15 @@ def tame_drift(mu_value, x, n: int, xi: float):
     The denominator is always >= 1, so ``|tamed| <= |mu|`` exactly, and
     ``|mu - tamed| <= |mu| |x|^(2 xi) / n`` pointwise.  Accepts a single
     vector with state ``(d,)`` or batches ``(..., d)``; ``mu`` must have the
-    state's shape, else DimensionError.  An integer ``n`` in [1, 2**62] and a
-    finite real ``xi >= 0``, else InvalidParameterError.
+    state's shape, ``n`` an integer in [1, 2**62] and ``xi`` a finite real
+    >= 0, else :class:`InvalidParameterError`.
     """
     n = _check_int("n", n, 1, 1 << _MAX_LEVEL)
     _check_real("xi", xi, 0)
     mu_value, x = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (mu_value, x))
     if mu_value.shape != x.shape:
-        raise DimensionError(f"drift shape {mu_value.shape} differs from "
-                             f"state shape {x.shape}")
+        raise InvalidParameterError(f"drift shape {mu_value.shape} differs from "
+                                    f"state shape {x.shape}")
     components = [x[..., i] for i in range(x.shape[-1])]
     return _stacked(lambda mu: _tame(mu, components, n, xi), mu_value)
 
@@ -230,16 +225,15 @@ class BatchStepper:
     steps taken ``steps`` carry over from one :meth:`feed` to the next, so a
     grid can be integrated piece by piece as its increments arrive.
     Per-path results do not depend on how the grid is cut into pieces.
-    ``n_steps`` below 1 raises :class:`DimensionError`; ``kind`` must be a
-    :class:`SchemeKind` and ``batch`` an integer in [1, 2**24], else
-    ``InvalidParameterError``.
+    ``kind`` must be a :class:`SchemeKind`, ``n_steps`` an integer in
+    [1, 2**62] and ``batch`` an integer in [1, 2**24], else
+    :class:`InvalidParameterError`.
     """
 
     def __init__(self, problem: SdeProblem, kind: SchemeKind, n_steps: int,
                  batch: int):
         _check_type("kind", kind, SchemeKind)
-        if not (_is_int(n_steps) and n_steps >= 1):
-            raise DimensionError("a grid needs at least one step")
+        n_steps = _check_int("n_steps", n_steps, 1, 1 << _MAX_LEVEL)
         batch = _check_int("batch", batch, 1, _MAX_COUNT)
         self.problem = problem
         self.n_steps = n_steps
@@ -259,26 +253,25 @@ class BatchStepper:
 
         ``increments`` is time-major, (C, B, m), for this stepper's ``B``
         paths and the problem's ``m``; ``uniforms`` (C, B) is required for
-        the randomized kind, and a value outside [0, 1) raises
-        ``InvalidParameterError``.  Any other shape, or more steps than the
-        grid has, raises :class:`DimensionError`.  ``observe(index, states,
-        finite)``, if given, receives the states at grid indices ``index``
-        to ``index + len(states) - 1`` as a component-major (len, d, B)
-        buffer that is reused afterwards, and the overflow scan's own mask
-        ``finite`` (len, B).  The first feed that takes a step also observes
-        grid point 0, so an observer sees indices 0 to n once each, in order.
+        the randomized kind.  Any other shape, more steps than the grid has,
+        or a uniform outside [0, 1) raises :class:`InvalidParameterError`.
+        ``observe(index, states, finite)``, if given, receives the states at
+        grid indices ``index`` to ``index + len(states) - 1`` as a
+        component-major (len, d, B) buffer that is reused afterwards, and the
+        overflow scan's own mask ``finite`` (len, B).  The first feed that
+        takes a step also observes grid point 0, so an observer sees indices
+        0 to n once each, in order.
         """
         batch, m = len(self.overflow), self.problem.m
         inc = np.ascontiguousarray(increments, dtype=float)
         if inc.shape[1:] != (batch, m):
-            raise DimensionError(f"increments must have shape (C, {batch}, {m})")
+            raise InvalidParameterError(f"increments must have shape (C, {batch}, {m})")
         if self.steps + len(inc) > self.n_steps:
-            raise DimensionError(f"more than {self.n_steps} steps fed")
+            raise InvalidParameterError(f"more than {self.n_steps} steps fed")
         if self.randomized:
             if uniforms is None or np.shape(uniforms) != inc.shape[:2]:
-                raise DimensionError(
-                    f"the randomized kind needs uniforms of shape {inc.shape[:2]}"
-                )
+                raise InvalidParameterError(
+                    f"the randomized kind needs uniforms of shape {inc.shape[:2]}")
             uniforms = np.ascontiguousarray(uniforms, dtype=float)
         dt, advance = self.dt, self.advance
         structure = self.problem.noise_structure
@@ -335,10 +328,13 @@ def simulate_batch(problem: SdeProblem, kind: SchemeKind, increments,
         Always None.  The slot is kept so that callers unpacking three
         values keep working; whole paths are observed through
         ``BatchStepper.feed(observe=...)``.
+
+    Increments that are not (B, n, m), uniforms of another shape, or an
+    argument :class:`BatchStepper` rejects raise :class:`InvalidParameterError`.
     """
     inc = np.asarray(increments, dtype=float)
     if inc.ndim != 3:
-        raise DimensionError("increments must have shape (B, n, m)")
+        raise InvalidParameterError("increments must have shape (B, n, m)")
     stepper = BatchStepper(problem, kind, inc.shape[1], len(inc))
     stepper.feed(inc.transpose(1, 0, 2),
                  None if uniforms is None else np.asarray(uniforms, dtype=float).T)
@@ -350,13 +346,14 @@ def integrate_path(problem: SdeProblem, kind: SchemeKind, level: int,
                    uniforms: RandomizationStream = None) -> PathResult:
     """Integrate one path at a dyadic level, coarsening the grid as needed.
 
-    The grid may be finer than ``level`` (outside [0, brownian.level] raises
-    :class:`LevelError`); it is coarsened exactly, so a coarse run and a fine
-    reference can share one Brownian path.  A state that turns non-finite is
-    reported through ``overflow_step`` rather than raised.
+    The grid may be finer than ``level``; it is coarsened exactly, so a
+    coarse run and a fine reference can share one Brownian path.  A level
+    outside [0, brownian.level], or a grid or uniforms that do not fit the
+    problem, raise :class:`InvalidParameterError`; a state that turns
+    non-finite is reported through ``overflow_step`` rather than raised.
     """
     if brownian.horizon != problem.horizon:
-        raise DimensionError("grid horizon differs from problem horizon")
+        raise InvalidParameterError("grid horizon differs from problem horizon")
     grid = coarsen(brownian, level)
     u = None if uniforms is None else uniforms.uniforms[None, : grid.n]
     terminal, overflow, _ = simulate_batch(problem, kind,

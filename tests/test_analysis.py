@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -374,8 +375,9 @@ def test_experiment_validation(fhn, monkeypatch):
     for ref in (5.9, 6.0, True, 63):
         with pytest.raises(InvalidParameterError, match="reference"):
             strong_error_experiment(fhn, RTM, [0], ref, 2.0, 10, policy)
-    for level in (2.5, float("nan"), True, 63):
-        with pytest.raises(InvalidParameterError, match="level"):
+    for level in (63, -1, 1.5, 2.5, float("nan"), True):
+        with pytest.raises(InvalidParameterError,
+                           match=re.escape("level must be an integer in [0, 62]")):
             simulate_terminals(fhn, RTM, level, 10, policy)
     for bad in (float("inf"), -float("inf"), float("nan"), "2", True, 10 ** 400):
         with pytest.raises(InvalidParameterError, match="p must"):

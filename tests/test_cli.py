@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sde_rtm import analysis, cli, model
+from sde_rtm import analysis, cli, model, noise, schemes
 from sde_rtm.analysis import ErrorRow, ErrorTable, MomentTable, RateFit, fit_rate
 from sde_rtm.cli import ConfigError, CsvReport, ExperimentConfig, render_svg, run_command
 from sde_rtm.schemes import SchemeKind, TamingAuditRow
@@ -392,6 +392,28 @@ def test_unwritable_outdir_exits_1(tmp_path, capsys):
     blocker.write_text("a file, not a directory")
     path, _ = write_config(tmp_path, outdir=str(blocker))
     assert run_command(["converge", "--config", str(path)]) == 1
+
+
+def _package_errors():
+    # every exception class that a package module defines
+    return sorted({value for module in (model, noise, schemes, analysis, cli)
+                   for value in vars(module).values()
+                   if isinstance(value, type) and issubclass(value, Exception)
+                   and value.__module__ == module.__name__}, key=lambda cls: cls.__name__)
+
+
+def test_every_package_error_has_an_exit_code(capsys, monkeypatch):
+    errors = _package_errors()
+    assert {cls.__name__ for cls in errors} >= {"ConfigError", "DegenerateDataError",
+                                                 "InvalidParameterError",
+                                                 "UnsupportedNoiseStructureError"}
+    for cls in errors:
+        def runner(config, cls=cls):
+            raise cls("raised by the runner")
+
+        monkeypatch.setitem(cli._RUNNERS, "converge", runner)
+        assert run_command(["converge"]) in (1, 2, 3), cls.__name__
+        assert "raised by the runner" in capsys.readouterr().err
 
 
 def test_bad_flags_exit_2(capsys):
@@ -820,11 +842,15 @@ def test_render_svg_contract(tmp_path):
 
 
 def test_render_svg_empty_table_raises(tmp_path):
+    # the rate fit's rule and error: exit 2 from the CLI, still a ValueError
     target = tmp_path / "plot.svg"
-    with pytest.raises(ValueError):
-        render_svg(ErrorTable((), "exact", 2.0), RateFit(1.0, 0.0, 1.0),
-                   str(target))
-    assert not target.exists()
+    zero = ErrorRow(level=3, n=8, dt=0.125, lp_error=0.0, paths=10, p=2.0, stderr=0.0,
+                    overflowed=0)
+    for rows in ((), (zero,)):
+        with pytest.raises(analysis.DegenerateDataError):
+            render_svg(ErrorTable(rows, "exact", 2.0), RateFit(1.0, 0.0, 1.0),
+                       str(target))
+        assert not target.exists()
 
 
 def test_svg_annotation_matches_rate_file(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 from sde_rtm import (
     BrownianGrid,
     InvalidParameterError,
-    LevelError,
     NoiseStructure,
     RandomizationStream,
     SeedPolicy,
@@ -213,20 +214,25 @@ def test_increment_statistics(level, horizon):
     assert abs(draws.var() - dt) <= 0.1 * dt
 
 
+LEVEL_RULE = re.escape("level must be an integer in [0, 62]")
+
+
 def test_grid_argument_validation():
     stream = derive_substream(POLICY, 0, StreamRole.BROWNIAN)
-    with pytest.raises(LevelError):
-        sample_brownian_grid(-1, 1, 1.0, stream)
     with pytest.raises(InvalidParameterError):
         sample_brownian_grid(1, 0, 1.0, stream)
     with pytest.raises(InvalidParameterError):
         sample_brownian_grid(1, 1, 0.0, stream)
-    # levels and m are integers, the horizon a finite real
-    for level in (2.5, True):
-        with pytest.raises(LevelError):
+    # levels are integers in [0, 62] under one rule wherever a grid is made,
+    # m is an integer and the horizon a finite real
+    slab = SlabStream(POLICY, 0, 1, StreamRole.BROWNIAN)
+    for level in (63, -1, 1.5, 2.5, True):
+        with pytest.raises(InvalidParameterError, match=LEVEL_RULE):
             sample_brownian_grid(level, 1, 1.0, stream)
-        with pytest.raises(LevelError):
+        with pytest.raises(InvalidParameterError, match=LEVEL_RULE):
             BrownianGrid(level=level, horizon=1.0, m=1, increments=np.zeros((2, 1)))
+        with pytest.raises(InvalidParameterError, match=LEVEL_RULE):
+            next(slab.brownian(level, 1, 1.0, 1))
     for m, horizon in ((1.5, 1.0), (1, float("nan")), (1, float("inf"))):
         with pytest.raises(InvalidParameterError):
             sample_brownian_grid(3, m, horizon, stream)
@@ -274,12 +280,9 @@ def test_coarsen_telescopes_bit_exactly(level, seed, data):
 
 def test_coarsen_level_check():
     grid = sample_brownian_grid(3, 1, 1.0, derive_substream(POLICY, 0, StreamRole.BROWNIAN))
-    with pytest.raises(LevelError):
-        coarsen(grid, 4)
-    with pytest.raises(LevelError):
-        coarsen(grid, -1)
-    for target in (1.5, True):
-        with pytest.raises(LevelError):
+    for target in (4, 63, -1, 1.5, True):
+        with pytest.raises(InvalidParameterError,
+                           match=re.escape("levels in [0, 3]")):
             coarsen(grid, target)
 
 
@@ -327,7 +330,7 @@ def test_chunk_sizes_are_checked():
     # divide the count, and coarsening targets lie in [0, level]
     stream = SlabStream(POLICY, 0, 1, StreamRole.BROWNIAN)
     for chunk in (0, 3, 16, 2.5):
-        with pytest.raises(LevelError):
+        with pytest.raises(InvalidParameterError, match="chunk must be a power of two"):
             next(stream.brownian(3, 1, 1.0, chunk))
         with pytest.raises(InvalidParameterError):
             next(stream.uniforms(0, 8, chunk))
@@ -335,16 +338,22 @@ def test_chunk_sizes_are_checked():
         with pytest.raises(InvalidParameterError):
             next(stream.uniforms(offset, count, 2))
     for targets in ([2], [], [1, "a"], 1):
-        with pytest.raises(LevelError):
+        with pytest.raises(InvalidParameterError,
+                           match=re.escape("targets must be a nonempty set of levels in [0, 1]")):
             next(coarsen_chunks(iter([np.zeros((2, 1))]), 1, targets))
     # coarsened pieces are equal powers of two that cover the grid exactly
-    for level, sizes, target in ((2, [3], 1), (3, [4, 2], 0), (3, [2, 2, 2], 0),
-                                 (3, [2] * 5, 0)):
+    for level, sizes, target, message in (
+        (2, [3], 1, "chunk must be a power of two in [1, 4], got 3"),
+        (3, [4, 2], 0, "pieces must all have shape (4, 1) and cover 8 in all"),
+        (3, [2, 2, 2], 0, "pieces cover 6 of the 8 steps"),
+        (3, [2] * 5, 0, "pieces must all have shape (2, 1) and cover 8 in all"),
+    ):
         pieces = iter([np.ones((size, 1)) for size in sizes])
-        with pytest.raises(LevelError):
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
             list(coarsen_chunks(pieces, level, [target]))
     # and share the first piece's trailing shape, which would otherwise broadcast
-    with pytest.raises(LevelError):
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape("pieces must all have shape (2, 1)")):
         list(coarsen_chunks(iter([np.ones((2, 1)), np.ones((2, 3))]), 2, [0]))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -7,9 +8,7 @@ from hypothesis import strategies as st
 
 from sde_rtm import schemes
 from sde_rtm import (
-    DimensionError,
     InvalidParameterError,
-    LevelError,
     NoiseStructure,
     RandomizationStream,
     SchemeKind,
@@ -83,7 +82,7 @@ def test_tame_drift_validation():
             tame_drift(np.ones(2), np.ones(2), n, xi)
     # the drift has the state's shape, also for batches
     for mu, x in ((np.ones(3), np.ones(2)), (np.ones((5, 3)), np.ones((4, 2)))):
-        with pytest.raises(DimensionError):
+        with pytest.raises(InvalidParameterError, match="drift shape .* differs from state"):
             tame_drift(mu, x, 4, 1.0)
 
 
@@ -280,17 +279,23 @@ def test_integrate_validation(fhn):
     with pytest.raises(ValueError):
         integrate_path(fhn, SchemeKind.RANDOMIZED_TAMED_MILSTEIN, 4, grid)
     short = RandomizationStream(np.zeros(3))
-    with pytest.raises(DimensionError):
+    with pytest.raises(InvalidParameterError, match="randomized kind needs uniforms"):
         integrate_path(fhn, SchemeKind.RANDOMIZED_TAMED_MILSTEIN, 4, grid, short)
     wide = sample_brownian_grid(4, 2, 1.0,
                                 derive_substream(POLICY, 0, StreamRole.BROWNIAN))
-    with pytest.raises(DimensionError):
+    with pytest.raises(InvalidParameterError, match=re.escape("must have shape (C, 1, 1)")):
         integrate_path(fhn, SchemeKind.TAMED_EULER, 4, wide)
-    with pytest.raises(LevelError):
+    with pytest.raises(InvalidParameterError, match=re.escape("levels in [0, 4]")):
         integrate_path(fhn, SchemeKind.TAMED_EULER, 1.5, grid)
     for batch in (1.5, -1, True, 0):
         with pytest.raises(InvalidParameterError, match="batch"):
             schemes.BatchStepper(fhn, SchemeKind.TAMED_EULER, 4, batch)
+    # the step count follows the taming rule for n: an integer in [1, 2**62]
+    for n_steps in (0, 2 ** 62 + 1, 2.5, True):
+        with pytest.raises(InvalidParameterError,
+                           match=re.escape(f"n_steps must be an integer in [1, {2 ** 62}]")):
+            schemes.BatchStepper(fhn, SchemeKind.TAMED_EULER, n_steps, 1)
+    assert schemes.BatchStepper(fhn, SchemeKind.TAMED_EULER, 2 ** 62, 1).n_steps == 2 ** 62
     with pytest.raises(InvalidParameterError, match="kind"):
         schemes.BatchStepper(fhn, "tamed_euler", 4, 1)
     with pytest.raises(InvalidParameterError, match="kind"):
@@ -384,7 +389,7 @@ def _fed_in_pieces(problem, kind, inc, uniforms, cuts):
         stepper.feed(inc[:, j0:j1].transpose(1, 0, 2), uniforms[:, j0:j1].T, observe)
     assert stepper.steps == n
     assert seen == list(range(n + 1))
-    with pytest.raises(DimensionError):
+    with pytest.raises(InvalidParameterError, match=f"more than {n} steps fed"):
         stepper.feed(inc[:, :1].transpose(1, 0, 2), uniforms[:, :1].T)
     return stepper.x, stepper.overflow, paths
 
@@ -475,22 +480,27 @@ def test_feed_rejects_uniforms_outside_unit_interval(bad):
         stepper.feed(np.zeros((4, 3, 1)), uniforms)
 
 
-@pytest.mark.parametrize("problem,kind,n_steps,increments,uniforms", [
+@pytest.mark.parametrize("problem,kind,n_steps,increments,uniforms,message", [
     # m = 1 increments on an m = 2 problem
-    (make_zero_problem(d=2, m=2), SchemeKind.TAMED_EULER, 4, (4, 3, 1), None),
+    (make_zero_problem(d=2, m=2), SchemeKind.TAMED_EULER, 4, (4, 3, 1), None,
+     "increments must have shape (C, 3, 2)"),
     # one path's increments for three paths
-    (FHN, SchemeKind.TAMED_MILSTEIN, 4, (4, 1, 1), None),
+    (FHN, SchemeKind.TAMED_MILSTEIN, 4, (4, 1, 1), None,
+     "increments must have shape (C, 3, 1)"),
     # one path's uniforms for three paths
-    (FHN, SchemeKind.RANDOMIZED_TAMED_MILSTEIN, 4, (4, 3, 1), (4, 1)),
+    (FHN, SchemeKind.RANDOMIZED_TAMED_MILSTEIN, 4, (4, 3, 1), (4, 1),
+     "the randomized kind needs uniforms of shape (4, 3)"),
     # fewer uniforms than steps
-    (FHN, SchemeKind.RANDOMIZED_TAMED_MILSTEIN, 4, (4, 3, 1), (3, 3)),
+    (FHN, SchemeKind.RANDOMIZED_TAMED_MILSTEIN, 4, (4, 3, 1), (3, 3),
+     "the randomized kind needs uniforms of shape (4, 3)"),
     # a grid of no steps, which has no step size
-    (FHN, SchemeKind.TAMED_EULER, 0, (0, 3, 1), None),
+    (FHN, SchemeKind.TAMED_EULER, 0, (0, 3, 1), None,
+     "n_steps must be an integer in [1, "),
 ], ids=["m", "increment-width", "uniform-width", "uniform-steps", "no-steps"])
 def test_feed_rejects_inputs_shaped_for_another_block(problem, kind, n_steps,
-                                                      increments, uniforms):
+                                                      increments, uniforms, message):
     u = None if uniforms is None else np.full(uniforms, 0.5)
-    with pytest.raises(DimensionError):
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
         stepper = schemes.BatchStepper(problem, kind, n_steps, 3)
         stepper.feed(np.zeros(increments), u)
     if n_steps:  # the stepper was built, and took no step
