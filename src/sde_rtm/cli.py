@@ -475,8 +475,11 @@ def run_command(argv) -> int:
         mapping.update({key: _flag_value(key, raw) for key, raw in flags.items()})
         config = ExperimentConfig.from_mapping(mapping)
         _RUNNERS[command](config)
-    except (ConfigError, model.InvalidParameterError, analysis.DegenerateDataError) as exc:
+    except (ConfigError, model.InvalidParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except analysis.DegenerateDataError as exc:
+        print(f"cannot fit a rate: {exc}", file=sys.stderr)
         return 2
     except noise.UnsupportedNoiseStructureError as exc:
         print(f"unsupported noise structure: {exc}", file=sys.stderr)

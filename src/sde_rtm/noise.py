@@ -341,6 +341,7 @@ def coarsen(grid: BrownianGrid, target_level: int) -> BrownianGrid:
     coarsen(coarsen(g, a), b) == coarsen(g, b) for b <= a.  An integer
     target level in [0, grid.level], else :class:`InvalidParameterError`.
     """
+    target_level = _check_int("target_level", target_level, 0, grid.level)
     (pieces,) = coarsen_chunks([grid.increments], grid.level, [target_level])
     return BrownianGrid(level=target_level, horizon=grid.horizon, m=grid.m,
                         increments=pieces[target_level])

@@ -354,7 +354,7 @@ def integrate_path(problem: SdeProblem, kind: SchemeKind, level: int,
     """
     if brownian.horizon != problem.horizon:
         raise InvalidParameterError("grid horizon differs from problem horizon")
-    grid = coarsen(brownian, level)
+    grid = coarsen(brownian, _check_int("level", level, 0, brownian.level))
     u = None if uniforms is None else uniforms.uniforms[None, : grid.n]
     terminal, overflow, _ = simulate_batch(problem, kind,
                                            grid.increments[None, :, :], u)

@@ -84,18 +84,21 @@ def test_converge_statistics_raise_no_numpy_warnings(tmp_path, capsys, monkeypat
 def test_converge_writes_its_table_before_the_fit_refuses_it(tmp_path, capsys,
                                                              monkeypatch):
     # explosive fhn under explicit Euler: level 3's mean error power
-    # overflows, so the fit exits 2, but the table showing it is written
+    # overflows, so the fit exits 2, but the table showing it is written;
+    # the config is valid, so the message blames the data, not the config
     monkeypatch.setenv("SDE_RTM_THREADS", "1")
-    path, config = write_config(
-        tmp_path, problem="fhn", problem_params={"sigma": 3.0, "i_amp": 60.0},
-        scheme="euler_maruyama", levels=[3, 4, 6], reference=9, paths=10,
-        master_seed=5)
-    assert run_command(["converge", "--config", str(path)]) == 2
-    assert "rate fitting needs finite positive errors" in capsys.readouterr().err
-    rows = read(os.path.join(config["outdir"], "converge.csv")).decode().splitlines()
-    assert rows[0] == "level,n,dt,lp_error,paths,p,stderr" and len(rows) == 4
-    assert rows[1].split(",") == ["3", "8", "0.125", "inf", "4", "2", "inf"]
-    assert sorted(os.listdir(config["outdir"])) == ["converge.csv"]
+    for paths, kept in ((10, "4"), (300, "104")):
+        path, config = write_config(
+            tmp_path, problem="fhn", problem_params={"sigma": 3.0, "i_amp": 60.0},
+            scheme="euler_maruyama", levels=[3, 4, 6], reference=9, paths=paths,
+            master_seed=5, outdir=str(tmp_path / f"out{paths}"))
+        assert run_command(["converge", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "cannot fit a rate: rate fitting needs finite positive errors\n")
+        rows = read(os.path.join(config["outdir"], "converge.csv")).decode().splitlines()
+        assert rows[0] == "level,n,dt,lp_error,paths,p,stderr" and len(rows) == 4
+        assert rows[1].split(",") == ["3", "8", "0.125", "inf", kept, "2", "inf"]
+        assert sorted(os.listdir(config["outdir"])) == ["converge.csv"]
 
 
 def test_converge_determinism_across_worker_counts(tmp_path, monkeypatch):

@@ -282,7 +282,7 @@ def test_coarsen_level_check():
     grid = sample_brownian_grid(3, 1, 1.0, derive_substream(POLICY, 0, StreamRole.BROWNIAN))
     for target in (4, 63, -1, 1.5, True):
         with pytest.raises(InvalidParameterError,
-                           match=re.escape("levels in [0, 3]")):
+                           match=re.escape("target_level must be an integer in [0, 3]")):
             coarsen(grid, target)
 
 

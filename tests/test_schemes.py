@@ -285,7 +285,8 @@ def test_integrate_validation(fhn):
                                 derive_substream(POLICY, 0, StreamRole.BROWNIAN))
     with pytest.raises(InvalidParameterError, match=re.escape("must have shape (C, 1, 1)")):
         integrate_path(fhn, SchemeKind.TAMED_EULER, 4, wide)
-    with pytest.raises(InvalidParameterError, match=re.escape("levels in [0, 4]")):
+    with pytest.raises(InvalidParameterError,
+                       match="^" + re.escape("level must be an integer in [0, 4]")):
         integrate_path(fhn, SchemeKind.TAMED_EULER, 1.5, grid)
     for batch in (1.5, -1, True, 0):
         with pytest.raises(InvalidParameterError, match="batch"):
