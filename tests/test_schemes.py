@@ -16,7 +16,6 @@ from sde_rtm import (
     SeedPolicy,
     StreamRole,
     UnsupportedNoiseStructureError,
-    audit_taming,
     coarsen,
     derive_substream,
     integrate_path,
@@ -522,43 +521,53 @@ def test_step_rejects_general_noise_and_bad_increments(fhn, kind):
         assert np.isfinite(_one_step(general, kind, *inputs)).all()
 
 
-# --- taming audit ------------------------------------------------------------
+# --- growth bound of the taming the kernel steps ----------------------------
 
-@pytest.mark.parametrize("kind,params", [
-    ("fhn", {}), ("gbm", {}), ("double_well", {}),
-])
-def test_audit_ratios_bounded(kind, params):
-    problem = make_builtin(kind, **params)
-    stream = derive_substream(POLICY, 0, StreamRole.RANDOMIZATION)
-    rows = audit_taming(problem, [4, 16, 64], 300, 6.0, stream)
-    assert [row.n for row in rows] == [4, 16, 64]
-    for row in rows:
-        assert row.max_drift_ratio <= 1.0 + 1e-12
-        assert row.consistency_ratio <= 1.0 + 1e-9
-        assert np.isfinite(row.growth_constant)
-
-
-def test_audit_gbm_growth_constant_stable():
-    # xi = 0: the taming denominator 1 + 1/n tends to 1, so the growth
-    # column scales like a/sqrt(n) with stable prefactor
-    problem = make_builtin("gbm", a=1.0, sigma=0.5, x0=1.0)
-    stream = derive_substream(POLICY, 0, StreamRole.RANDOMIZATION)
-    rows = audit_taming(problem, [16, 64, 256], 500, 5.0, stream)
-    scaled = [row.growth_constant * np.sqrt(row.n) for row in rows]
-    assert max(scaled) / min(scaled) <= 1.1
+# |b_n(t, x)| <= (c3 sqrt(n) + L) (1 + |x|) for the drift b_n the kernel
+# steps with n steps, (c3, L) read off each builtin's formula.  A tamed cubic
+# k x^3 / (1 + x^4 / n) is at most k |x| sqrt(n) sup_u u / (1 + u^2) =
+# k |x| sqrt(n) / 2, so c3 is 1/6 for the FitzHugh-Nagumo cubic V^3 / 3, 1/2
+# for the double well and 0 for gbm, which has no cubic.  L bounds the rest:
+# |V| + |R| + |input| and 0.8 |V| + 0.56 + 0.64 |R| for fhn and rough_drift
+# (input c (1 - t^beta) with c = 25) give 1.8 sqrt(2) |x| + 25.56, under
+# 26 (1 + |x|); |x| for the double well; a |x| with a = 0.5 for gbm.
+_GROWTH_BOUNDS = {
+    "fhn": ({}, 1.0 / 6.0, 26.0),
+    "rough_drift": ({"beta": 0.25}, 1.0 / 6.0, 26.0),
+    "gbm": ({}, 0.0, 0.5),
+    "double_well": ({}, 0.5, 1.0),
+}
 
 
-def test_audit_validation(fhn):
-    stream = derive_substream(POLICY, 0, StreamRole.RANDOMIZATION)
-    with pytest.raises(ValueError):
-        audit_taming(fhn, [4], 0, 1.0, stream)
-    with pytest.raises(ValueError):
-        audit_taming(fhn, [4], 10, -1.0, stream)
-    with pytest.raises(ValueError):
-        audit_taming(fhn, [4], 10, float("nan"), stream)
-    for n_values, samples, radius in (
-        ([2 ** 70], 10, 1.0), ([0], 10, 1.0), ([2.7], 10, 1.0), ([], 10, 1.0),
-        ([4], 2.5, 1.0), ([4], 2 ** 24 + 1, 1.0), ([4], 10, "1"),
-    ):
-        with pytest.raises(InvalidParameterError):
-            audit_taming(fhn, n_values, samples, radius, stream)
+def _growth_grid(d):
+    # 9 times in [0, 1] against V (or x) at 0 and +-1e-3 .. 1e4 and R at 7 values
+    magnitudes = np.geomspace(1e-3, 1e4, 241)
+    axes = [np.linspace(0.0, 1.0, 9), np.concatenate([-magnitudes, [0.0], magnitudes])]
+    if d == 2:
+        axes.append(np.array([-50.0, -5.0, -1.0, 0.0, 1.0, 5.0, 50.0]))
+    t, *x = (axis.ravel() for axis in np.meshgrid(*axes, indexing="ij"))
+    return t, x
+
+
+def _norm(entries):
+    return np.sqrt(sum(np.square(entry) for entry in entries))
+
+
+@pytest.mark.parametrize("name", sorted(_GROWTH_BOUNDS))
+def test_kernel_taming_growth_bound(name):
+    # C_n = max |b_n(t, x)| / (sqrt(n) (1 + |x|)) stays under c3 + L / sqrt(n)
+    # for n = 2^4 .. 2^20, on a fixed grid.  The taming of Hutzenthaler,
+    # Jentzen and Kloeden (2012), mu / (1 + |mu| / n), is the negative
+    # control: with a cubic drift it breaks the bound at n = 2^20.
+    params, c3, lipschitz = _GROWTH_BOUNDS[name]
+    problem = make_builtin(name, **params)
+    t, x = _growth_grid(problem.d)
+    scale = 1.0 + _norm(x)
+    for n in (2 ** 4, 2 ** 8, 2 ** 12, 2 ** 16, 2 ** 20):
+        bound = c3 + lipschitz / np.sqrt(n)
+        growth = np.max(_norm(schemes._tamed_drift(problem, n)(t, x)) / scale) / np.sqrt(n)
+        assert growth <= bound, (n, growth, bound)
+    if c3 > 0.0:
+        mu = _norm(problem.drift(t, x))
+        growth = np.max(mu / (1.0 + mu / n) / scale) / np.sqrt(n)
+        assert growth > bound, (n, growth, bound)
