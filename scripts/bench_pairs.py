@@ -19,10 +19,13 @@ in even pairs and the change in odd ones.  Workload ``i`` uses the seeds
 (``.bench_work/results/`` of its checkout) goes into ``pairs``, and
 ``summary`` gives per workload and end-to-end metric how many pairs the
 change won (ties count for neither side), the relative change of the
-medians, both sides' quartiles and whether the gain rule holds (the change
+medians, both sides' quartiles, whether the gain rule holds (the change
 wins at least nine tenths of the pairs and its median beats the parent's by
-more than the parent's interquartile range).  The file is rewritten after
-every pair, so an interrupted run keeps what it measured.
+more than the parent's interquartile range) and whether the no-regression
+rule holds (``within_bound``: the change's median is worse than the
+parent's by at most the metric's ``bound`` in ``BENCHMARK.json``, relative
+to the parent's median).  The file is rewritten after every pair, so an
+interrupted run keeps what it measured.
 """
 
 from __future__ import annotations
@@ -79,6 +82,7 @@ def summarize(pairs: list, metrics: list) -> dict:
                 "parent_q1_median_q3": [low, mid, high],
                 "change_q1_median_q3": quartiles(change),
                 "gain_rule_met": wins >= 0.9 * len(own) and gain > high - low,
+                "within_bound": gain >= -metric["bound"] * abs(statistics.median(parent)),
             }
         summary[workload] = entry
     return summary

@@ -340,7 +340,7 @@ def _sweep(problem: SdeProblem, kind: SchemeKind, policy: SeedPolicy,
     steppers = [BatchStepper(problem, kind, 1 << level, batch) for level in run_levels]
     pieces = [max(1, chunk >> (gen_level - level)) for level in run_levels]
     uniforms = [None] * len(run_levels)
-    if kind is SchemeKind.RANDOMIZED_TAMED_MILSTEIN:
+    if steppers[0].randomized:
         # run i reads the draws of its own level right after those of every
         # earlier run, at most one draw chunk per path at a time
         stream = SlabStream(policy, start, stop, StreamRole.RANDOMIZATION)

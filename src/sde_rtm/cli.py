@@ -26,24 +26,11 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import analysis, model, noise, schemes
+from .model import InvalidParameterError
 
-__all__ = ["ExperimentConfig", "ConfigError", "CsvReport", "render_svg",
-           "run_command", "main"]
-
-
-class ConfigError(ValueError):
-    """The experiment configuration failed validation."""
-
+__all__ = ["ExperimentConfig", "CsvReport", "render_svg", "run_command", "main"]
 
 _SCHEME_IDS = {kind.value: kind for kind in schemes.SchemeKind}
-
-
-def _check_key(key: str, rule, /, *args, **kwargs):
-    # the rule's error as a config error about ``key``; "/" frees every kwarg name
-    try:
-        return rule(*args, **kwargs)
-    except model.InvalidParameterError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
 
 
 @dataclass
@@ -67,7 +54,7 @@ class ExperimentConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(mapping) - known
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
         return cls(**mapping)
 
     def validate(self):
@@ -78,34 +65,36 @@ class ExperimentConfig:
         ``(problem, kind, policy)``.
         """
         if not isinstance(self.problem, str) or self.problem not in model.BUILTIN_FACTORIES:
-            raise ConfigError(
+            raise InvalidParameterError(
                 f"unknown problem id {self.problem!r}; "
                 f"known: {sorted(set(model.BUILTIN_FACTORIES))}"
             )
         if not isinstance(self.scheme, str) or self.scheme not in _SCHEME_IDS:
-            raise ConfigError(
+            raise InvalidParameterError(
                 f"unknown scheme {self.scheme!r}; known: {sorted(_SCHEME_IDS)}"
             )
         if not isinstance(self.problem_params, dict):
-            raise ConfigError("problem_params must be a JSON object")
+            raise InvalidParameterError("problem_params must be a JSON object")
         if not isinstance(self.outdir, str):
-            raise ConfigError("outdir must be a string")
+            raise InvalidParameterError("outdir must be a string")
         problem = self.build_problem()
-        levels = _check_key("levels", analysis._check_levels, self.levels)
+        levels = analysis._check_levels(self.levels)
         if list(self.levels) != levels:
-            raise ConfigError("levels must be strictly increasing")
-        _check_key("reference", analysis._check_reference, self.reference, levels)
+            raise InvalidParameterError("levels must be strictly increasing")
+        analysis._check_reference(self.reference, levels)
         if self.level is not None:
-            _check_key("level", analysis._check_level, self.level)
-        _check_key("paths", analysis._check_paths, self.paths)
-        _check_key("p", analysis._check_p, self.p)
-        _check_key("q", analysis._check_q, self.q)
-        policy = _check_key("master_seed", noise.SeedPolicy, self.master_seed)
+            analysis._check_level(self.level)
+        analysis._check_paths(self.paths)
+        analysis._check_p(self.p)
+        analysis._check_q(self.q)
+        policy = noise.SeedPolicy(self.master_seed)
         return problem, self.scheme_kind(), policy
 
     def build_problem(self) -> model.SdeProblem:
-        return _check_key("problem_params", model.make_builtin, self.problem,
-                          **self.problem_params)
+        try:
+            return model.make_builtin(self.problem, **self.problem_params)
+        except InvalidParameterError as exc:  # its message names the id, not the key
+            raise InvalidParameterError(f"problem_params: {exc}") from None
 
     def scheme_kind(self) -> schemes.SchemeKind:
         return _SCHEME_IDS[self.scheme]
@@ -265,7 +254,7 @@ def render_svg(table: analysis.ErrorTable, fit: analysis.RateFit, path: str) -> 
 def _cmd_converge(config: ExperimentConfig) -> None:
     problem, kind, policy = config.validate()
     if len(config.levels) < 2:
-        raise ConfigError("converge fits a rate, so levels needs at least two levels")
+        raise InvalidParameterError("converge fits a rate, so levels needs at least two levels")
     table = analysis.strong_error_experiment(
         problem, kind, config.levels, config.reference, config.p,
         config.paths, policy,
@@ -404,20 +393,20 @@ def _flag_value(key: str, raw: str):
     """The config value that ``--<key>``'s text ``raw`` stands for."""
     try:
         return _FLAG_RULES.get(key, str)(raw)
-    except ConfigError:
+    except InvalidParameterError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"--{key.replace('_', '-')} {raw!r}: {exc}") from None
+        raise InvalidParameterError(f"--{key.replace('_', '-')} {raw!r}: {exc}") from None
 
 
 def _decode_json(document, source: str):
-    """Parse JSON text or UTF-8 bytes; any failure to decode is a ConfigError."""
+    """Parse JSON text or UTF-8 bytes; any failure to decode is an InvalidParameterError."""
     try:
         if isinstance(document, bytes):
             document = document.decode("utf-8")
         return json.loads(document)
     except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"{source} is not valid JSON: {exc}") from None
+        raise InvalidParameterError(f"{source} is not valid JSON: {exc}") from None
 
 
 def load_config(path: str) -> dict:
@@ -425,10 +414,10 @@ def load_config(path: str) -> dict:
         with open(path, "rb") as handle:
             raw = handle.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        raise InvalidParameterError(f"cannot read config file {path}: {exc}") from None
     document = _decode_json(raw, f"config file {path}")
     if not isinstance(document, dict):
-        raise ConfigError("config document must be a JSON object")
+        raise InvalidParameterError("config document must be a JSON object")
     return document
 
 
@@ -446,7 +435,7 @@ def run_command(argv) -> int:
         mapping.update({key: _flag_value(key, raw) for key, raw in flags.items()})
         config = ExperimentConfig.from_mapping(mapping)
         _RUNNERS[command](config)
-    except (ConfigError, model.InvalidParameterError) as exc:
+    except InvalidParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except analysis.DegenerateDataError as exc:

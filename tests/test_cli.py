@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from sde_rtm import analysis, cli, model, noise, schemes
 from sde_rtm.analysis import ErrorRow, ErrorTable, MomentTable, RateFit, fit_rate
-from sde_rtm.cli import ConfigError, CsvReport, ExperimentConfig, render_svg, run_command
+from sde_rtm.cli import CsvReport, ExperimentConfig, render_svg, run_command
 from sde_rtm.schemes import SchemeKind
 from tests.conftest import make_zero_problem
 
@@ -338,7 +338,7 @@ def test_bad_master_seed_exits_2_in_every_command(tmp_path, capsys, monkeypatch,
         assert "master_seed" in capsys.readouterr().err
         assert not os.path.exists(config["outdir"])
     # the record's own check catches it too, through the seed's rule
-    with pytest.raises(ConfigError, match="master_seed"):
+    with pytest.raises(model.InvalidParameterError, match="master_seed"):
         ExperimentConfig.from_mapping(config).validate()
 
 
@@ -406,6 +406,37 @@ def test_config_values_are_checked_by_the_library_rule(tmp_path, capsys,
     assert "paths" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value,rule", [
+    ("paths", 0, analysis._check_paths),
+    ("p", 0.5, analysis._check_p),
+    ("q", 1, analysis._check_q),
+    ("levels", [3, 3], analysis._check_levels),
+    ("reference", 2, lambda ref: analysis._check_reference(ref, [3, 4, 5])),
+    ("level", 63, noise._check_level),
+    ("master_seed", -1, noise.SeedPolicy),
+])
+def test_a_rule_error_reaches_stderr_in_the_rules_words(tmp_path, capsys, key,
+                                                       value, rule):
+    # the library's message already starts with the key, so the CLI adds no
+    # second copy of it
+    with pytest.raises(model.InvalidParameterError) as raised:
+        rule(value)
+    path, _ = write_config(tmp_path, **{key: value})
+    assert run_command(["converge", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {raised.value}\n"
+    assert str(raised.value).startswith(f"{key} ")
+
+
+def test_problem_params_error_names_the_key_then_the_problem(tmp_path, capsys):
+    # make_builtin's message names the problem id, so the key goes in front
+    with pytest.raises(model.InvalidParameterError) as raised:
+        model.make_builtin("gbm", drift=1.0)
+    path, _ = write_config(tmp_path, problem_params={"drift": 1.0})
+    assert run_command(["converge", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: problem_params: {raised.value}\n"
+    assert str(raised.value).startswith("gbm: ")
+
+
 def test_unsupported_structure_exits_3(tmp_path, capsys, monkeypatch):
     def make_general(**params):
         problem = make_zero_problem(d=2, m=2)
@@ -438,8 +469,7 @@ def _package_errors():
 
 def test_every_package_error_has_an_exit_code(capsys, monkeypatch):
     errors = _package_errors()
-    assert {cls.__name__ for cls in errors} >= {"ConfigError", "DegenerateDataError",
-                                                 "InvalidParameterError",
+    assert {cls.__name__ for cls in errors} >= {"DegenerateDataError", "InvalidParameterError",
                                                  "UnsupportedNoiseStructureError"}
     for cls in errors:
         def runner(config, cls=cls):

@@ -1,0 +1,99 @@
+"""Evidence for the paper's rate claim on drifts that are rough in time
+everywhere.
+
+The input is the zero-mean triangle sum
+
+    g(t) = c * sum_{k<K} 2^(-k beta) (phi(2^k t) - 1/4),  phi(y) = |y - rint(y)|,
+
+a truncated Takagi-Landsberg sum, beta-Hoelder and no better for
+0 < beta < 1.  Every term integrates to 0 over [0, 1].  Left-endpoint
+sampling of such a drift converges at order beta; sampling it at a uniform
+random time in each step converges at order beta + 1/2.  The bands below
+were fixed from that theory before the runs that pin them.
+"""
+
+import numpy as np
+import pytest
+
+from sde_rtm import (NoiseStructure, SchemeKind, SdeProblem, SeedPolicy, fit_rate, model,
+                     strong_error_experiment)
+
+RTM = SchemeKind.RANDOMIZED_TAMED_MILSTEIN
+TM = SchemeKind.TAMED_MILSTEIN
+LEVELS = [4, 5, 6, 7, 8, 9]
+SIGMA = 0.2
+
+
+def triangle_sum(beta, c, terms):
+    """``g`` above, evaluated at a time or an array of times."""
+    scales = 2.0 ** np.arange(terms)
+    weights = c * scales ** -beta
+
+    def g(t):
+        y = np.multiply.outer(t, scales)
+        return (np.abs(y - np.rint(y)) - 0.25) @ weights
+
+    return g
+
+
+def additive_problem(beta):
+    """dx = g(t) dt + sigma dW on [0, 1] from 0, with c = 8 and K = 40.
+
+    g integrates to 0, so the exact terminal is sigma W_1."""
+    g = triangle_sum(beta, 8.0, 40)
+    return SdeProblem(
+        d=1, m=1, horizon=1.0, initial_state=np.array([0.0]),
+        drift=lambda t, x: (g(t),),
+        diffusion=lambda t, x: ((SIGMA,),),
+        milstein_tensor=lambda t, x: (((0.0,),),),
+        noise_structure=NoiseStructure.SCALAR, xi=0.0, beta=beta,
+        exact_terminal=lambda w: (SIGMA * w[0],),
+    )
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.25, 0.5, 0.75])
+def test_rates_against_an_exact_terminal(beta):
+    """Randomized slope within 0.1 of beta + 1/2 and classical slope within
+    0.1 of beta, with r^2 >= 0.98, on seeds 101, 202 and 303 (levels 4-9
+    against the exact terminal, p = 2, 500 paths).
+
+    The scheme's error is the quadrature error of g alone, so this pins the
+    two rates of the time sampling and nothing else.  It does not show the
+    cap at 1: with no state-dependent error the randomized rate is
+    beta + 1/2 (about 1.2 at beta = 0.75).  Nor does it show taming at work:
+    with xi = 0 the tamed kinds only scale the drift by n / (n + 1).
+    """
+    problem = additive_problem(beta)
+    for seed in (101, 202, 303):
+        for kind, theory in ((RTM, beta + 0.5), (TM, beta)):
+            fit = fit_rate(strong_error_experiment(problem, kind, LEVELS, "exact",
+                                                   2.0, 500, SeedPolicy(seed)))
+            detail = (f"beta {beta} seed {seed} {kind.value}: slope {fit.slope:.4f} "
+                      f"(theory {theory}), r^2 {fit.r_squared:.4f}")
+            print(detail)
+            assert abs(fit.slope - theory) <= 0.1, detail
+            assert fit.r_squared >= 0.98, detail
+
+
+def test_randomization_beats_left_sampling_under_neuron_dynamics():
+    """FitzHugh-Nagumo dynamics driven by g at beta = 0.25 (c = 8, K = 14),
+    sigma = 0.2, levels 4-9 against a level-14 reference, p = 2, 500 paths,
+    seed 101: randomized slope >= beta + 1/2 - 0.1 = 0.65, a randomized
+    minus classical gap >= 0.2, and r^2 >= 0.98 for both kinds.
+
+    K stays at the reference level: a term with k >= 14 is constant on every
+    grid of level 14 or coarser, so the reference could not see it.  The
+    theorem bounds the error from above, so beta + 1/2 is a floor on the
+    randomized slope here, not a target; the measured slopes at these
+    levels sit above both theory lines.
+    """
+    problem = model._fhn_family(triangle_sum(0.25, 8.0, 14), SIGMA, 0.25)
+    fits = {kind: fit_rate(strong_error_experiment(problem, kind, LEVELS, 14, 2.0,
+                                                   500, SeedPolicy(101)))
+            for kind in (RTM, TM)}
+    detail = ", ".join(f"{kind.value}: slope {fit.slope:.4f}, r^2 {fit.r_squared:.4f}"
+                       for kind, fit in fits.items())
+    print(detail)
+    assert fits[RTM].slope >= 0.65, detail
+    assert fits[RTM].slope - fits[TM].slope >= 0.2, detail
+    assert all(fit.r_squared >= 0.98 for fit in fits.values()), detail
