@@ -24,8 +24,10 @@ wins at least nine tenths of the pairs and its median beats the parent's by
 more than the parent's interquartile range) and whether the no-regression
 rule holds (``within_bound``: the change's median is worse than the
 parent's by at most the metric's ``bound`` in ``BENCHMARK.json``, relative
-to the parent's median).  The file is rewritten after every pair, so an
-interrupted run keeps what it measured.
+to the parent's median).  ``numpy_simd`` names the SIMD targets numpy uses
+in the interpreter that runs both sides, since the digests depend on them.
+The file is rewritten after every pair, so an interrupted run keeps what it
+measured.
 """
 
 from __future__ import annotations
@@ -53,6 +55,19 @@ def run_bench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
                          f"exit {done.returncode}):\n{done.stderr[-2000:]}")
     with open(record, encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def numpy_simd() -> dict:
+    """numpy's ``simd_extensions`` as ``numpy.show_runtime()`` reports them:
+    the baseline, and the dispatch targets found and not found on this CPU
+    (``NPY_DISABLE_CPU_FEATURES`` moves targets to ``not_found``).  numpy's
+    ``power`` runs other code on another target, whose last bits may differ,
+    so digests compare equal only between runs on the same targets."""
+    from numpy._core._multiarray_umath import (
+        __cpu_baseline__, __cpu_dispatch__, __cpu_features__)
+    return {"baseline": list(__cpu_baseline__),
+            "found": [t for t in __cpu_dispatch__ if __cpu_features__[t]],
+            "not_found": [t for t in __cpu_dispatch__ if not __cpu_features__[t]]}
 
 
 def quartiles(values) -> list:
@@ -125,6 +140,7 @@ def main(argv=None) -> int:
                       f"{os.path.basename(checkouts['parent'])} and the change from one "
                       f"named {os.path.basename(checkouts['change'])}"),
         "machine": None,
+        "numpy_simd": numpy_simd(),
         "summary": {},
         "pairs": [],
     }

@@ -7,6 +7,14 @@ major.minor version: Gaussian draws are bit-stable only within one numpy
 release.  Hashes recorded for other numpy versions are kept as long as the
 cases themselves are unchanged.
 
+The hashes also depend on the SIMD targets numpy dispatches to
+(``numpy.show_runtime()`` lists them): numpy takes ``power`` through
+AVX-512 code on a CPU that has it, and its last bits can differ from the
+scalar path's.  On an AVX-512 Xeon with numpy 2.4.6, running the golden
+test with ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_SKX AVX512_ICL
+AVX512_SPR"`` fails five of its six cases, so regenerate only on a CPU
+with the targets the hashes are meant for.
+
 Usage: PYTHONPATH=src python scripts/make_goldens.py [golden.json]
 """
 

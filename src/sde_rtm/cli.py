@@ -59,10 +59,9 @@ class ExperimentConfig:
 
     def validate(self):
         """Check the document's own rules, then every value by the rule of the
-        module that consumes it, also where the command does not read it.
-
-        Returns the runtime objects the record describes:
-        ``(problem, kind, policy)``.
+        module that consumes it, also where the command does not read it.  A
+        rule tying two keys applies where both are read, so ``reference`` is
+        checked by its form alone.  Returns ``(problem, kind, policy)``.
         """
         if not isinstance(self.problem, str) or self.problem not in model.BUILTIN_FACTORIES:
             raise InvalidParameterError(
@@ -81,7 +80,7 @@ class ExperimentConfig:
         levels = analysis._check_levels(self.levels)
         if list(self.levels) != levels:
             raise InvalidParameterError("levels must be strictly increasing")
-        analysis._check_reference(self.reference, levels)
+        analysis._check_reference(self.reference, [0])  # the experiment ties it to levels
         if self.level is not None:
             analysis._check_level(self.level)
         analysis._check_paths(self.paths)

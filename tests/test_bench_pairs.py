@@ -8,7 +8,11 @@ relative to the parent's median).
 """
 
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -70,3 +74,40 @@ def test_within_bound_holds_up_to_the_metric_bound(name, parent, change, within)
     entry = summary([parent] * 10, [change] * 10, name)
     assert entry["within_bound"] is within
     assert not entry["gain_rule_met"]
+
+
+def _simd_in_child(disabled):
+    # numpy_simd() as a fresh interpreter with these targets disabled sees it
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)}
+    code = ("import importlib.util, json, sys; "
+            "spec = importlib.util.spec_from_file_location('bp', sys.argv[1]); "
+            "module = importlib.util.module_from_spec(spec); "
+            "spec.loader.exec_module(module); print(json.dumps(module.numpy_simd()))")
+    done = subprocess.run([sys.executable, "-c", code, _SPEC.origin], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def test_numpy_simd_names_the_targets_numpy_dispatches_to():
+    # disabling every target found moves it to not_found, as numpy.show_runtime shows
+    simd = bench_pairs.numpy_simd()
+    assert simd["baseline"]
+    assert _simd_in_child([]) == simd
+    off = _simd_in_child(simd["found"])
+    assert off["found"] == []
+    assert sorted(off["not_found"]) == sorted(simd["found"] + simd["not_found"])
+
+
+def test_the_document_records_numpy_simd(tmp_path, monkeypatch):
+    spec = {"workloads": [{"name": "w"}], "end_to_end": METRICS}
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+    record = {"machine": {"nproc": 1}, "digests": {},
+              "end_to_end": {"wall_s": 1.0, "paths_per_s": 1.0}}
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: record)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--out", str(out),
+                             "--pairs", "1"]) == 0
+    assert json.loads(out.read_text())["numpy_simd"] == bench_pairs.numpy_simd()

@@ -1,9 +1,7 @@
 import dataclasses
-import importlib.util
 import json
 import os
 import pathlib
-import sys
 import tempfile
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -360,6 +358,65 @@ def test_every_command_checks_keys_it_does_not_read(tmp_path, capsys, monkeypatc
     assert not os.path.exists(config["outdir"])
 
 
+class _PoolReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command", ["simulate", "moments", "blowup"])
+def test_a_command_that_reads_no_reference_runs_levels_past_it(tmp_path, monkeypatch,
+                                                                command):
+    # the default reference 14 lies below level 15, but only converge reads it
+    reference = ExperimentConfig().reference
+    ExperimentConfig(levels=[15]).validate()
+
+    def pool(worker, count, threads):
+        raise _PoolReached
+
+    monkeypatch.setattr(analysis, "_map_blocks", pool)
+    path, _ = write_config(tmp_path, levels=[15], reference=reference, paths=4)
+    with pytest.raises(_PoolReached):
+        run_command([command, "--config", str(path)])
+
+
+@pytest.mark.parametrize("command", ["converge", "simulate", "moments", "blowup"])
+@pytest.mark.parametrize("reference", ["coarse", 1.5, 63])
+def test_a_malformed_reference_exits_2_in_every_command(tmp_path, capsys, monkeypatch,
+                                                        command, reference):
+    def no_pool(worker, count, threads):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(analysis, "_map_blocks", no_pool)
+    path, config = write_config(tmp_path, reference=reference)
+    assert run_command([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: reference ")
+    assert not os.path.exists(config["outdir"])
+
+
+@pytest.mark.parametrize("reference", [3, 5])
+def test_converge_holds_its_reference_above_its_levels(tmp_path, capsys, monkeypatch,
+                                                       reference):
+    # the experiment's line names the range above the finest level, before
+    # any pool or output
+    def no_pool(worker, count, threads):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(analysis, "_map_blocks", no_pool)
+    path, config = write_config(tmp_path, levels=[3, 4, 5], reference=reference)
+    assert run_command(["converge", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: reference must be 'exact' or an integer level in [6, 62]\n")
+    assert not os.path.exists(config["outdir"])
+
+
+_CONFIGS = sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+def test_every_shipped_config_validates():
+    assert "blowup.json" in {path.name for path in _CONFIGS}
+    for path in _CONFIGS:
+        ExperimentConfig.from_mapping(cli.load_config(str(path))).validate()
+
+
 @pytest.mark.parametrize("command", ["moments", "blowup"])
 @pytest.mark.parametrize("level", [25, 62])
 def test_moment_level_past_the_paths_bound_exits_2(tmp_path, capsys, monkeypatch,
@@ -492,53 +549,6 @@ def test_help_names_every_config_key_and_its_default(capsys):
         default = json.dumps(getattr(ExperimentConfig(), f.name))
         assert f"--{f.name.replace('_', '-')}" in text
         assert f"config key {f.name} (default {default})" in text
-
-
-_SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
-
-
-def _load_script(name):
-    spec = importlib.util.spec_from_file_location(name[:-3], _SCRIPTS / name)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.mark.parametrize("script", ["run_blowup.py"])
-def test_experiment_scripts_pass_real_flags(tmp_path, monkeypatch, script):
-    # every argv a script would run parses, and every flag value reads
-    module = _load_script(script)
-    calls = []
-    monkeypatch.setattr(module, "run_command", lambda argv: calls.append(argv) or 0)
-    monkeypatch.setattr(sys, "argv", [script, str(tmp_path / "out")])
-    assert module.main() == 0
-    assert calls
-    for argv in calls:
-        flags = vars(cli._build_parser().parse_args(argv))
-        assert flags.pop("command") in cli._RUNNERS
-        assert flags.pop("config") is None
-        mapping = {key: cli._flag_value(key, raw) for key, raw in flags.items()}
-        ExperimentConfig.from_mapping(mapping).validate()
-
-
-def test_convergence_script_reads_the_default_outdir(tmp_path, monkeypatch, capsys):
-    # a config without "outdir" writes under the default one, where the
-    # script then reads rate.txt
-    module = _load_script("run_convergence.py")
-    path = tmp_path / "config.json"
-    path.write_text("{}")
-
-    def fake_run(argv):
-        outdir = pathlib.Path(ExperimentConfig().outdir)
-        outdir.mkdir()
-        (outdir / "rate.txt").write_text("slope=1\n")
-        return 0
-
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(module, "run_command", fake_run)
-    monkeypatch.setattr(sys, "argv", ["run_convergence.py", str(path)])
-    assert module.main() == 0
-    assert "slope=1" in capsys.readouterr().out
 
 
 # Any JSON object as a config: small valid values (a few paths on coarse

@@ -4,6 +4,19 @@ Each case runs one small fixed config through ``run_command`` and compares
 the sha256 of every file it writes with ``golden_hashes.json``.  Hashes are
 keyed by numpy major.minor, because Gaussian draws are bit-stable only
 within one numpy release; regenerate them with ``scripts/make_goldens.py``.
+
+The hashes also depend on numpy's CPU dispatch.  On a CPU with AVX-512,
+numpy takes ``power`` through SIMD code whose last bits can differ from the
+scalar libm path, and the kernel takes powers in the cubic drifts (``fhn``,
+the blow-up double well) and in the taming norm.  On an AVX-512 Xeon with
+numpy 2.4.6, running this file with the AVX-512 targets disabled,
+
+    export NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_SKX AVX512_ICL AVX512_SPR"
+    PYTHONPATH=src python -m pytest tests/test_golden.py
+
+fails five of the six cases; only the ``gbm`` ``simulate`` case passes.
+Compare hashes only between runs on the same SIMD targets
+(``numpy.show_runtime()`` lists them).
 """
 
 import hashlib

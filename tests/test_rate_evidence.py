@@ -51,11 +51,15 @@ def additive_problem(beta):
     )
 
 
-@pytest.mark.parametrize("beta", [0.1, 0.25, 0.5, 0.75])
-def test_rates_against_an_exact_terminal(beta):
+# an L^2 case is named by beta alone, an L^4 case by beta and "p4"
+@pytest.mark.parametrize("beta,p", [
+    pytest.param(beta, p, id=f"{beta}" if p == 2.0 else f"{beta}-p{p:g}")
+    for p in (2.0, 4.0) for beta in (0.1, 0.25, 0.5, 0.75)])
+def test_rates_against_an_exact_terminal(beta, p):
     """Randomized slope within 0.1 of beta + 1/2 and classical slope within
     0.1 of beta, with r^2 >= 0.98, on seeds 101, 202 and 303 (levels 4-9
-    against the exact terminal, p = 2, 500 paths).
+    against the exact terminal, 500 paths), in L^2 and in L^4: the paper
+    claims the rate in every L^p, and the bands are the same for both p.
 
     The scheme's error is the quadrature error of g alone, so this pins the
     two rates of the time sampling and nothing else.  It does not show the
@@ -67,8 +71,8 @@ def test_rates_against_an_exact_terminal(beta):
     for seed in (101, 202, 303):
         for kind, theory in ((RTM, beta + 0.5), (TM, beta)):
             fit = fit_rate(strong_error_experiment(problem, kind, LEVELS, "exact",
-                                                   2.0, 500, SeedPolicy(seed)))
-            detail = (f"beta {beta} seed {seed} {kind.value}: slope {fit.slope:.4f} "
+                                                   p, 500, SeedPolicy(seed)))
+            detail = (f"beta {beta} p {p:g} seed {seed} {kind.value}: slope {fit.slope:.4f} "
                       f"(theory {theory}), r^2 {fit.r_squared:.4f}")
             print(detail)
             assert abs(fit.slope - theory) <= 0.1, detail
