@@ -25,7 +25,9 @@ more than the parent's interquartile range) and whether the no-regression
 rule holds (``within_bound``: the change's median is worse than the
 parent's by at most the metric's ``bound`` in ``BENCHMARK.json``, relative
 to the parent's median).  ``numpy_simd`` names the SIMD targets numpy uses
-in the interpreter that runs both sides, since the digests depend on them.
+in the interpreter that runs both sides, since the digests depend on them,
+and ``malloc_env`` the allocator regime both sides ran under, since peak RSS
+depends on it.
 The file is rewritten after every pair, so an interrupted run keeps what it
 measured.
 """
@@ -68,6 +70,16 @@ def numpy_simd() -> dict:
     return {"baseline": list(__cpu_baseline__),
             "found": [t for t in __cpu_dispatch__ if __cpu_features__[t]],
             "not_found": [t for t in __cpu_dispatch__ if not __cpu_features__[t]]}
+
+
+def malloc_env() -> dict:
+    """Every ``MALLOC_*`` variable of this process's environment, which each
+    run inherits, or ``{}`` when none is set.  glibc's allocator reads its
+    tunables from them: with ``MALLOC_MMAP_THRESHOLD_`` set the mmap
+    threshold is fixed, without it the threshold moves with the run's
+    allocation history, and peak RSS can step by a few MiB with it."""
+    return {name: value for name, value in sorted(os.environ.items())
+            if name.startswith("MALLOC_")}
 
 
 def quartiles(values) -> list:
@@ -141,6 +153,7 @@ def main(argv=None) -> int:
                       f"named {os.path.basename(checkouts['change'])}"),
         "machine": None,
         "numpy_simd": numpy_simd(),
+        "malloc_env": malloc_env(),
         "summary": {},
         "pairs": [],
     }

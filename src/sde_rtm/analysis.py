@@ -273,7 +273,9 @@ class _PathOrderSum:
     ``start`` to ``start + B - 1`` at columns ``index`` to ``index + C - 1``
     as a (C, B) array and its (C, B) finite mask, outside which a row adds 0.
     It waits until every earlier path is in those columns, folds the piece
-    in and publishes the new counts.  Each column's sum is the sequential
+    in and publishes the new counts.  The fold runs in the float array it is
+    given, which it overwrites, so a caller passes a piece it no longer
+    needs.  Each column's sum is the sequential
     chain ``((0 + row_0) + row_1) + ...`` over every path in path order, bit
     for bit what adding whole rows one by one gives, however the rows are
     cut.  Each slab must add its columns in ascending order without gaps,
@@ -290,7 +292,7 @@ class _PathOrderSum:
         self._ready = ctx.Condition()
 
     def add(self, start: int, index: int, values, finite) -> None:
-        values = np.where(finite, values, 0.0)
+        values[~finite] = 0.0  # the caller's piece, folded in place
         columns = slice(index, index + len(values))
         added = self._added[columns]  # paths added per column, shared
         with self._ready:
@@ -505,10 +507,16 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
 
     def worker(start: int, stop: int):
         # each level in turn folds every (chunk, d, slab) piece of states as
-        # per-path |x_t|^q, |x|^2 summed over the components in order
+        # per-path |x_t|^q, |x|^2 summed over the components in order into
+        # one fresh (chunk, slab) array, bit for bit ``.sum(axis=1)``; the
+        # states buffer is the kernel's and stays unwritten
         for level, reduction in zip(levels, reductions):
             def observe(index, states, finite):
-                reduction.add(start, index, (states * states).sum(axis=1) ** (q / 2.0), finite)
+                power = states[:, 0] * states[:, 0]
+                for i in range(1, states.shape[1]):
+                    power += states[:, i] * states[:, i]
+                power **= q / 2.0
+                reduction.add(start, index, power, finite)
 
             _sweep(problem, kind, policy, level, [level], start, stop, observe=observe)
         return ()

@@ -435,11 +435,14 @@ def randomized_time(t_left, dt: float, u):
     _check_positive("dt", dt)
     u = np.asarray(u, dtype=float)
     _check_unit_interval("u", u)
-    # when dt * (1 - u) is below half an ulp of the sum, rounding carries the
-    # sum onto the right endpoint; the largest float below it stays in the
-    # step.  Capped in place: a second (C, B) array would double the kernel's
-    # cost here.  [()] gives scalar inputs a scalar back.
-    t = np.asarray(t_left + dt * u)
+    # one array at the broadcast shape holds dt * u, then dt * u + t_left (the
+    # same sum as t_left + dt * u: IEEE addition commutes).  When dt * (1 - u)
+    # is below half an ulp of the sum, rounding carries the sum onto the right
+    # endpoint; the largest float below it stays in the step.  Every update is
+    # in place: a second (C, B) array would double the kernel's cost here.
+    # [()] gives scalar inputs a scalar back.
+    t = np.multiply(dt, u, out=np.empty(np.broadcast_shapes(np.shape(t_left), u.shape)))
+    t += t_left
     np.minimum(t, np.nextafter(t_left + dt, -np.inf), out=t)
     return t[()]
 
@@ -466,11 +469,15 @@ def iterated_integrals(dW, dt: float, structure: NoiseStructure) -> np.ndarray:
     _check_real("dt", dt, 0)
     dw = np.asarray(dW, dtype=float)
     m = dw.shape[-1]
-    diag = (dw * dw - dt) / 2.0
+    # (dw * dw - dt) / 2 and dw_k * dw_l / 2, each in the one buffer it keeps
+    diag = dw * dw
+    diag -= dt
+    diag /= 2.0
     if structure in (NoiseStructure.SCALAR, NoiseStructure.DIAGONAL):
         out = np.zeros(dw.shape + (m,))
     else:  # commutative
-        out = dw[..., :, None] * dw[..., None, :] / 2.0
+        out = dw[..., :, None] * dw[..., None, :]
+        out /= 2.0
     idx = np.arange(m)
     out[..., idx, idx] = diag
     return out

@@ -255,10 +255,11 @@ class BatchStepper:
         or a uniform outside [0, 1) raises :class:`InvalidParameterError`.
         ``observe(index, states, finite)``, if given, receives the states at
         grid indices ``index`` to ``index + len(states) - 1`` as a
-        component-major (len, d, B) buffer that is reused afterwards, and the
-        overflow scan's own mask ``finite`` (len, B).  The first feed that
-        takes a step also observes grid point 0, so an observer sees indices
-        0 to n once each, in order.
+        component-major (len, d, B) buffer, and the overflow scan's own mask
+        ``finite`` (len, B).  The observer reads both and writes neither: the
+        kernel refills the buffer with the next chunk's states.  The first
+        feed that takes a step also observes grid point 0, so an observer
+        sees indices 0 to n once each, in order.
         """
         batch, m = len(self.overflow), self.problem.m
         inc = np.ascontiguousarray(increments, dtype=float)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sde_rtm import analysis, cli
+from sde_rtm import analysis, cli, schemes
 from sde_rtm import (
     DegenerateDataError,
     ErrorRow,
@@ -514,6 +514,46 @@ def test_moment_rows_cover_every_grid_point(fhn):
     assert table.moments[3].shape == (9,)
     assert not table.moments[3].flags.writeable
     assert table.sup_moment(3) == max(table.moments[3].tolist())
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
+def test_three_component_moments_match_a_row_by_row_fold(monkeypatch, q):
+    # the observer sums |x|^2 over the components one by one into one array;
+    # the goldens hold d = 1 and 2 only, so d = 3 is checked here against the
+    # whole (steps, d, paths) sum over axis 1 and a fold path by path, at 1
+    # and 2 workers (uneven slabs of 19 and 18 paths)
+    problem = make_commuting_gbm(s=((0.3, 0.1, 0.2), (0.2, 0.4, 0.1), (0.1, 0.2, 0.3)),
+                                 x0=(1.0, 2.0, 0.5), a=(0.3, -0.2, 0.1))
+    levels, paths, policy = [3, 5], 37, SeedPolicy(29)
+    want = {}
+    for level in levels:
+        n = 1 << level
+        grids = [sample_brownian_grid(level, problem.m, problem.horizon,
+                                      derive_substream(policy, path, StreamRole.BROWNIAN))
+                 for path in range(paths)]
+        uniforms = np.stack([
+            sample_randomization(n, derive_substream(policy, path,
+                                                     StreamRole.RANDOMIZATION)).uniforms
+            for path in range(paths)], axis=1)
+        rows = np.empty((n + 1, paths))
+        finite = np.empty((n + 1, paths), dtype=bool)
+
+        def observe(index, states, ok):
+            rows[index:index + len(states)] = (states * states).sum(axis=1) ** (q / 2.0)
+            finite[index:index + len(states)] = ok
+
+        stepper = schemes.BatchStepper(problem, RTM, n, paths)
+        with np.errstate(all="ignore"):
+            stepper.feed(np.stack([grid.increments for grid in grids], axis=1), uniforms,
+                         observe=observe)
+        sums, counts = _row_by_row(rows.T, finite.T)
+        want[level] = sums / counts
+    for threads in (1, 2):
+        monkeypatch.setenv("SDE_RTM_THREADS", str(threads))
+        table = moment_experiment(problem, RTM, q, levels, paths, policy)
+        for level in levels:
+            assert table.overflows[level] == 0
+            assert table.moments[level].tobytes() == want[level].tobytes()
 
 
 def test_moment_overflow_counting():

@@ -98,7 +98,8 @@ def test_numpy_simd_names_the_targets_numpy_dispatches_to():
     assert sorted(off["not_found"]) == sorted(simd["found"] + simd["not_found"])
 
 
-def test_the_document_records_numpy_simd(tmp_path, monkeypatch):
+def _document(tmp_path, monkeypatch):
+    # the document of one synthetic pair, with run_bench stubbed
     spec = {"workloads": [{"name": "w"}], "end_to_end": METRICS}
     for side in bench_pairs.SIDES:
         (tmp_path / side).mkdir()
@@ -110,4 +111,24 @@ def test_the_document_records_numpy_simd(tmp_path, monkeypatch):
     assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
                              str(tmp_path / "change"), "--out", str(out),
                              "--pairs", "1"]) == 0
-    assert json.loads(out.read_text())["numpy_simd"] == bench_pairs.numpy_simd()
+    return json.loads(out.read_text())
+
+
+def test_the_document_records_numpy_simd(tmp_path, monkeypatch):
+    assert _document(tmp_path, monkeypatch)["numpy_simd"] == bench_pairs.numpy_simd()
+
+
+@pytest.mark.parametrize("env,want", [
+    ({}, {}),
+    ({"MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_ARENA_MAX": "2", "OTHER": "1"},
+     {"MALLOC_ARENA_MAX": "2", "MALLOC_MMAP_THRESHOLD_": "131072"}),
+])
+def test_the_document_records_the_allocator_regime(tmp_path, monkeypatch, env, want):
+    # every MALLOC_* variable the runs inherit, and only those; {} when none is
+    # set, so a record says which of the two peak-RSS regimes it measured
+    for name in list(os.environ):
+        if name.startswith("MALLOC_"):
+            monkeypatch.delenv(name)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert _document(tmp_path, monkeypatch)["malloc_env"] == want

@@ -421,6 +421,32 @@ def test_randomized_time_stays_in_step(t_left, dt, u, more):
         outs, [[randomized_time(left, dt, v) for v in draws] for left in lefts])
 
 
+@pytest.mark.parametrize("left_shape,u_shape", [
+    ((), ()),            # scalar x scalar
+    ((4, 1), (4, 5)),    # the step kernel's (C, 1) left times and (C, B) uniforms
+    ((4, 5), ()),        # (C, B) left times and one uniform
+    ((5,), (5,)),        # (B,) x (B,)
+])
+@pytest.mark.parametrize("dt", [0.25, 1e-15])
+def test_randomized_time_matches_its_formula_on_every_broadcast_form(left_shape, u_shape,
+                                                                    dt):
+    # bit for bit the out-of-place t_left + dt * u capped below t_left + dt,
+    # and the inputs stay as they were; at dt = 1e-15, below an ulp of most
+    # left times, the sum often rounds onto the right endpoint and the cap binds
+    rng = np.random.default_rng(29)
+    t_left = rng.uniform(0.0, 10.0, left_shape)
+    u = rng.random(u_shape)
+    u.flat[0] = np.nextafter(1.0, 0.0)
+    if not left_shape:
+        t_left, u = float(t_left), float(u)
+    left_before, u_before = np.copy(t_left), np.copy(u)
+    want = np.minimum(t_left + dt * u, np.nextafter(t_left + dt, -np.inf))
+    out = randomized_time(t_left, dt, u)
+    assert np.shape(out) == np.shape(want)
+    assert np.asarray(out).tobytes() == np.asarray(want).tobytes()
+    assert np.array_equal(t_left, left_before) and np.array_equal(u, u_before)
+
+
 def test_randomized_time_validation():
     with pytest.raises(InvalidParameterError):
         randomized_time(0.0, 0.0, 0.5)
@@ -481,6 +507,27 @@ def test_iterated_integrals_mean_bound():
     diag = iterated_integrals(dw, dt, NoiseStructure.SCALAR)[:, 0, 0]
     bound = 4.0 * dt / np.sqrt(10_000) * np.sqrt(0.5) * 3.0
     assert abs(diag.mean()) <= bound
+
+
+@pytest.mark.parametrize("structure,m", [(NoiseStructure.SCALAR, 1),
+                                         (NoiseStructure.DIAGONAL, 3),
+                                         (NoiseStructure.COMMUTATIVE, 3)])
+def test_iterated_integrals_match_their_out_of_place_formula(structure, m):
+    # the step kernel's (C, B, m) increments, bit for bit the formula built
+    # from fresh arrays, and the increments stay as they were
+    dt = 0.09
+    dw = np.random.default_rng(29).standard_normal((4, 5, m)) * np.sqrt(dt)
+    before = dw.copy()
+    if structure is NoiseStructure.COMMUTATIVE:
+        want = dw[..., :, None] * dw[..., None, :] / 2.0
+    else:
+        want = np.zeros(dw.shape + (m,))
+    idx = np.arange(m)
+    want[..., idx, idx] = (dw * dw - dt) / 2.0
+    out = iterated_integrals(dw, dt, structure)
+    assert out.shape == (4, 5, m, m)
+    assert out.tobytes() == want.tobytes()
+    assert np.array_equal(dw, before)
 
 
 def test_iterated_integrals_batched_matches_single():
