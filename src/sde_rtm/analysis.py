@@ -14,8 +14,9 @@ One streaming sweep, :func:`_sweep`, is the worker of every experiment's
 one pool.  Workers split the paths into contiguous slabs of
 ``min(4096, ceil(paths / workers))`` paths.  A slab draws its fine Brownian
 increments a power-of-two chunk of steps at a time, coarsens each chunk to
-every level in play (a binary carry finishes coarse steps that span
-several chunks, in the same pairwise order as ``noise.coarsen``) and feeds
+every level in play (each level pairs siblings within the chunk, or a
+chunk's root with one parked by an earlier chunk when a coarse step spans
+several, in the same pairwise order as ``noise.coarsen``) and feeds
 the reference and every coarse level to resumable steppers in the same
 pass, so no increment, uniform or state buffer outgrows (slab x chunk).  A
 slab derives its substreams once per role as a ``noise.SlabStream``: one
@@ -322,21 +323,20 @@ def _split(blocks, piece: int):
 
 
 def _sweep(problem: SdeProblem, kind: SchemeKind, policy: SeedPolicy,
-           gen_level: int, run_levels: list, start: int, stop: int, *,
-           observe=None):
+           run_levels: list, start: int, stop: int, *, observe=None):
     """Integrate paths ``start`` to ``stop - 1`` on coupled grids, chunk by chunk.
 
-    Each path draws one Brownian grid at ``gen_level`` from its Brownian
-    substream, ``chunk`` fine steps at a time.  Every chunk is coarsened to
-    each level in ``run_levels`` and fed to that level's stepper, so no
-    buffer outgrows (paths x chunk).  The randomized kind draws run ``i``'s
-    uniforms from the path's randomization substream right after the
-    ``2**level`` draws of every earlier run.  ``observe`` is passed to every
-    :meth:`BatchStepper.feed`.  Returns path-major arrays, runs in order:
+    Each path draws one Brownian grid at the finest of ``run_levels`` from
+    its Brownian substream, ``chunk`` fine steps at a time.  Every chunk is
+    coarsened to each level in ``run_levels`` and fed to that level's
+    stepper, so no buffer outgrows (paths x chunk).  The randomized kind
+    draws run ``i``'s uniforms from the path's randomization substream right
+    after the ``2**level`` draws of every earlier run.  ``observe`` is
+    passed to every :meth:`BatchStepper.feed`.  Returns path-major arrays, runs in order:
     terminal states (B, runs, d), first overflow steps (B, runs), -1 where a
     path stayed finite, and the terminal Brownian values (B, m).
     """
-    batch = stop - start
+    batch, gen_level = stop - start, max(run_levels)
     chunk = min(1 << gen_level,
                 1 << (max(1, _DRAW_BUDGET // batch).bit_length() - 1))
     steppers = [BatchStepper(problem, kind, 1 << level, batch) for level in run_levels]
@@ -409,7 +409,7 @@ def strong_error_experiment(problem: SdeProblem, kind: SchemeKind, levels,
     a surrogate truth) or the string ``"exact"`` (the problem's closed-form
     terminal is used; a problem without one raises
     :class:`InvalidParameterError` before any worker starts).  Per path, one
-    grid is drawn at the generation level from the (path, BROWNIAN)
+    grid is drawn at the finest level in play from the (path, BROWNIAN)
     substream; coarse runs use exact coarsenings of it.  Randomized
     integrators consume fresh uniforms from the (path, RANDOMIZATION)
     substream, reference first, then levels ascending.  The parent computes
@@ -426,10 +426,9 @@ def strong_error_experiment(problem: SdeProblem, kind: SchemeKind, levels,
     _check_paths(paths)
     if exact and problem.exact_terminal is None:
         raise InvalidParameterError("problem has no exact terminal solution")
-    gen_level = max(levels) if exact else int(ref)
-    run_levels = levels if exact else [gen_level] + levels
+    run_levels = levels if exact else [int(ref)] + levels
     terminals, overflow, w_terminal = _gather(_map_blocks(
-        functools.partial(_sweep, problem, kind, policy, gen_level, run_levels),
+        functools.partial(_sweep, problem, kind, policy, run_levels),
         paths, _resolve_threads()))
     rows = []
     with np.errstate(all="ignore"):  # overflowing error powers give inf, silently
@@ -457,7 +456,7 @@ def strong_error_experiment(problem: SdeProblem, kind: SchemeKind, levels,
             n = 1 << level
             rows.append(ErrorRow(level, n, problem.horizon / n, lp_error, kept, p,
                                  stderr, paths - kept))
-    return ErrorTable(tuple(rows), "exact" if exact else f"level {gen_level}", p)
+    return ErrorTable(tuple(rows), "exact" if exact else f"level {int(ref)}", p)
 
 
 def fit_rate(table: ErrorTable) -> RateFit:
@@ -518,7 +517,7 @@ def moment_experiment(problem: SdeProblem, kind: SchemeKind, q: float, levels,
                 power **= q / 2.0
                 reduction.add(start, index, power, finite)
 
-            _sweep(problem, kind, policy, level, [level], start, stop, observe=observe)
+            _sweep(problem, kind, policy, [level], start, stop, observe=observe)
         return ()
 
     _map_blocks(worker, paths, _resolve_threads())
@@ -554,6 +553,6 @@ def simulate_terminals(problem: SdeProblem, kind: SchemeKind, level: int,
     level = _check_level(level)
     _check_paths(paths)
     terminals, overflow, _ = _gather(_map_blocks(
-        functools.partial(_sweep, problem, kind, policy, level, [level]),
+        functools.partial(_sweep, problem, kind, policy, [level]),
         paths, _resolve_threads()))
     return terminals[:, 0], overflow[:, 0]

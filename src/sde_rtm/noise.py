@@ -357,9 +357,11 @@ def coarsen_chunks(chunks, level: int, targets):
     breaks the rule or at the end of a short stream.  For each piece this
     yields ``{target: increments}`` with the target-level increments that
     the piece completes; a target whose steps span several pieces appears
-    only in the piece that completes a step.  Within a piece, coarsening is
-    repeated halving; across pieces, the roots of whole pieces are combined
-    by a binary carry (left + right).  Both follow one pairwise tree, of
+    only in the piece that completes a step.  Each piece walks down the
+    levels once, to the lowest target, pairing every node with its sibling
+    (left + right): inside the piece while it has two or more nodes, else
+    with the root of an earlier piece parked at that level, where a root
+    with no sibling yet waits.  So all pieces follow one pairwise tree, of
     which :func:`coarsen` is the one-piece case, and target 0 yields the
     terminal value of :func:`terminal_value`.  ``targets`` holds integer
     levels in [0, level], else :class:`InvalidParameterError`.
@@ -369,9 +371,9 @@ def coarsen_chunks(chunks, level: int, targets):
                             for t in [level, *targets])):
         raise InvalidParameterError(
             f"targets must be a nonempty set of levels in [0, {level}]")
-    targets = sorted(set(targets), reverse=True)
+    targets, low = set(targets), min(targets)
     n, covered = 1 << level, 0
-    pending = {}  # level -> left half of an unfinished coarse step
+    pending = {}  # level -> left sibling of an unfinished coarse step
     for chunk in chunks:
         if not covered:
             shape = chunk.shape
@@ -382,20 +384,19 @@ def coarsen_chunks(chunks, level: int, targets):
                 f"pieces must all have shape {shape} and cover {n} in all")
         out = {}
         cur, cur_level = chunk, level
-        for target in targets:
-            while cur_level > target and len(cur) > 1:
-                cur, cur_level = cur[0::2] + cur[1::2], cur_level - 1
-            if cur_level == target:
-                out[target] = cur
-        # cur is now this piece's root, or the lowest target already reached
-        while len(cur) == 1 and cur_level > targets[-1]:
-            left = pending.pop(cur_level, None)
-            if left is None:
-                pending[cur_level] = cur
-                break
-            cur, cur_level = left + cur, cur_level - 1
+        while True:
             if cur_level in targets:
                 out[cur_level] = cur
+                if cur_level == low:
+                    break
+            if len(cur) > 1:  # pair siblings within the piece
+                cur = cur[0::2] + cur[1::2]
+            elif cur_level in pending:  # pair the piece's root with its left sibling
+                cur = pending.pop(cur_level) + cur
+            else:  # the root waits for its right sibling
+                pending[cur_level] = cur
+                break
+            cur_level -= 1
         yield out
     if covered != n:
         raise InvalidParameterError(f"pieces cover {covered} of the {n} steps")
@@ -469,15 +470,13 @@ def iterated_integrals(dW, dt: float, structure: NoiseStructure) -> np.ndarray:
     _check_real("dt", dt, 0)
     dw = np.asarray(dW, dtype=float)
     m = dw.shape[-1]
-    # (dw * dw - dt) / 2 and dw_k * dw_l / 2, each in the one buffer it keeps
-    diag = dw * dw
+    out = np.zeros(dw.shape + (m,))  # C order, so the reshape below is a view
+    if structure is NoiseStructure.COMMUTATIVE:
+        np.multiply(dw[..., :, None], dw[..., None, :], out=out)
+        out /= 2.0
+    # (dw * dw - dt) / 2 written straight into the result's diagonal
+    diag = out.reshape(dw.shape[:-1] + (m * m,))[..., ::m + 1]
+    np.multiply(dw, dw, out=diag)
     diag -= dt
     diag /= 2.0
-    if structure in (NoiseStructure.SCALAR, NoiseStructure.DIAGONAL):
-        out = np.zeros(dw.shape + (m,))
-    else:  # commutative
-        out = dw[..., :, None] * dw[..., None, :]
-        out /= 2.0
-    idx = np.arange(m)
-    out[..., idx, idx] = diag
     return out

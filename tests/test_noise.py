@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,17 +297,18 @@ def _halving_oracle(increments, target):
 
 
 @pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("chunk", [1, 2, 8, 32])
+@pytest.mark.parametrize("chunk", [1, 2, 4, 8, 16, 32])
 def test_streamed_coarsening_matches_coarsen(m, chunk):
     # chunk 32 is the whole 2**5 grid; the sparse target sets make coarse
-    # steps span several chunks without every intermediate level present
+    # steps span several chunks without every intermediate level present,
+    # {0} alone and the gapped {2, 4} across every piece boundary
     level, horizon, paths = 5, 1.5, range(3)
     grids = [
         sample_brownian_grid(level, m, horizon,
                              derive_substream(POLICY, i, StreamRole.BROWNIAN))
         for i in paths
     ]
-    for targets in (range(level + 1), {0, 3}, {1}, {level}):
+    for targets in (range(level + 1), {0, 3}, {1}, {level}, {0}, {2, 4}):
         got = {target: [] for target in targets}
         fine = SlabStream(POLICY, paths.start, paths.stop,
                           StreamRole.BROWNIAN).brownian(level, m, horizon, chunk)
@@ -513,8 +515,9 @@ def test_iterated_integrals_mean_bound():
                                          (NoiseStructure.DIAGONAL, 3),
                                          (NoiseStructure.COMMUTATIVE, 3)])
 def test_iterated_integrals_match_their_out_of_place_formula(structure, m):
-    # the step kernel's (C, B, m) increments, bit for bit the formula built
-    # from fresh arrays, and the increments stay as they were
+    # the step kernel's (C, B, m) increments, in C and in Fortran order, bit
+    # for bit the formula built from fresh arrays, and the increments stay
+    # as they were
     dt = 0.09
     dw = np.random.default_rng(29).standard_normal((4, 5, m)) * np.sqrt(dt)
     before = dw.copy()
@@ -524,10 +527,24 @@ def test_iterated_integrals_match_their_out_of_place_formula(structure, m):
         want = np.zeros(dw.shape + (m,))
     idx = np.arange(m)
     want[..., idx, idx] = (dw * dw - dt) / 2.0
-    out = iterated_integrals(dw, dt, structure)
-    assert out.shape == (4, 5, m, m)
-    assert out.tobytes() == want.tobytes()
-    assert np.array_equal(dw, before)
+    for given in (dw, np.asfortranarray(dw)):
+        out = iterated_integrals(given, dt, structure)
+        assert out.shape == (4, 5, m, m)
+        assert out.tobytes() == want.tobytes()
+        assert np.array_equal(given, before)
+
+
+def test_iterated_integrals_allocate_only_their_result():
+    # a (256, 512) chunk of scalar increments: the diagonal is built in the
+    # result itself, with no second chunk-sized block alongside it
+    dw = np.random.default_rng(30).standard_normal((256, 512, 1))
+    tracemalloc.start()
+    try:
+        out = iterated_integrals(dw, 0.01, NoiseStructure.SCALAR)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.01 * out.nbytes
 
 
 def test_iterated_integrals_batched_matches_single():

@@ -82,8 +82,8 @@ def test_rates_against_an_exact_terminal(beta, p):
 def test_randomization_beats_left_sampling_under_neuron_dynamics():
     """FitzHugh-Nagumo dynamics driven by g at beta = 0.25 (c = 8, K = 14),
     sigma = 0.2, levels 4-9 against a level-14 reference, p = 2, 500 paths,
-    seed 101: randomized slope >= beta + 1/2 - 0.1 = 0.65, a randomized
-    minus classical gap >= 0.2, and r^2 >= 0.98 for both kinds.
+    on seeds 101, 202 and 303: randomized slope >= beta + 1/2 - 0.1 = 0.65,
+    a randomized minus classical gap >= 0.2, and r^2 >= 0.98 for both kinds.
 
     K stays at the reference level: a term with k >= 14 is constant on every
     grid of level 14 or coarser, so the reference could not see it.  The
@@ -92,12 +92,14 @@ def test_randomization_beats_left_sampling_under_neuron_dynamics():
     levels sit above both theory lines.
     """
     problem = model._fhn_family(triangle_sum(0.25, 8.0, 14), SIGMA, 0.25)
-    fits = {kind: fit_rate(strong_error_experiment(problem, kind, LEVELS, 14, 2.0,
-                                                   500, SeedPolicy(101)))
-            for kind in (RTM, TM)}
-    detail = ", ".join(f"{kind.value}: slope {fit.slope:.4f}, r^2 {fit.r_squared:.4f}"
-                       for kind, fit in fits.items())
-    print(detail)
-    assert fits[RTM].slope >= 0.65, detail
-    assert fits[RTM].slope - fits[TM].slope >= 0.2, detail
-    assert all(fit.r_squared >= 0.98 for fit in fits.values()), detail
+    for seed in (101, 202, 303):
+        fits = {kind: fit_rate(strong_error_experiment(problem, kind, LEVELS, 14, 2.0,
+                                                       500, SeedPolicy(seed)))
+                for kind in (RTM, TM)}
+        detail = f"seed {seed} " + ", ".join(
+            f"{kind.value}: slope {fit.slope:.4f}, r^2 {fit.r_squared:.4f}"
+            for kind, fit in fits.items())
+        print(detail)
+        assert fits[RTM].slope >= 0.65, detail
+        assert fits[RTM].slope - fits[TM].slope >= 0.2, detail
+        assert all(fit.r_squared >= 0.98 for fit in fits.values()), detail
