@@ -29,6 +29,15 @@ pure function of its inputs.  The kernel steps d ``(B,)`` state components
 skips) with elementwise numpy ops only, so per-path results are
 bit-identical however paths are grouped into batches.
 
+Each stepper decides its terms once.  The first step records which drift,
+diffusion and correction-tensor entries are structural zeros and, for each
+component, the terms it keeps; later steps run those terms only, and check
+just the skipped entries.  A skipped entry that comes back as anything but
+the float 0.0 rebuilds the plan from that step, so a coefficient whose
+zeros move steps as if every step had been planned afresh.  ``dt`` and the
+taming's constants are 0-d float64 arrays, which numpy applies without the
+conversion a Python float costs on every operation.
+
 One loop steps every path: :class:`BatchStepper` holds a block's state,
 first overflow steps and step count across calls, so a grid can be fed
 piece by piece as its increments are drawn; :func:`simulate_batch` feeds
@@ -37,27 +46,29 @@ depends only on the noise is prepared once per chunk: a contiguous
 ``(C, B, m)`` copy of the increments, the iterated integrals of that whole
 block (Milstein kinds) and the randomized drift times; each step reads
 ``(B,)`` views of them and runs only the state-dependent work.  Each step
-writes its state into a ``(C, d, B)`` buffer, and one vectorised scan per
-chunk finds the first non-finite step of each path.  That scan is exact
-because every step computes ``x + ...`` and a non-finite component stays
-non-finite under addition, so a path that overflows stays non-finite for
-the rest of the chunk.  The same buffer and the scan's finite mask are
-handed to any observer of the states.  The arithmetic of each step is
-unchanged, so results are bit-identical for any chunk size and any cut of
-the grid into pieces.
+accumulates the sums of each component in its row of a ``(C, d, B)``
+buffer (``out=``), and the next step reads its state from there; the state
+carried past a chunk is copied out, since the next chunk refills the
+buffer.  One vectorised scan per chunk finds the first non-finite step of
+each path.  That scan is exact because every step computes ``x + ...`` and
+a non-finite component stays non-finite under addition, so a path that
+overflows stays non-finite for the rest of the chunk.  The same buffer
+and the scan's finite mask are handed to any observer of the states.  The
+arithmetic of each step is unchanged, so results are bit-identical for
+any chunk size and any cut of the grid into pieces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from .model import (InvalidParameterError, NoiseStructure, SdeProblem, _check_int,
-                    _check_real, _check_type, _stacked)
+                    _check_real, _check_type, _constant, _stacked)
 from .noise import (
     _MAX_LEVEL,
     BrownianGrid,
@@ -115,24 +126,19 @@ def _is_zero(entry) -> bool:
     return type(entry) is float and entry == 0.0
 
 
-def _contract(entries, factors):
-    # sum_k entries[k] * factors[k] in index order without the structural
-    # zeros; None if every entry is one
-    total = None
-    for entry, factor in zip(entries, factors):
-        if not _is_zero(entry):
-            total = entry * factor if total is None else total + entry * factor
-    return total
+def _taming(n: int, xi: float):
+    # tame_drift's formula, unchecked, as tame(mu, x) on drift entries and
+    # state components; |x|^2 sums the components in index order.  1 and n
+    # are 0-d arrays, the exponent a Python float (numpy's power fast paths)
+    one, n, power = _constant(1.0), _constant(n), 2.0 * xi
 
-
-def _tame(mu, x, n: int, xi: float):
-    # tame_drift's formula, unchecked, on drift entries and state components;
-    # |x|^2 sums the components in index order
-    square = x[0] * x[0]
-    for component in x[1:]:
-        square = square + component * component
-    denominator = 1.0 + np.sqrt(square) ** (2.0 * xi) / n
-    return [entry if _is_zero(entry) else entry / denominator for entry in mu]
+    def tame(mu, x):
+        square = x[0] * x[0]
+        for component in x[1:]:
+            square = square + component * component
+        denominator = one + np.sqrt(square) ** power / n
+        return [entry if _is_zero(entry) else entry / denominator for entry in mu]
+    return tame
 
 
 def tame_drift(mu_value, x, n: int, xi: float):
@@ -150,61 +156,131 @@ def tame_drift(mu_value, x, n: int, xi: float):
     if mu_value.shape != x.shape:
         raise InvalidParameterError(f"drift shape {mu_value.shape} differs from "
                                     f"state shape {x.shape}")
-    components = [x[..., i] for i in range(x.shape[-1])]
-    return _stacked(lambda mu: _tame(mu, components, n, xi), mu_value)
+    components, tame = [x[..., i] for i in range(x.shape[-1])], _taming(n, xi)
+    return _stacked(lambda mu: tame(mu, components), mu_value)
 
 
 def _tamed_drift(problem: SdeProblem, n: int):
     """Return ``b(t, x)``, the drift entries after taming, honouring an
     optional per-summand split."""
     split = problem.taming_split
-    drift, xi = problem.drift, problem.xi
+    drift, tame = problem.drift, _taming(n, problem.xi)
     if split is None:
-        return lambda t, x: _tame(drift(t, x), x, n, xi)
+        return lambda t, x: tame(drift(t, x), x)
     superlinear, remainder = split.superlinear, split.remainder
     index = tuple(split.norm_indices)
 
     def tamed(t, x):
-        wild = _tame(superlinear(t, x), [x[i] for i in index], n, xi)
+        wild = tame(superlinear(t, x), [x[i] for i in index])
         return [b if _is_zero(a) else a if _is_zero(b) else a + b
                 for a, b in zip(wild, remainder(t, x))]
     return tamed
 
 
+def _term_plan(d: int, b, rho, lam):
+    """The terms one step adds to each of the d components, read off its
+    coefficient entries.
+
+    Returns ``(plan, zeros)``.  ``plan[i]`` is ``(drift, noise,
+    correction)`` for component i: whether ``b_i`` is kept, the k of each
+    kept ``rho_ik`` and the ``(k, l, position)`` of each kept ``L_ikl``,
+    position counting the entries row-major (none without ``lam``).
+    ``zeros`` holds the indices of the skipped entries of b, rho and lam.
+    """
+    plan, zero_b, zero_rho, zero_lam = [], [], [], []
+    for i in range(d):
+        kept_drift = not _is_zero(b[i])
+        if not kept_drift:
+            zero_b.append(i)
+        noise = []
+        for k, entry in enumerate(rho[i]):
+            if _is_zero(entry):
+                zero_rho.append((i, k))
+            else:
+                noise.append(k)
+        correction, position = [], 0
+        for k, row in enumerate(() if lam is None else lam[i]):
+            for l, entry in enumerate(row):
+                if _is_zero(entry):
+                    zero_lam.append((i, k, l))
+                else:
+                    correction.append((k, l, position))
+                position += 1
+        plan.append((kept_drift, tuple(noise), tuple(correction)))
+    return plan, (zero_b, zero_rho, zero_lam)
+
+
+def _moved(zeros, b, rho, lam) -> bool:
+    # whether an entry that the plan skips is no longer a structural zero
+    zero_b, zero_rho, zero_lam = zeros
+    for i in zero_b:
+        if not _is_zero(b[i]):
+            return True
+    for i, k in zero_rho:
+        if not _is_zero(rho[i][k]):
+            return True
+    for i, k, l in zero_lam:
+        if not _is_zero(lam[i][k][l]):
+            return True
+    return False
+
+
 def _step_batch(problem: SdeProblem, kind: SchemeKind, dt: float, n: int):
     """The stepping kernel :class:`BatchStepper` runs.
 
-    Returns ``advance(x, t_left, t_drift, dw, iw)``, which moves the d (B,)
-    state components ``x`` by one step of size ``dt`` with taming parameter
-    ``n``: component i becomes ``((x_i + b_i dt) + sum_k rho_ik dw_k) +
-    sum_kl L_ikl iw_kl``, each sum in index order without its structural
-    zeros.  ``t_drift`` is ``t_left`` or a (B,) array for the randomized
-    kind, ``dw`` the m (B,) increments and ``iw`` the m * m (B,) iterated
-    integrals, row-major (Milstein kinds; None otherwise).  The coefficient
-    callables are looked up once, here, and general noise is rejected for
-    the Milstein kinds, whose iterated integrals it would make inexact.
+    Returns ``advance(x, t_left, t_drift, dw, iw, out)``, which moves the d
+    (B,) state components ``x`` by one step of size ``dt`` with taming
+    parameter ``n``: component i becomes ``((x_i + b_i dt) + sum_k rho_ik
+    dw_k) + sum_kl L_ikl iw_kl``, each sum in index order without its
+    structural zeros, accumulated in the (B,) row ``out[i]``; it returns
+    ``out``, which must not share memory with ``x``.  ``t_drift`` is
+    ``t_left`` or a (B,) array for the randomized kind, ``dw`` the m (B,)
+    increments and ``iw`` the m * m (B,) iterated integrals, row-major
+    (Milstein kinds; None otherwise).
+
+    The coefficient callables are looked up once, here, and general noise
+    is rejected for the Milstein kinds, whose iterated integrals it would
+    make inexact.  Which entries are structural zeros is read off the first
+    step's coefficients (:func:`_term_plan`); later steps run only the kept
+    terms and check that the skipped entries are still zeros, and the plan
+    is rebuilt from the first step at which one is not.  A kept entry that
+    comes back as a float is multiplied like any other.
     """
     if kind in _MILSTEIN_KINDS and problem.noise_structure is NoiseStructure.GENERAL:
         raise UnsupportedNoiseStructureError("Milstein kinds do not support general noise")
     drift = problem.drift if kind is SchemeKind.EULER_MARUYAMA else _tamed_drift(problem, n)
     diffusion = problem.diffusion
     milstein_tensor = problem.milstein_tensor if kind in _MILSTEIN_KINDS else None
+    dt = _constant(dt)
+    plan = zeros = None
 
-    def advance(x, t_left, t_drift, dw, iw):
+    def advance(x, t_left, t_drift, dw, iw, out):
+        nonlocal plan, zeros
         b, rho = drift(t_drift, x), diffusion(t_left, x)
         lam = None if milstein_tensor is None else milstein_tensor(t_left, x)
-        out = []
-        for i, component in enumerate(x):
-            if not _is_zero(b[i]):
-                component = component + b[i] * dt
-            noise = _contract(rho[i], dw)
-            if noise is not None:
-                component = component + noise
-            if lam is not None:
-                correction = _contract(chain.from_iterable(lam[i]), iw)
-                if correction is not None:
-                    component = component + correction
-            out.append(component)
+        if plan is None or _moved(zeros, b, rho, lam):
+            plan, zeros = _term_plan(len(x), b, rho, lam)
+        for component, row, (kept_drift, noise, correction), b_i, rho_i, lam_i in zip(
+                x, out, plan, b, rho, repeat(None) if lam is None else lam):
+            if kept_drift:
+                np.add(component, b_i * dt, row)
+                component = row
+            if noise:
+                total = None
+                for k in noise:
+                    term = rho_i[k] * dw[k]
+                    total = term if total is None else total + term
+                np.add(component, total, row)
+                component = row
+            if correction:
+                total = None
+                for k, l, position in correction:
+                    term = lam_i[k][l] * iw[position]
+                    total = term if total is None else total + term
+                np.add(component, total, row)
+                component = row
+            if component is not row:
+                row[...] = component
         return out
 
     return advance
@@ -289,12 +365,10 @@ class BatchStepper:
                 t_drift = (randomized_time(t_left[:, None], dt, uniforms[c0:c1])
                            if self.randomized else t_left)
                 states = self._states[: c1 - c0]
-                for c, step_inputs in enumerate(
-                    zip(t_left, t_drift, _per_step(dw), iw)
-                ):
+                # each step writes its d (B,) rows of the buffer and reads the last
+                for step_inputs in zip(t_left, t_drift, _per_step(dw), iw,
+                                       zip(*states.transpose(1, 0, 2))):
                     x = advance(x, *step_inputs)
-                    for i, component in enumerate(x):
-                        states[c, i] = component
                 # one scan per chunk: a non-finite component stays non-finite
                 # under ``x + ...``, so a path's last state in the chunk tells
                 # whether it overflowed and argmin finds the first such step
@@ -304,6 +378,8 @@ class BatchStepper:
                     overflow[fresh] = j0 + finite[:, fresh].argmin(axis=0)
                 if observe is not None:
                     observe(j0 + 1, states, finite)
+                # carried out of the buffer, which the next chunk refills
+                x = [component.copy() for component in x]
         self.state = x
         self.steps += len(inc)
 

@@ -484,14 +484,20 @@ def test_a_rule_error_reaches_stderr_in_the_rules_words(tmp_path, capsys, key,
     assert str(raised.value).startswith(f"{key} ")
 
 
-def test_problem_params_error_names_the_key_then_the_problem(tmp_path, capsys):
+@pytest.mark.parametrize("problem,params", [
+    ("gbm", {"drift": 1.0}),            # an unknown key
+    ("fhn", {"sigma": -1.0}),           # out of range, found by the factory
+    ("rough_drift", {"beta": 1.5}),     # out of range, found by SdeProblem
+], ids=["unknown_key", "fhn_sigma", "rough_drift_beta"])
+def test_problem_params_error_names_the_key_then_the_problem(tmp_path, capsys,
+                                                             problem, params):
     # make_builtin's message names the problem id, so the key goes in front
     with pytest.raises(model.InvalidParameterError) as raised:
-        model.make_builtin("gbm", drift=1.0)
-    path, _ = write_config(tmp_path, problem_params={"drift": 1.0})
+        model.make_builtin(problem, **params)
+    path, _ = write_config(tmp_path, problem=problem, problem_params=params)
     assert run_command(["converge", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"config error: problem_params: {raised.value}\n"
-    assert str(raised.value).startswith("gbm: ")
+    assert str(raised.value).startswith(f"{problem}: ")
 
 
 def test_unsupported_structure_exits_3(tmp_path, capsys, monkeypatch):

@@ -105,8 +105,8 @@ def _one_step(problem, kind, x, t_left, dt, dw, iw, u, n):
         t_drift = randomized_time(t_left, dt, np.array([u]))
     else:
         t_drift = t_left
-    return np.stack(advance(components(x), t_left, t_drift, components(dw), iw),
-                    axis=1)[0]
+    out = np.empty((problem.d, 1))
+    return advance(components(x), t_left, t_drift, components(dw), iw, out)[:, 0]
 
 
 def test_step_gbm_correction_cancels(gbm_unit):
@@ -414,11 +414,26 @@ def _with_zero_arrays(problem):
                                taming_split=split)
 
 
+def _noise_from_half_time(problem, s=0.5):
+    """``problem`` with the noise ``s x_2 dW`` added to its second
+    component from t = 0.5 on: that component's diffusion and Milstein-tensor
+    entries are structural zeros before t = 0.5 and arrays after."""
+    diffusion, milstein_tensor = problem.diffusion, problem.milstein_tensor
+    return dataclasses.replace(
+        problem,
+        diffusion=lambda t, x: (diffusion(t, x)[0],
+                                (0.0,) if t < 0.5 else (s * x[1],)),
+        milstein_tensor=lambda t, x: (milstein_tensor(t, x)[0],
+                                      ((0.0,),) if t < 0.5 else ((s * s * x[1],),)))
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("problem", [
     make_builtin("fhn", sigma=3.0, i_amp=60.0),         # m = 1, overflows
     make_commuting_gbm(s=((0.4, 0.0), (0.1, 0.5))),     # m = 2
-], ids=["fhn", "commuting_gbm"])
+    # the zeros move at step 8, inside the second fed piece
+    _noise_from_half_time(make_builtin("fhn", sigma=3.0, i_amp=60.0)),
+], ids=["fhn", "commuting_gbm", "fhn_zeros_move"])
 def test_structural_zeros_step_as_zero_arrays(kind, problem):
     # skipping a 0.0 entry gives the bits that multiplying a zero array gives
     x = [np.ones(3)] * problem.d
@@ -431,6 +446,26 @@ def test_structural_zeros_step_as_zero_arrays(kind, problem):
     _assert_same(skipped, multiplied)
     if kind is SchemeKind.EULER_MARUYAMA and problem.m == 1:
         assert (skipped[1] >= 0).any()  # overflowed paths compare too
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("chunk", [1, 256])
+def test_coefficients_returning_the_state_itself(monkeypatch, kind, chunk):
+    # b = (x_2, x_1) and rho = (x_2, x_1) hand the kernel the state's own
+    # arrays, which must not be the rows a step writes; one-step chunks and
+    # one-step pieces are where the buffer would be read and written at once
+    problem = SdeProblem(
+        d=2, m=1, horizon=1.0, initial_state=[1.0, -0.5],
+        drift=lambda t, x: (x[1], x[0]),
+        diffusion=lambda t, x: ((x[1],), (x[0],)),
+        milstein_tensor=lambda t, x: (((x[0],),), ((x[1],),)),
+        noise_structure=NoiseStructure.SCALAR, xi=0.0, beta=1.0,
+    )
+    monkeypatch.setattr(schemes, "_CHUNK", chunk)
+    inc, uniforms = _batch_inputs(problem, 5, 16, seed=chunk)
+    expected = _stepped_reference(problem, kind, inc, uniforms)
+    for cuts in ([16], [1, 1, 1, 2, 1, 10]):
+        _assert_same(_fed_in_pieces(problem, kind, inc, uniforms, cuts), expected)
 
 
 def test_overflow_steps_past_first_chunk_match_stepping():
