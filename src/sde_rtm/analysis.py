@@ -373,10 +373,7 @@ def _gather(results) -> list:
 
 def _check_levels(levels, high: int = _MAX_LEVEL) -> list:
     # sorted; each in [0, high], none twice
-    levels = sorted(_check_ints("levels", levels, 0, high))
-    if len(set(levels)) != len(levels):
-        raise InvalidParameterError("levels must be distinct")
-    return levels
+    return sorted(_check_ints("levels", levels, 0, high, distinct=True))
 
 
 def _check_reference(ref, levels) -> bool:

@@ -69,11 +69,13 @@ def _check_int(name: str, value, low: int, high: int) -> int:
     return int(value)
 
 
-def _check_ints(name: str, values, low: int, high: int) -> list:
+def _check_ints(name: str, values, low: int, high: int, distinct: bool = False) -> list:
     values = list(values) if np.iterable(values) else []
     if not values or not all(_is_int(v) and low <= v <= high for v in values):
         raise InvalidParameterError(
             f"{name} must be a nonempty list of integers in [{low}, {high}]")
+    if distinct and len(set(values)) != len(values):
+        raise InvalidParameterError(f"{name} must be distinct")
     return [int(v) for v in values]
 
 
@@ -111,13 +113,13 @@ class NoiseStructure(Enum):
 class TamingSplit:
     """Optional decomposition ``drift = superlinear + remainder``.
 
-    Both summands return d drift entries.  Tamed integrators divide only the
-    ``superlinear`` summand by the taming denominator, leaving ``remainder``
-    untouched, and compute the denominator norm from the state components
-    that ``norm_indices`` picks instead of the full Euclidean norm.  This is
-    how the FitzHugh-Nagumo builtin reproduces the usual per-component
-    taming of its cubic term; the generic default (no split) tames the
-    whole drift vector.
+    Both summands return d drift entries.  Tamed integrators divide only
+    ``superlinear`` by the taming denominator, whose norm they take over the
+    distinct state components ``norm_indices`` picks, and add ``remainder``
+    untouched; the step kernel evaluates the denominator only while some
+    ``superlinear`` entry is not a structural zero.  The FitzHugh-Nagumo
+    builtin tames its cubic term this way; without a split the whole drift
+    vector is tamed.
     """
 
     superlinear: Callable
@@ -189,7 +191,7 @@ class SdeProblem:
         if self.taming_split is not None:
             _check_type("taming_split", self.taming_split, TamingSplit)
             _check_ints("taming_split.norm_indices", self.taming_split.norm_indices,
-                        0, self.d - 1)
+                        0, self.d - 1, distinct=True)
 
 
 def _constant(value):

@@ -13,15 +13,14 @@ Four explicit schemes share ``_step_batch``, the kernel :class:`BatchStepper` ru
 The kernel runs the scheme's two rules through the functions that define
 them.  :func:`tame_drift` divides the drift by ``1 + |x|^(2 xi) / n``
 where ``n`` is the total step count, so the tamed value never exceeds the
-raw drift in norm and the modification is pointwise O(1/n).  Problems may
-carry a :class:`~sde_rtm.model.TamingSplit` that restricts taming to a
-superlinear summand (and its denominator norm to selected components); the
-FitzHugh-Nagumo builtin uses this to tame only its cubic term.
+raw drift in norm and the modification is pointwise O(1/n).  A
+:class:`~sde_rtm.model.TamingSplit` restricts taming to a superlinear
+summand (and its denominator norm to selected components), as the
+FitzHugh-Nagumo builtin does for its cubic term, so the kernel steps
+``b = wild / D + mild`` (:func:`_drift_rule`).
 :func:`~sde_rtm.noise.randomized_time` puts the randomized kind's drift
-time strictly inside ``[t_j, t_{j+1})``.
-
-The diffusion and the correction tensor are always evaluated at the left
-endpoint; only the drift time is randomized.
+time strictly inside ``[t_j, t_{j+1})``; the diffusion and the correction
+tensor are always evaluated at the left endpoint.
 
 Apart from the state a :class:`BatchStepper` carries, everything here is a
 pure function of its inputs.  The kernel steps d ``(B,)`` state components
@@ -29,14 +28,14 @@ pure function of its inputs.  The kernel steps d ``(B,)`` state components
 skips) with elementwise numpy ops only, so per-path results are
 bit-identical however paths are grouped into batches.
 
-Each stepper decides its terms once.  The first step records which drift,
-diffusion and correction-tensor entries are structural zeros and, for each
-component, the terms it keeps; later steps run those terms only, and check
-just the skipped entries.  A skipped entry that comes back as anything but
-the float 0.0 rebuilds the plan from that step, so a coefficient whose
-zeros move steps as if every step had been planned afresh.  ``dt`` and the
-taming's constants are 0-d float64 arrays, which numpy applies without the
-conversion a Python float costs on every operation.
+Each stepper decides its terms once.  The first step records which
+entries of ``wild``, ``mild``, the diffusion and the correction tensor are
+structural zeros and the terms each component keeps; later steps run only
+those, evaluate D only if a ``wild`` entry is kept, and check just the
+skipped entries.  One that comes back as anything but the float 0.0
+rebuilds the plan from that step, so zeros that move step as if every step
+were planned afresh.  ``dt`` and the taming's constants are 0-d float64
+arrays, which numpy applies without converting them on every operation.
 
 One loop steps every path: :class:`BatchStepper` holds a block's state,
 first overflow steps and step count across calls, so a grid can be fed
@@ -62,13 +61,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from .model import (InvalidParameterError, NoiseStructure, SdeProblem, _check_int,
-                    _check_real, _check_type, _constant, _stacked)
+                    _check_real, _check_type, _constant)
 from .noise import (
     _MAX_LEVEL,
     BrownianGrid,
@@ -127,18 +125,17 @@ def _is_zero(entry) -> bool:
 
 
 def _taming(n: int, xi: float):
-    # tame_drift's formula, unchecked, as tame(mu, x) on drift entries and
-    # state components; |x|^2 sums the components in index order.  1 and n
-    # are 0-d arrays, the exponent a Python float (numpy's power fast paths)
+    # tame_drift's denominator 1 + |x|^(2 xi) / n of a list of components,
+    # unchecked; |x|^2 sums them in index order.  1 and n are 0-d arrays,
+    # the exponent a Python float (numpy's power fast paths)
     one, n, power = _constant(1.0), _constant(n), 2.0 * xi
 
-    def tame(mu, x):
+    def denominator(x):
         square = x[0] * x[0]
         for component in x[1:]:
             square = square + component * component
-        denominator = one + np.sqrt(square) ** power / n
-        return [entry if _is_zero(entry) else entry / denominator for entry in mu]
-    return tame
+        return one + np.sqrt(square) ** power / n
+    return denominator
 
 
 def tame_drift(mu_value, x, n: int, xi: float):
@@ -147,8 +144,8 @@ def tame_drift(mu_value, x, n: int, xi: float):
     The denominator is always >= 1, so ``|tamed| <= |mu|`` exactly, and
     ``|mu - tamed| <= |mu| |x|^(2 xi) / n`` pointwise.  Accepts a single
     vector with state ``(d,)`` or batches ``(..., d)``; ``mu`` must have the
-    state's shape, ``n`` an integer in [1, 2**62] and ``xi`` a finite real
-    >= 0, else :class:`InvalidParameterError`.
+    state's shape with d >= 1, ``n`` an integer in [1, 2**62] and ``xi`` a
+    finite real >= 0, else :class:`InvalidParameterError`.
     """
     n = _check_int("n", n, 1, 1 << _MAX_LEVEL)
     _check_real("xi", xi, 0)
@@ -156,73 +153,55 @@ def tame_drift(mu_value, x, n: int, xi: float):
     if mu_value.shape != x.shape:
         raise InvalidParameterError(f"drift shape {mu_value.shape} differs from "
                                     f"state shape {x.shape}")
-    components, tame = [x[..., i] for i in range(x.shape[-1])], _taming(n, xi)
-    return _stacked(lambda mu: tame(mu, components), mu_value)
+    if x.shape[-1] == 0:
+        raise InvalidParameterError(f"state shape {x.shape} has no component")
+    denominator = _taming(n, xi)([x[..., i] for i in range(x.shape[-1])])
+    return mu_value / denominator[..., None]
 
 
-def _tamed_drift(problem: SdeProblem, n: int):
-    """Return ``b(t, x)``, the drift entries after taming, honouring an
-    optional per-summand split."""
-    split = problem.taming_split
-    drift, tame = problem.drift, _taming(n, problem.xi)
+def _drift_rule(problem: SdeProblem, kind: SchemeKind, n: int):
+    """The drift ``kind`` steps on an ``n``-step grid, ``b_i = wild_i /
+    taming([x_r for r in norm]) + mild_i``, as ``(wild, mild, norm,
+    taming)``; ``mild`` or ``taming`` is None where absent.  A tamed kind
+    tames the whole drift over every component, or a split's superlinear
+    summand over its ``norm_indices``."""
+    if kind is SchemeKind.EULER_MARUYAMA:
+        return problem.drift, None, (), None
+    split, taming = problem.taming_split, _taming(n, problem.xi)
     if split is None:
-        return lambda t, x: tame(drift(t, x), x)
-    superlinear, remainder = split.superlinear, split.remainder
-    index = tuple(split.norm_indices)
-
-    def tamed(t, x):
-        wild = tame(superlinear(t, x), [x[i] for i in index])
-        return [b if _is_zero(a) else a if _is_zero(b) else a + b
-                for a, b in zip(wild, remainder(t, x))]
-    return tamed
+        return problem.drift, None, tuple(range(problem.d)), taming
+    return split.superlinear, split.remainder, tuple(split.norm_indices), taming
 
 
-def _term_plan(d: int, b, rho, lam):
-    """The terms one step adds to each of the d components, read off its
-    coefficient entries.
+def _term_plan(d: int, coefficients):
+    """The terms one step adds to each of the d components, read off that
+    step's entries ``(wild, mild, rho, lam)``; the entries of an absent
+    ``mild`` or ``lam`` are None.
 
-    Returns ``(plan, zeros)``.  ``plan[i]`` is ``(drift, noise,
-    correction)`` for component i: whether ``b_i`` is kept, the k of each
-    kept ``rho_ik`` and the ``(k, l, position)`` of each kept ``L_ikl``,
-    position counting the entries row-major (none without ``lam``).
-    ``zeros`` holds the indices of the skipped entries of b, rho and lam.
+    Returns ``(plan, skipped)``.  ``plan[i]`` is ``(wild, mild, noise,
+    correction)`` for component i: whether ``wild_i`` and ``mild_i`` are
+    kept, the k of each kept ``rho_ik`` and the ``(k, l, position)`` of each
+    kept ``L_ikl``, position counting the entries row-major.  ``skipped``
+    holds the index path into ``coefficients`` of every skipped entry.
     """
-    plan, zero_b, zero_rho, zero_lam = [], [], [], []
+    plan, skipped = [], []
+
+    def kept(entry, *path):
+        if _is_zero(entry):
+            skipped.append(path)
+            return False
+        return True
+
     for i in range(d):
-        kept_drift = not _is_zero(b[i])
-        if not kept_drift:
-            zero_b.append(i)
-        noise = []
-        for k, entry in enumerate(rho[i]):
-            if _is_zero(entry):
-                zero_rho.append((i, k))
-            else:
-                noise.append(k)
-        correction, position = [], 0
-        for k, row in enumerate(() if lam is None else lam[i]):
-            for l, entry in enumerate(row):
-                if _is_zero(entry):
-                    zero_lam.append((i, k, l))
-                else:
-                    correction.append((k, l, position))
-                position += 1
-        plan.append((kept_drift, tuple(noise), tuple(correction)))
-    return plan, (zero_b, zero_rho, zero_lam)
-
-
-def _moved(zeros, b, rho, lam) -> bool:
-    # whether an entry that the plan skips is no longer a structural zero
-    zero_b, zero_rho, zero_lam = zeros
-    for i in zero_b:
-        if not _is_zero(b[i]):
-            return True
-    for i, k in zero_rho:
-        if not _is_zero(rho[i][k]):
-            return True
-    for i, k, l in zero_lam:
-        if not _is_zero(lam[i][k][l]):
-            return True
-    return False
+        wild_i, mild_i, rho_i, lam_i = (entries[i] for entries in coefficients)
+        plan.append((
+            kept(wild_i, 0, i),
+            mild_i is not None and kept(mild_i, 1, i),
+            tuple(k for k, entry in enumerate(rho_i) if kept(entry, 2, i, k)),
+            tuple((k, l, k * len(row) + l)
+                  for k, row in enumerate(() if lam_i is None else lam_i)
+                  for l, entry in enumerate(row) if kept(entry, 3, i, k, l))))
+    return plan, skipped
 
 
 def _step_batch(problem: SdeProblem, kind: SchemeKind, dt: float, n: int):
@@ -231,38 +210,56 @@ def _step_batch(problem: SdeProblem, kind: SchemeKind, dt: float, n: int):
     Returns ``advance(x, t_left, t_drift, dw, iw, out)``, which moves the d
     (B,) state components ``x`` by one step of size ``dt`` with taming
     parameter ``n``: component i becomes ``((x_i + b_i dt) + sum_k rho_ik
-    dw_k) + sum_kl L_ikl iw_kl``, each sum in index order without its
-    structural zeros, accumulated in the (B,) row ``out[i]``; it returns
-    ``out``, which must not share memory with ``x``.  ``t_drift`` is
-    ``t_left`` or a (B,) array for the randomized kind, ``dw`` the m (B,)
-    increments and ``iw`` the m * m (B,) iterated integrals, row-major
-    (Milstein kinds; None otherwise).
+    dw_k) + sum_kl L_ikl iw_kl`` (``b_i = wild_i / D + mild_i``), each sum
+    in index order without its structural zeros, accumulated in the (B,)
+    row ``out[i]``; it returns ``out``, which must not share memory with
+    ``x``.  ``t_drift`` is ``t_left`` or a (B,) array for the randomized
+    kind, ``dw`` the m (B,) increments and ``iw`` the m * m (B,) iterated
+    integrals, row-major (Milstein kinds; None otherwise).
 
     The coefficient callables are looked up once, here, and general noise
     is rejected for the Milstein kinds, whose iterated integrals it would
-    make inexact.  Which entries are structural zeros is read off the first
-    step's coefficients (:func:`_term_plan`); later steps run only the kept
-    terms and check that the skipped entries are still zeros, and the plan
-    is rebuilt from the first step at which one is not.  A kept entry that
-    comes back as a float is multiplied like any other.
+    make inexact.  Which entries of ``wild``, ``mild``, rho and L are
+    structural zeros is read off the first step's coefficients
+    (:func:`_term_plan`); later steps run only the kept terms, evaluating D
+    only if the plan keeps some ``wild`` entry, and check that the skipped
+    entries are still zeros; the plan is rebuilt from the first step at
+    which one is not.  A kept entry that comes back as a float is
+    multiplied like any other.
     """
     if kind in _MILSTEIN_KINDS and problem.noise_structure is NoiseStructure.GENERAL:
         raise UnsupportedNoiseStructureError("Milstein kinds do not support general noise")
-    drift = problem.drift if kind is SchemeKind.EULER_MARUYAMA else _tamed_drift(problem, n)
+    wild, mild, norm, taming = _drift_rule(problem, kind, n)
     diffusion = problem.diffusion
     milstein_tensor = problem.milstein_tensor if kind in _MILSTEIN_KINDS else None
-    dt = _constant(dt)
-    plan = zeros = None
+    dt, absent = _constant(dt), (None,) * problem.d
+    plan, skipped, tames = None, (), False
 
     def advance(x, t_left, t_drift, dw, iw, out):
-        nonlocal plan, zeros
-        b, rho = drift(t_drift, x), diffusion(t_left, x)
-        lam = None if milstein_tensor is None else milstein_tensor(t_left, x)
-        if plan is None or _moved(zeros, b, rho, lam):
-            plan, zeros = _term_plan(len(x), b, rho, lam)
-        for component, row, (kept_drift, noise, correction), b_i, rho_i, lam_i in zip(
-                x, out, plan, b, rho, repeat(None) if lam is None else lam):
-            if kept_drift:
+        nonlocal plan, skipped, tames
+        coefficients = (wild(t_drift, x), absent if mild is None else mild(t_drift, x),
+                        diffusion(t_left, x),
+                        absent if milstein_tensor is None else milstein_tensor(t_left, x))
+        for path in skipped:
+            entry = coefficients
+            for index in path:
+                entry = entry[index]
+            if not _is_zero(entry):
+                plan = None
+                break
+        if plan is None:
+            plan, skipped = _term_plan(len(x), coefficients)
+            tames = taming is not None and any(terms[0] for terms in plan)
+        denominator = taming([x[r] for r in norm]) if tames else None
+        for component, row, terms, wild_i, mild_i, rho_i, lam_i in zip(
+                x, out, plan, *coefficients):
+            keeps_wild, keeps_mild, noise, correction = terms
+            b_i = None
+            if keeps_wild:
+                b_i = wild_i if denominator is None else wild_i / denominator
+            if keeps_mild:
+                b_i = mild_i if b_i is None else b_i + mild_i
+            if b_i is not None:
                 np.add(component, b_i * dt, row)
                 component = row
             if noise:

@@ -205,6 +205,7 @@ def test_problem_validation():
         {"xi": float("inf")},
         {"taming_split": TamingSplit(good["drift"], good["drift"], (0.0,))},
         {"taming_split": TamingSplit(good["drift"], good["drift"], (True,))},
+        {"taming_split": TamingSplit(good["drift"], good["drift"], (0, 0))},
         {"taming_split": (0,)},
         {"noise_structure": "general"},
     ):

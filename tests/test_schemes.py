@@ -83,6 +83,10 @@ def test_tame_drift_validation():
     for mu, x in ((np.ones(3), np.ones(2)), (np.ones((5, 3)), np.ones((4, 2)))):
         with pytest.raises(InvalidParameterError, match="drift shape .* differs from state"):
             tame_drift(mu, x, 4, 1.0)
+    # a state of no component has no norm
+    for shape in ((0,), (3, 0)):
+        with pytest.raises(InvalidParameterError, match="has no component"):
+            tame_drift(np.ones(shape), np.ones(shape), 4, 1.0)
 
 
 # --- single steps ------------------------------------------------------------
@@ -427,13 +431,32 @@ def _noise_from_half_time(problem, s=0.5):
                                       ((0.0,),) if t < 0.5 else ((s * s * x[1],),)))
 
 
+def _cubic_from_half_time(problem):
+    """fhn ``problem`` without its cubic summand before t = 0.5: the entries
+    of the taming split's superlinear summand are structural zeros before
+    t = 0.5 and arrays after, so a tamed kind's plan needs no taming
+    denominator until it is rebuilt at t = 0.5."""
+    split = problem.taming_split
+
+    def before(t):  # t is a (B,) array of drift times for the randomized kind
+        return bool(np.all(np.asarray(t) < 0.5))
+
+    return dataclasses.replace(
+        problem,
+        drift=lambda t, x: split.remainder(t, x) if before(t) else problem.drift(t, x),
+        taming_split=dataclasses.replace(
+            split, superlinear=lambda t, x: ((0.0, 0.0) if before(t)
+                                             else split.superlinear(t, x))))
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("problem", [
     make_builtin("fhn", sigma=3.0, i_amp=60.0),         # m = 1, overflows
     make_commuting_gbm(s=((0.4, 0.0), (0.1, 0.5))),     # m = 2
     # the zeros move at step 8, inside the second fed piece
     _noise_from_half_time(make_builtin("fhn", sigma=3.0, i_amp=60.0)),
-], ids=["fhn", "commuting_gbm", "fhn_zeros_move"])
+    _cubic_from_half_time(make_builtin("fhn", sigma=3.0, i_amp=60.0)),
+], ids=["fhn", "commuting_gbm", "fhn_zeros_move", "fhn_cubic_moves"])
 def test_structural_zeros_step_as_zero_arrays(kind, problem):
     # skipping a 0.0 entry gives the bits that multiplying a zero array gives
     x = [np.ones(3)] * problem.d
@@ -588,6 +611,15 @@ def _norm(entries):
     return np.sqrt(sum(np.square(entry) for entry in entries))
 
 
+def _kernel_drift(problem, n, t, x):
+    # b_n = wild / taming(x[norm]) + mild, from the drift rule the kernel
+    # steps for a tamed kind
+    wild, mild, norm, taming = schemes._drift_rule(problem, SchemeKind.TAMED_MILSTEIN, n)
+    denominator = taming([x[r] for r in norm])
+    mild = [0.0] * problem.d if mild is None else mild(t, x)
+    return [w / denominator + v for w, v in zip(wild(t, x), mild)]
+
+
 @pytest.mark.parametrize("name", sorted(_GROWTH_BOUNDS))
 def test_kernel_taming_growth_bound(name):
     # C_n = max |b_n(t, x)| / (sqrt(n) (1 + |x|)) stays under c3 + L / sqrt(n)
@@ -600,7 +632,7 @@ def test_kernel_taming_growth_bound(name):
     scale = 1.0 + _norm(x)
     for n in (2 ** 4, 2 ** 8, 2 ** 12, 2 ** 16, 2 ** 20):
         bound = c3 + lipschitz / np.sqrt(n)
-        growth = np.max(_norm(schemes._tamed_drift(problem, n)(t, x)) / scale) / np.sqrt(n)
+        growth = np.max(_norm(_kernel_drift(problem, n, t, x)) / scale) / np.sqrt(n)
         assert growth <= bound, (n, growth, bound)
     if c3 > 0.0:
         mu = _norm(problem.drift(t, x))
