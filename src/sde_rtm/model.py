@@ -116,10 +116,8 @@ class TamingSplit:
     Both summands return d drift entries.  Tamed integrators divide only
     ``superlinear`` by the taming denominator, whose norm they take over the
     distinct state components ``norm_indices`` picks, and add ``remainder``
-    untouched; the step kernel evaluates the denominator only while some
-    ``superlinear`` entry is not a structural zero.  The FitzHugh-Nagumo
-    builtin tames its cubic term this way; without a split the whole drift
-    vector is tamed.
+    untouched.  The FitzHugh-Nagumo builtin tames its cubic term this way;
+    without a split the whole drift vector is tamed.
     """
 
     superlinear: Callable

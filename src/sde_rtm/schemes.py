@@ -31,11 +31,11 @@ bit-identical however paths are grouped into batches.
 Each stepper decides its terms once.  The first step records which
 entries of ``wild``, ``mild``, the diffusion and the correction tensor are
 structural zeros and the terms each component keeps; later steps run only
-those, evaluate D only if a ``wild`` entry is kept, and check just the
-skipped entries.  One that comes back as anything but the float 0.0
-rebuilds the plan from that step, so zeros that move step as if every step
-were planned afresh.  ``dt`` and the taming's constants are 0-d float64
-arrays, which numpy applies without converting them on every operation.
+those, and check just the skipped entries.  One that comes back as
+anything but the float 0.0 rebuilds the plan from that step, so zeros
+that move step as if every step were planned afresh.  ``dt`` and the
+taming's constants are 0-d float64 arrays, which numpy applies without
+converting them on every operation.
 
 One loop steps every path: :class:`BatchStepper` holds a block's state,
 first overflow steps and step count across calls, so a grid can be fed
@@ -186,21 +186,23 @@ def _term_plan(d: int, coefficients):
     """
     plan, skipped = [], []
 
-    def kept(entry, *path):
-        if _is_zero(entry):
-            skipped.append(path)
-            return False
-        return True
+    def kept(entries, *path):
+        # the indices of the kept entries; the others' paths go to skipped
+        indices = []
+        for j, entry in enumerate(entries):
+            if _is_zero(entry):
+                skipped.append((*path, j))
+            elif entry is not None:
+                indices.append(j)
+        return indices
 
+    wild, mild, rho, lam = coefficients
+    keeps_wild, keeps_mild = kept(wild, 0), kept(mild, 1)
     for i in range(d):
-        wild_i, mild_i, rho_i, lam_i = (entries[i] for entries in coefficients)
-        plan.append((
-            kept(wild_i, 0, i),
-            mild_i is not None and kept(mild_i, 1, i),
-            tuple(k for k, entry in enumerate(rho_i) if kept(entry, 2, i, k)),
-            tuple((k, l, k * len(row) + l)
-                  for k, row in enumerate(() if lam_i is None else lam_i)
-                  for l, entry in enumerate(row) if kept(entry, 3, i, k, l))))
+        correction = []
+        for k, row in enumerate(() if lam[i] is None else lam[i]):
+            correction.extend((k, l, k * len(row) + l) for l in kept(row, 3, i, k))
+        plan.append((i in keeps_wild, i in keeps_mild, kept(rho[i], 2, i), correction))
     return plan, skipped
 
 
@@ -221,10 +223,9 @@ def _step_batch(problem: SdeProblem, kind: SchemeKind, dt: float, n: int):
     is rejected for the Milstein kinds, whose iterated integrals it would
     make inexact.  Which entries of ``wild``, ``mild``, rho and L are
     structural zeros is read off the first step's coefficients
-    (:func:`_term_plan`); later steps run only the kept terms, evaluating D
-    only if the plan keeps some ``wild`` entry, and check that the skipped
-    entries are still zeros; the plan is rebuilt from the first step at
-    which one is not.  A kept entry that comes back as a float is
+    (:func:`_term_plan`); later steps run only the kept terms, and check
+    that the skipped entries are still zeros; the plan is rebuilt from the
+    first step at which one is not.  A kept entry that comes back as a float is
     multiplied like any other.
     """
     if kind in _MILSTEIN_KINDS and problem.noise_structure is NoiseStructure.GENERAL:
@@ -233,10 +234,10 @@ def _step_batch(problem: SdeProblem, kind: SchemeKind, dt: float, n: int):
     diffusion = problem.diffusion
     milstein_tensor = problem.milstein_tensor if kind in _MILSTEIN_KINDS else None
     dt, absent = _constant(dt), (None,) * problem.d
-    plan, skipped, tames = None, (), False
+    plan, skipped = None, ()
 
     def advance(x, t_left, t_drift, dw, iw, out):
-        nonlocal plan, skipped, tames
+        nonlocal plan, skipped
         coefficients = (wild(t_drift, x), absent if mild is None else mild(t_drift, x),
                         diffusion(t_left, x),
                         absent if milstein_tensor is None else milstein_tensor(t_left, x))
@@ -249,8 +250,7 @@ def _step_batch(problem: SdeProblem, kind: SchemeKind, dt: float, n: int):
                 break
         if plan is None:
             plan, skipped = _term_plan(len(x), coefficients)
-            tames = taming is not None and any(terms[0] for terms in plan)
-        denominator = taming([x[r] for r in norm]) if tames else None
+        denominator = None if taming is None else taming([x[r] for r in norm])
         for component, row, terms, wild_i, mild_i, rho_i, lam_i in zip(
                 x, out, plan, *coefficients):
             keeps_wild, keeps_mild, noise, correction = terms

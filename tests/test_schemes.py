@@ -434,8 +434,8 @@ def _noise_from_half_time(problem, s=0.5):
 def _cubic_from_half_time(problem):
     """fhn ``problem`` without its cubic summand before t = 0.5: the entries
     of the taming split's superlinear summand are structural zeros before
-    t = 0.5 and arrays after, so a tamed kind's plan needs no taming
-    denominator until it is rebuilt at t = 0.5."""
+    t = 0.5 and arrays after, so a tamed kind's plan skips the whole tamed
+    term until it is rebuilt at t = 0.5."""
     split = problem.taming_split
 
     def before(t):  # t is a (B,) array of drift times for the randomized kind
@@ -613,11 +613,18 @@ def _norm(entries):
 
 def _kernel_drift(problem, n, t, x):
     # b_n = wild / taming(x[norm]) + mild, from the drift rule the kernel
-    # steps for a tamed kind
-    wild, mild, norm, taming = schemes._drift_rule(problem, SchemeKind.TAMED_MILSTEIN, n)
+    # steps for a tamed kind; one noiseless kernel step must give x + b_n dt
+    # bit for bit, so the bound holds for the drift the kernel applies
+    kind = SchemeKind.TAMED_MILSTEIN
+    wild, mild, norm, taming = schemes._drift_rule(problem, kind, n)
     denominator = taming([x[r] for r in norm])
     mild = [0.0] * problem.d if mild is None else mild(t, x)
-    return [w / denominator + v for w, v in zip(wild(t, x), mild)]
+    b = [w / denominator + v for w, v in zip(wild(t, x), mild)]
+    dt, zeros = problem.horizon / n, np.zeros_like(t)
+    out = schemes._step_batch(problem, kind, dt, n)(
+        x, t, t, [zeros] * problem.m, [zeros] * problem.m ** 2, np.empty((problem.d, len(t))))
+    np.testing.assert_array_equal(out, [x_i + b_i * dt for x_i, b_i in zip(x, b)])
+    return b
 
 
 @pytest.mark.parametrize("name", sorted(_GROWTH_BOUNDS))
