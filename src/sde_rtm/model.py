@@ -8,13 +8,13 @@ temporal Hoelder exponent ``beta``) that downstream rate predictions use.
 Coefficients are written component by component: the state ``x`` is a
 sequence of d arrays of one shape (the step kernel passes d ``(B,)``
 arrays), and each coefficient returns nested entries, each an array or a
-Python float.  The float ``0.0`` is a structural zero, which the kernel
-skips.  It reads which entries are zeros once per stepper, off the first
-step's coefficients, and rebuilds that plan at the first step where a
-skipped entry is not 0.0, so an entry may be a zero at some times and an
-array at others.  ``_stacked`` gives the stacked ``(..., d)`` view of this
-form.  Problems are immutable after construction and coefficient
-evaluation is safe to call concurrently.
+Python float.  The float ``0.0`` is a structural zero: each step skips
+the term of every entry it gets back as 0.0, so an entry may be a zero at
+some times and an array at others.  A coefficient must return d entries
+(rows of m entries for the diffusion, of m by m for the Milstein tensor).
+``_stacked`` gives the stacked ``(..., d)`` view of this form.  Problems
+are immutable after construction and coefficient evaluation is safe to
+call concurrently.
 
 The builtins hold their factors and offsets as 0-d float64 arrays
 (``_constant``), built once per problem: numpy converts a Python float

@@ -28,14 +28,12 @@ pure function of its inputs.  The kernel steps d ``(B,)`` state components
 skips) with elementwise numpy ops only, so per-path results are
 bit-identical however paths are grouped into batches.
 
-Each stepper decides its terms once.  The first step records which
-entries of ``wild``, ``mild``, the diffusion and the correction tensor are
-structural zeros and the terms each component keeps; later steps run only
-those, and check just the skipped entries.  One that comes back as
-anything but the float 0.0 rebuilds the plan from that step, so zeros
-that move step as if every step were planned afresh.  ``dt`` and the
-taming's constants are 0-d float64 arrays, which numpy applies without
-converting them on every operation.
+Each step skips the term of every entry of ``wild``, ``mild``, the
+diffusion and the correction tensor that it gets back as the float 0.0,
+and multiplies every other entry, so zeros that appear or vanish mid-run
+need no special handling.  ``dt`` and the taming's constants are 0-d
+float64 arrays, which numpy applies without converting them on every
+operation.
 
 One loop steps every path: :class:`BatchStepper` holds a block's state,
 first overflow steps and step count across calls, so a grid can be fed
@@ -106,6 +104,10 @@ _MAX_COUNT = 1 << 24
 # the overflow scan runs once per chunk.  Results never depend on this value.
 _CHUNK = 256
 
+# What each of a step's four coefficient results is called in an error; the
+# summands of a TamingSplit are the drift's
+_COEFFICIENTS = ("drift", "drift", "diffusion", "milstein_tensor")
+
 
 @dataclass(frozen=True)
 class PathResult:
@@ -117,11 +119,6 @@ class PathResult:
 
     terminal: np.ndarray
     overflow_step: Optional[int] = None
-
-
-def _is_zero(entry) -> bool:
-    # the structural zero of the component form: the Python float 0.0
-    return type(entry) is float and entry == 0.0
 
 
 def _taming(n: int, xi: float):
@@ -173,111 +170,78 @@ def _drift_rule(problem: SdeProblem, kind: SchemeKind, n: int):
     return split.superlinear, split.remainder, tuple(split.norm_indices), taming
 
 
-def _term_plan(d: int, coefficients):
-    """The terms one step adds to each of the d components, read off that
-    step's entries ``(wild, mild, rho, lam)``; the entries of an absent
-    ``mild`` or ``lam`` are None.
-
-    Returns ``(plan, skipped)``.  ``plan[i]`` is ``(wild, mild, noise,
-    correction)`` for component i: whether ``wild_i`` and ``mild_i`` are
-    kept, the k of each kept ``rho_ik`` and the ``(k, l, position)`` of each
-    kept ``L_ikl``, position counting the entries row-major.  ``skipped``
-    holds the index path into ``coefficients`` of every skipped entry.
-    """
-    plan, skipped = [], []
-
-    def kept(entries, *path):
-        # the indices of the kept entries; the others' paths go to skipped
-        indices = []
-        for j, entry in enumerate(entries):
-            if _is_zero(entry):
-                skipped.append((*path, j))
-            elif entry is not None:
-                indices.append(j)
-        return indices
-
-    wild, mild, rho, lam = coefficients
-    keeps_wild, keeps_mild = kept(wild, 0), kept(mild, 1)
-    for i in range(d):
-        correction = []
-        for k, row in enumerate(() if lam[i] is None else lam[i]):
-            correction.extend((k, l, k * len(row) + l) for l in kept(row, 3, i, k))
-        plan.append((i in keeps_wild, i in keeps_mild, kept(rho[i], 2, i), correction))
-    return plan, skipped
-
-
 def _step_batch(problem: SdeProblem, kind: SchemeKind, dt: float, n: int):
     """The stepping kernel :class:`BatchStepper` runs.
 
     Returns ``advance(x, t_left, t_drift, dw, iw, out)``, which moves the d
     (B,) state components ``x`` by one step of size ``dt`` with taming
     parameter ``n``: component i becomes ``((x_i + b_i dt) + sum_k rho_ik
-    dw_k) + sum_kl L_ikl iw_kl`` (``b_i = wild_i / D + mild_i``), each sum
-    in index order without its structural zeros, accumulated in the (B,)
-    row ``out[i]``; it returns ``out``, which must not share memory with
-    ``x``.  ``t_drift`` is ``t_left`` or a (B,) array for the randomized
-    kind, ``dw`` the m (B,) increments and ``iw`` the m * m (B,) iterated
-    integrals, row-major (Milstein kinds; None otherwise).
+    dw_k) + sum_kl L_ikl iw[k m + l]`` (``b_i = wild_i / D + mild_i``), each
+    sum in index order, accumulated in the (B,) row ``out[i]``; it returns
+    ``out``, which must not share memory with ``x``.  ``t_drift`` is
+    ``t_left`` or a (B,) array for the randomized kind, ``dw`` the m (B,)
+    increments and ``iw`` the m * m (B,) iterated integrals, row-major
+    (Milstein kinds; None otherwise).
 
     The coefficient callables are looked up once, here, and general noise
     is rejected for the Milstein kinds, whose iterated integrals it would
-    make inexact.  Which entries of ``wild``, ``mild``, rho and L are
-    structural zeros is read off the first step's coefficients
-    (:func:`_term_plan`); later steps run only the kept terms, and check
-    that the skipped entries are still zeros; the plan is rebuilt from the
-    first step at which one is not.  A kept entry that comes back as a float is
-    multiplied like any other.
+    make inexact.  Each step skips the terms of the entries of ``wild``,
+    ``mild``, rho and L that it gets back as the float 0.0, the structural
+    zeros, and multiplies every other entry; so an entry may be a zero at
+    some steps and not at others.  A coefficient that returns other than d
+    entries raises :class:`InvalidParameterError` naming it.
     """
     if kind in _MILSTEIN_KINDS and problem.noise_structure is NoiseStructure.GENERAL:
         raise UnsupportedNoiseStructureError("Milstein kinds do not support general noise")
     wild, mild, norm, taming = _drift_rule(problem, kind, n)
     diffusion = problem.diffusion
     milstein_tensor = problem.milstein_tensor if kind in _MILSTEIN_KINDS else None
-    dt, absent = _constant(dt), (None,) * problem.d
-    plan, skipped = None, ()
+    dt = _constant(dt)
+    # an absent summand's entries are zeros, an absent tensor's rows empty
+    no_mild, no_tensor = (0.0,) * problem.d, ((),) * problem.d
 
     def advance(x, t_left, t_drift, dw, iw, out):
-        nonlocal plan, skipped
-        coefficients = (wild(t_drift, x), absent if mild is None else mild(t_drift, x),
+        coefficients = (wild(t_drift, x), no_mild if mild is None else mild(t_drift, x),
                         diffusion(t_left, x),
-                        absent if milstein_tensor is None else milstein_tensor(t_left, x))
-        for path in skipped:
-            entry = coefficients
-            for index in path:
-                entry = entry[index]
-            if not _is_zero(entry):
-                plan = None
-                break
-        if plan is None:
-            plan, skipped = _term_plan(len(x), coefficients)
+                        no_tensor if milstein_tensor is None else milstein_tensor(t_left, x))
         denominator = None if taming is None else taming([x[r] for r in norm])
-        for component, row, terms, wild_i, mild_i, rho_i, lam_i in zip(
-                x, out, plan, *coefficients):
-            keeps_wild, keeps_mild, noise, correction = terms
-            b_i = None
-            if keeps_wild:
-                b_i = wild_i if denominator is None else wild_i / denominator
-            if keeps_mild:
-                b_i = mild_i if b_i is None else b_i + mild_i
-            if b_i is not None:
-                np.add(component, b_i * dt, row)
-                component = row
-            if noise:
+        try:
+            for x_i, row, wild_i, mild_i, rho_i, lam_i in zip(x, out, *coefficients, strict=True):
+                b_i = None
+                if type(wild_i) is not float or wild_i != 0.0:
+                    b_i = wild_i if denominator is None else wild_i / denominator
+                if type(mild_i) is not float or mild_i != 0.0:
+                    b_i = mild_i if b_i is None else b_i + mild_i
+                if b_i is not None:
+                    np.add(x_i, b_i * dt, row)
+                    x_i = row
                 total = None
-                for k in noise:
-                    term = rho_i[k] * dw[k]
-                    total = term if total is None else total + term
-                np.add(component, total, row)
-                component = row
-            if correction:
-                total = None
-                for k, l, position in correction:
-                    term = lam_i[k][l] * iw[position]
-                    total = term if total is None else total + term
-                np.add(component, total, row)
-                component = row
-            if component is not row:
-                row[...] = component
+                for rho_ik, dw_k in zip(rho_i, dw):
+                    if type(rho_ik) is not float or rho_ik != 0.0:
+                        term = rho_ik * dw_k
+                        total = term if total is None else total + term
+                if total is not None:
+                    np.add(x_i, total, row)
+                    x_i = row
+                total, position = None, 0  # iw[position] is iw_kl, row-major
+                for lam_ik in lam_i:
+                    for lam_ikl in lam_ik:
+                        if type(lam_ikl) is not float or lam_ikl != 0.0:
+                            term = lam_ikl * iw[position]
+                            total = term if total is None else total + term
+                        position += 1
+                if total is not None:
+                    np.add(x_i, total, row)
+                    x_i = row
+                if x_i is not row:
+                    row[...] = x_i
+        except ValueError:
+            # zip's strict check failed: name the coefficient of the wrong length
+            for name, entries in zip(_COEFFICIENTS, coefficients):
+                if len(entries) != len(x):
+                    raise InvalidParameterError(f"the {name} returned {len(entries)} "
+                                                f"entries, not d = {len(x)}") from None
+            raise
         return out
 
     return advance

@@ -398,12 +398,17 @@ def _fed_in_pieces(problem, kind, inc, uniforms, cuts):
     return stepper.x, stepper.overflow, paths
 
 
+def _is_structural_zero(entry):
+    # the documented rule of the component form: the Python float 0.0
+    return type(entry) is float and entry == 0.0
+
+
 def _with_zero_arrays(problem):
     """``problem`` with every structural zero written as a zero array."""
     def arrays(entries, like):
         if isinstance(entries, (tuple, list)):
             return tuple(arrays(entry, like) for entry in entries)
-        return np.zeros(np.shape(like)) if schemes._is_zero(entries) else entries
+        return np.zeros(np.shape(like)) if _is_structural_zero(entries) else entries
 
     def wrap(coefficient):
         return lambda t, x: arrays(coefficient(t, x), x[0])
@@ -418,24 +423,29 @@ def _with_zero_arrays(problem):
                                taming_split=split)
 
 
-def _noise_from_half_time(problem, s=0.5):
+def _noise_from_half_time(problem, s=0.5, until=False):
     """``problem`` with the noise ``s x_2 dW`` added to its second
-    component from t = 0.5 on: that component's diffusion and Milstein-tensor
-    entries are structural zeros before t = 0.5 and arrays after."""
+    component from t = 0.5 on, or before t = 0.5 only if ``until``: that
+    component's diffusion and Milstein-tensor entries are structural zeros
+    while the noise is off and arrays while it is on."""
     diffusion, milstein_tensor = problem.diffusion, problem.milstein_tensor
+
+    def noisy(t):
+        return (t < 0.5) == until
+
     return dataclasses.replace(
         problem,
         diffusion=lambda t, x: (diffusion(t, x)[0],
-                                (0.0,) if t < 0.5 else (s * x[1],)),
+                                (s * x[1],) if noisy(t) else (0.0,)),
         milstein_tensor=lambda t, x: (milstein_tensor(t, x)[0],
-                                      ((0.0,),) if t < 0.5 else ((s * s * x[1],),)))
+                                      ((s * s * x[1],),) if noisy(t) else ((0.0,),)))
 
 
 def _cubic_from_half_time(problem):
     """fhn ``problem`` without its cubic summand before t = 0.5: the entries
     of the taming split's superlinear summand are structural zeros before
-    t = 0.5 and arrays after, so a tamed kind's plan skips the whole tamed
-    term until it is rebuilt at t = 0.5."""
+    t = 0.5 and arrays after, so a tamed kind skips the whole tamed term
+    before t = 0.5 and steps it from there."""
     split = problem.taming_split
 
     def before(t):  # t is a (B,) array of drift times for the randomized kind
@@ -456,12 +466,13 @@ def _cubic_from_half_time(problem):
     # the zeros move at step 8, inside the second fed piece
     _noise_from_half_time(make_builtin("fhn", sigma=3.0, i_amp=60.0)),
     _cubic_from_half_time(make_builtin("fhn", sigma=3.0, i_amp=60.0)),
-], ids=["fhn", "commuting_gbm", "fhn_zeros_move", "fhn_cubic_moves"])
+    _noise_from_half_time(make_builtin("fhn", sigma=3.0, i_amp=60.0), until=True),
+], ids=["fhn", "commuting_gbm", "fhn_zeros_move", "fhn_cubic_moves", "fhn_zeros_appear"])
 def test_structural_zeros_step_as_zero_arrays(kind, problem):
     # skipping a 0.0 entry gives the bits that multiplying a zero array gives
     x = [np.ones(3)] * problem.d
-    zeros = [entry for row in problem.diffusion(0.0, x) for entry in row]
-    assert any(schemes._is_zero(entry) for entry in zeros)
+    zeros = [entry for t in (0.0, 0.75) for row in problem.diffusion(t, x) for entry in row]
+    assert any(_is_structural_zero(entry) for entry in zeros)
     inc, uniforms = _batch_inputs(problem, 24, 16, seed=16)
     skipped = _fed_in_pieces(problem, kind, inc, uniforms, [5, 11])
     multiplied = _fed_in_pieces(_with_zero_arrays(problem), kind, inc, uniforms,
@@ -469,6 +480,39 @@ def test_structural_zeros_step_as_zero_arrays(kind, problem):
     _assert_same(skipped, multiplied)
     if kind is SchemeKind.EULER_MARUYAMA and problem.m == 1:
         assert (skipped[1] >= 0).any()  # overflowed paths compare too
+
+
+def _short_from_half_time(coefficient):
+    """A d = 2 problem without noise whose ``coefficient`` returns one entry
+    too few from t = 0.5 on."""
+    entries = {"drift": lambda x: (x[1], -x[0]),
+               "diffusion": lambda x: ((0.0,), (0.0,)),
+               "milstein_tensor": lambda x: (((0.0,),), ((0.0,),))}
+
+    def wrap(name):
+        def returned(t, x):  # t is a (B,) array of drift times for the randomized kind
+            whole = entries[name](x)
+            return whole[:1] if name == coefficient and np.all(np.asarray(t) >= 0.5) else whole
+        return returned
+
+    return SdeProblem(d=2, m=1, horizon=1.0, initial_state=[1.0, 0.0],
+                      **{name: wrap(name) for name in entries},
+                      noise_structure=NoiseStructure.SCALAR, xi=0.0, beta=1.0)
+
+
+@pytest.mark.parametrize("kind,coefficient", [
+    (kind, coefficient) for kind in ALL_KINDS
+    for coefficient in ("drift", "diffusion", "milstein_tensor")
+    if coefficient != "milstein_tensor" or kind in schemes._MILSTEIN_KINDS])
+def test_a_coefficient_returning_too_few_entries_raises(kind, coefficient):
+    # unchecked, the step at t = 0.5 would leave the second component's row
+    # of the state buffer unwritten and step on from its old contents
+    problem = _short_from_half_time(coefficient)
+    inc, uniforms = _batch_inputs(problem, 3, 16, seed=5)
+    for cuts in ([16], [5, 11]):
+        with pytest.raises(InvalidParameterError,
+                           match=f"the {coefficient} returned 1 entries, not d = 2"):
+            _fed_in_pieces(problem, kind, inc, uniforms, cuts)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
