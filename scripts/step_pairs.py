@@ -3,21 +3,22 @@
 
 Usage:
 
-    python3 scripts/step_pairs.py --parent DIR --change DIR \\
-        [--reps 21] [--steps 2048] [--width 256]
+    python3 scripts/step_pairs.py --parent DIR --change DIR
 
 ``DIR`` is a source checkout of each side.  The ``sde_rtm`` package of
 ``DIR/src`` is imported once per side, with ``sys.modules`` cleared of it
 between the two imports, so both kernels run in one process on the same
-increments.  Separate processes on a small shared host swing by more than
-a kernel change moves a step, and one process cancels most of that.
+increments; the caller's own ``sde_rtm`` modules are put back afterwards.
+Separate processes on a small shared host swing by more than a kernel
+change moves a step, and one process cancels most of that.
 
-For each case (a builtin problem and a scheme kind) every repetition times
-one ``BatchStepper.feed`` of ``steps`` steps over ``width`` paths on each
-side, the parent first in even repetitions and the change first in odd
-ones.  Printed per case: each side's minimum and lower quartile in us per
-step, the repetitions the change won, the ratio of the change's minimum to
-the parent's, and whether both sides gave the same terminal bits.
+For each case (a builtin problem and a scheme kind) each of ``REPS``
+repetitions times one ``BatchStepper.feed`` of ``STEPS`` steps over
+``WIDTH`` paths on each side, the parent first in even repetitions and
+the change first in odd ones.  Printed per case: each side's minimum and
+lower quartile in us per step, the repetitions the change won, the ratio of
+the change's minimum to the parent's, and whether both sides gave the same
+terminal bits.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from time import perf_counter
 
 import numpy as np
 
+REPS, STEPS, WIDTH = 21, 2048, 256
+
 # (label, builtin id, SchemeKind member)
 CASES = (
     ("fhn RTM", "fhn", "RANDOMIZED_TAMED_MILSTEIN"),
@@ -41,11 +44,16 @@ CASES = (
 )
 
 
+def _unload():
+    """Remove the ``sde_rtm`` modules from ``sys.modules`` and return them."""
+    return {name: sys.modules.pop(name) for name in list(sys.modules)
+            if name.split(".")[0] == "sde_rtm"}
+
+
 def load(checkout: str):
     """The ``sde_rtm.schemes`` and ``sde_rtm.model`` modules of
     ``checkout/src``, imported afresh."""
-    for name in [name for name in sys.modules if name.split(".")[0] == "sde_rtm"]:
-        del sys.modules[name]
+    _unload()
     sys.path.insert(0, f"{checkout}/src")
     try:
         from sde_rtm import model, schemes
@@ -71,7 +79,12 @@ def feed_once(side, case, increments, uniforms):
 def compare(parent: str, change: str, reps: int, steps: int, width: int) -> dict:
     """Per case label: both sides' per-step times (s) and whether every
     repetition of both gave the same terminal bits."""
-    sides = {"parent": load(parent), "change": load(change)}
+    loaded = _unload()
+    try:
+        sides = {"parent": load(parent), "change": load(change)}
+    finally:
+        _unload()
+        sys.modules.update(loaded)
     result = {}
     for case in CASES:
         problem = sides["parent"][1].make_builtin(case[1])
@@ -100,16 +113,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--reps", type=int, default=21)
-    parser.add_argument("--steps", type=int, default=2048)
-    parser.add_argument("--width", type=int, default=256)
     args = parser.parse_args(argv)
-    if args.reps < 2 or args.steps < 1 or args.width < 1:
-        parser.error("--reps must be at least 2, --steps and --width at least 1")
-    result = compare(args.parent, args.change, args.reps, args.steps, args.width)
+    result = compare(args.parent, args.change, REPS, STEPS, WIDTH)
     print(f"{'case':<16}{'parent min':>11}{'q1':>8}{'change min':>11}{'q1':>8}"
-          f"{'won':>7}{'ratio':>7}  same bits   (us per step, B = {args.width}, "
-          f"{args.steps} steps, {args.reps} reps)")
+          f"{'won':>7}{'ratio':>7}  same bits   (us per step, B = {WIDTH}, "
+          f"{STEPS} steps, {REPS} reps)")
     for label, entry in result.items():
         parent, change = entry["parent"], entry["change"]
         won = sum(c < p for p, c in zip(parent, change))

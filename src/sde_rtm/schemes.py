@@ -198,50 +198,51 @@ def _step_batch(problem: SdeProblem, kind: SchemeKind, dt: float, n: int):
     milstein_tensor = problem.milstein_tensor if kind in _MILSTEIN_KINDS else None
     dt = _constant(dt)
     # an absent summand's entries are zeros, an absent tensor's rows empty
-    no_mild, no_tensor = (0.0,) * problem.d, ((),) * problem.d
+    d = problem.d
+    no_mild, no_tensor = (0.0,) * d, ((),) * d
 
     def advance(x, t_left, t_drift, dw, iw, out):
         coefficients = (wild(t_drift, x), no_mild if mild is None else mild(t_drift, x),
                         diffusion(t_left, x),
                         no_tensor if milstein_tensor is None else milstein_tensor(t_left, x))
+        wild_v, mild_v, rho_v, lam_v = coefficients
+        # a short coefficient would leave a row of out unwritten; len is cheaper
+        # than a strict zip
+        if len(wild_v) != d or len(mild_v) != d or len(rho_v) != d or len(lam_v) != d:
+            name, entries = next((name, entries) for name, entries
+                                 in zip(_COEFFICIENTS, coefficients) if len(entries) != d)
+            raise InvalidParameterError(f"the {name} returned {len(entries)} entries, "
+                                        f"not d = {d}")
         denominator = None if taming is None else taming([x[r] for r in norm])
-        try:
-            for x_i, row, wild_i, mild_i, rho_i, lam_i in zip(x, out, *coefficients, strict=True):
-                b_i = None
-                if type(wild_i) is not float or wild_i != 0.0:
-                    b_i = wild_i if denominator is None else wild_i / denominator
-                if type(mild_i) is not float or mild_i != 0.0:
-                    b_i = mild_i if b_i is None else b_i + mild_i
-                if b_i is not None:
-                    np.add(x_i, b_i * dt, row)
-                    x_i = row
-                total = None
-                for rho_ik, dw_k in zip(rho_i, dw):
-                    if type(rho_ik) is not float or rho_ik != 0.0:
-                        term = rho_ik * dw_k
+        for x_i, row, wild_i, mild_i, rho_i, lam_i in zip(x, out, *coefficients):
+            b_i = None
+            if type(wild_i) is not float or wild_i != 0.0:
+                b_i = wild_i if denominator is None else wild_i / denominator
+            if type(mild_i) is not float or mild_i != 0.0:
+                b_i = mild_i if b_i is None else b_i + mild_i
+            if b_i is not None:
+                np.add(x_i, b_i * dt, row)
+                x_i = row
+            total = None
+            for k, rho_ik in enumerate(rho_i):
+                if type(rho_ik) is not float or rho_ik != 0.0:
+                    term = rho_ik * dw[k]
+                    total = term if total is None else total + term
+            if total is not None:
+                np.add(x_i, total, row)
+                x_i = row
+            total, position = None, 0  # iw[position] is iw_kl, row-major
+            for lam_ik in lam_i:
+                for lam_ikl in lam_ik:
+                    if type(lam_ikl) is not float or lam_ikl != 0.0:
+                        term = lam_ikl * iw[position]
                         total = term if total is None else total + term
-                if total is not None:
-                    np.add(x_i, total, row)
-                    x_i = row
-                total, position = None, 0  # iw[position] is iw_kl, row-major
-                for lam_ik in lam_i:
-                    for lam_ikl in lam_ik:
-                        if type(lam_ikl) is not float or lam_ikl != 0.0:
-                            term = lam_ikl * iw[position]
-                            total = term if total is None else total + term
-                        position += 1
-                if total is not None:
-                    np.add(x_i, total, row)
-                    x_i = row
-                if x_i is not row:
-                    row[...] = x_i
-        except ValueError:
-            # zip's strict check failed: name the coefficient of the wrong length
-            for name, entries in zip(_COEFFICIENTS, coefficients):
-                if len(entries) != len(x):
-                    raise InvalidParameterError(f"the {name} returned {len(entries)} "
-                                                f"entries, not d = {len(x)}") from None
-            raise
+                    position += 1
+            if total is not None:
+                np.add(x_i, total, row)
+                x_i = row
+            if x_i is not row:
+                row[...] = x_i
         return out
 
     return advance

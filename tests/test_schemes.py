@@ -516,6 +516,19 @@ def test_a_coefficient_returning_too_few_entries_raises(kind, coefficient):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_diffusion_row_longer_than_m_raises(kind):
+    # the row's second entry has no increment to multiply; it must not be dropped
+    problem = SdeProblem(d=1, m=1, horizon=1.0, initial_state=[0.0],
+                         drift=lambda t, x: (0.0,),
+                         diffusion=lambda t, x: ((1.0, 1.0),),
+                         milstein_tensor=lambda t, x: (((0.0,),),),
+                         noise_structure=NoiseStructure.SCALAR, xi=0.0, beta=1.0)
+    inc, uniforms = _batch_inputs(problem, 3, 16, seed=5)
+    with pytest.raises(IndexError):
+        _fed_in_pieces(problem, kind, inc, uniforms, [16])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("chunk", [1, 256])
 def test_coefficients_returning_the_state_itself(monkeypatch, kind, chunk):
     # b = (x_2, x_1) and rho = (x_2, x_1) hand the kernel the state's own

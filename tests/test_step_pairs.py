@@ -1,18 +1,17 @@
 """``scripts/step_pairs.py`` times both kernels of a pair of checkouts.
 
 Run on this checkout against itself, with a few short feeds, it must report
-every case with a finite ratio of minimums and the same terminal bits on
-both sides.
+every case with positive times and the same terminal bits on both sides, and
+leave the caller's own ``sde_rtm`` modules in place.
 """
 
 import importlib.util
-import math
 import pathlib
-import subprocess
 import sys
 
-HERE = pathlib.Path(__file__).resolve().parent
-ROOT = HERE.parent
+from sde_rtm import schemes
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location(
     "step_pairs", ROOT / "scripts" / "step_pairs.py")
 step_pairs = importlib.util.module_from_spec(_SPEC)
@@ -20,17 +19,11 @@ _SPEC.loader.exec_module(step_pairs)
 
 
 def test_step_pairs_reports_every_case_against_itself():
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "step_pairs.py"), "--parent", str(ROOT),
-         "--change", str(ROOT), "--steps", "16", "--reps", "3"],
-        capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert len(lines) == 1 + len(step_pairs.CASES)
-    for (label, _, _), line in zip(step_pairs.CASES, lines[1:]):
-        assert line.startswith(label)
-        *times, won, ratio, same = line[len(label):].split(maxsplit=6)
-        assert all(float(value) > 0 for value in times)
-        assert won.endswith("/3")
-        assert math.isfinite(float(ratio)) and float(ratio) > 0
-        assert same == "yes"
+    result = step_pairs.compare(str(ROOT), str(ROOT), 3, 16, 256)
+    assert list(result) == [label for label, _, _ in step_pairs.CASES]
+    for entry in result.values():
+        assert entry["same_bits"]
+        for side in ("parent", "change"):
+            assert len(entry[side]) == 3
+            assert all(seconds > 0 for seconds in entry[side])
+    assert sys.modules["sde_rtm.schemes"] is schemes
