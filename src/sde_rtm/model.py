@@ -113,11 +113,14 @@ class NoiseStructure(Enum):
 class TamingSplit:
     """Optional decomposition ``drift = superlinear + remainder``.
 
-    Both summands return d drift entries.  Tamed integrators divide only
+    Both summands return d drift entries.  Every scheme kind steps a split
+    problem's drift as these two summands and never calls ``drift``, so the
+    sum must equal ``drift``.  Tamed integrators divide only
     ``superlinear`` by the taming denominator, whose norm they take over the
     distinct state components ``norm_indices`` picks, and add ``remainder``
-    untouched.  The FitzHugh-Nagumo builtin tames its cubic term this way;
-    without a split the whole drift vector is tamed.
+    untouched; Euler-Maruyama adds both.  The FitzHugh-Nagumo builtin tames
+    its cubic term this way; without a split the whole drift vector is
+    tamed.
     """
 
     superlinear: Callable
@@ -140,7 +143,8 @@ class SdeProblem:
     drift, diffusion, milstein_tensor : callables
         ``drift(t, x)`` returns d entries, ``diffusion(t, x)`` d rows of m
         entries and ``milstein_tensor(t, x)`` d x m x m entries with
-        ``tensor[i][k][l] = sum_r d(rho[i][k])/d(x_r) * rho[r][l]``.
+        ``tensor[i][k][l] = sum_r d(rho[i][k])/d(x_r) * rho[r][l]``.  The
+        integrators step ``drift`` only where there is no ``taming_split``.
     noise_structure : NoiseStructure
     xi : float
         Superlinearity exponent of the drift, a finite real >= 0.

@@ -16,8 +16,11 @@ where ``n`` is the total step count, so the tamed value never exceeds the
 raw drift in norm and the modification is pointwise O(1/n).  A
 :class:`~sde_rtm.model.TamingSplit` restricts taming to a superlinear
 summand (and its denominator norm to selected components), as the
-FitzHugh-Nagumo builtin does for its cubic term, so the kernel steps
-``b = wild / D + mild`` (:func:`_drift_rule`).
+FitzHugh-Nagumo builtin does for its cubic term.  Every kind steps the
+drift as ``b = wild / D + mild``, with ``wild`` and ``mild`` a split's two
+summands, or the whole drift and nothing where there is no split; only
+the tamed kinds build the denominator ``D``, so Euler-Maruyama differs
+from tamed Euler by ``D`` alone.
 :func:`~sde_rtm.noise.randomized_time` puts the randomized kind's drift
 time strictly inside ``[t_j, t_{j+1})``; the diffusion and the correction
 tensor are always evaluated at the left endpoint.
@@ -156,18 +159,12 @@ def tame_drift(mu_value, x, n: int, xi: float):
     return mu_value / denominator[..., None]
 
 
-def _drift_rule(problem: SdeProblem, kind: SchemeKind, n: int):
-    """The drift ``kind`` steps on an ``n``-step grid, ``b_i = wild_i /
-    taming([x_r for r in norm]) + mild_i``, as ``(wild, mild, norm,
-    taming)``; ``mild`` or ``taming`` is None where absent.  A tamed kind
-    tames the whole drift over every component, or a split's superlinear
-    summand over its ``norm_indices``."""
-    if kind is SchemeKind.EULER_MARUYAMA:
-        return problem.drift, None, (), None
-    split, taming = problem.taming_split, _taming(n, problem.xi)
-    if split is None:
-        return problem.drift, None, tuple(range(problem.d)), taming
-    return split.superlinear, split.remainder, tuple(split.norm_indices), taming
+def _wrong_length(named, symbol, size):
+    # the error for the first (name, entries) pair of named whose entries number
+    # other than size: d for a coefficient, m for a row of one
+    name, entries = next((name, entries) for name, entries in named if len(entries) != size)
+    raise InvalidParameterError(f"the {name} returned {len(entries)} entries, "
+                                f"not {symbol} = {size}")
 
 
 def _step_batch(problem: SdeProblem, kind: SchemeKind, dt: float, n: int):
@@ -183,23 +180,34 @@ def _step_batch(problem: SdeProblem, kind: SchemeKind, dt: float, n: int):
     increments and ``iw`` the m * m (B,) iterated integrals, row-major
     (Milstein kinds; None otherwise).
 
+    The drift is read the same way for every kind: ``wild`` and ``mild``
+    are the taming split's ``superlinear`` and ``remainder``, whose
+    denominator norm runs over its ``norm_indices``, or without a split the
+    whole drift and no ``mild``, over every component.  The tamed kinds
+    divide ``wild`` by ``D = 1 + |x|^(2 xi) / n``; Euler-Maruyama builds
+    no ``D`` and steps ``wild + mild``.
+
     The coefficient callables are looked up once, here, and general noise
     is rejected for the Milstein kinds, whose iterated integrals it would
     make inexact.  Each step skips the terms of the entries of ``wild``,
     ``mild``, rho and L that it gets back as the float 0.0, the structural
     zeros, and multiplies every other entry; so an entry may be a zero at
-    some steps and not at others.  A coefficient that returns other than d
-    entries raises :class:`InvalidParameterError` naming it.
+    some steps and not at others.  At any step, a coefficient that returns
+    other than d entries, a diffusion row of other than m entries or (the
+    Milstein kinds) a tensor entry of other than m rows of m entries raises
+    :class:`InvalidParameterError` naming the coefficient.
     """
     if kind in _MILSTEIN_KINDS and problem.noise_structure is NoiseStructure.GENERAL:
         raise UnsupportedNoiseStructureError("Milstein kinds do not support general noise")
-    wild, mild, norm, taming = _drift_rule(problem, kind, n)
+    split, d, m = problem.taming_split, problem.d, problem.m
+    wild, mild, norm = ((problem.drift, None, range(d)) if split is None
+                        else (split.superlinear, split.remainder, split.norm_indices))
+    taming = None if kind is SchemeKind.EULER_MARUYAMA else _taming(n, problem.xi)
     diffusion = problem.diffusion
     milstein_tensor = problem.milstein_tensor if kind in _MILSTEIN_KINDS else None
     dt = _constant(dt)
-    # an absent summand's entries are zeros, an absent tensor's rows empty
-    d = problem.d
-    no_mild, no_tensor = (0.0,) * d, ((),) * d
+    # an absent summand's entries are zeros, an absent tensor's entries have no rows
+    no_mild, no_tensor, rows = (0.0,) * d, ((),) * d, 0 if milstein_tensor is None else m
 
     def advance(x, t_left, t_drift, dw, iw, out):
         coefficients = (wild(t_drift, x), no_mild if mild is None else mild(t_drift, x),
@@ -209,10 +217,7 @@ def _step_batch(problem: SdeProblem, kind: SchemeKind, dt: float, n: int):
         # a short coefficient would leave a row of out unwritten; len is cheaper
         # than a strict zip
         if len(wild_v) != d or len(mild_v) != d or len(rho_v) != d or len(lam_v) != d:
-            name, entries = next((name, entries) for name, entries
-                                 in zip(_COEFFICIENTS, coefficients) if len(entries) != d)
-            raise InvalidParameterError(f"the {name} returned {len(entries)} entries, "
-                                        f"not d = {d}")
+            _wrong_length(zip(_COEFFICIENTS, coefficients), "d", d)
         denominator = None if taming is None else taming([x[r] for r in norm])
         for x_i, row, wild_i, mild_i, rho_i, lam_i in zip(x, out, *coefficients):
             b_i = None
@@ -223,6 +228,9 @@ def _step_batch(problem: SdeProblem, kind: SchemeKind, dt: float, n: int):
             if b_i is not None:
                 np.add(x_i, b_i * dt, row)
                 x_i = row
+            # a row of other than m entries would drop or misplace noise terms
+            if len(rho_i) != m or len(lam_i) != rows:
+                _wrong_length((("diffusion", rho_i), ("milstein_tensor", lam_i)), "m", m)
             total = None
             for k, rho_ik in enumerate(rho_i):
                 if type(rho_ik) is not float or rho_ik != 0.0:
@@ -233,6 +241,8 @@ def _step_batch(problem: SdeProblem, kind: SchemeKind, dt: float, n: int):
                 x_i = row
             total, position = None, 0  # iw[position] is iw_kl, row-major
             for lam_ik in lam_i:
+                if len(lam_ik) != m:
+                    _wrong_length((("milstein_tensor", lam_ik),), "m", m)
                 for lam_ikl in lam_ik:
                     if type(lam_ikl) is not float or lam_ikl != 0.0:
                         term = lam_ikl * iw[position]

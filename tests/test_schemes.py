@@ -15,6 +15,7 @@ from sde_rtm import (
     SdeProblem,
     SeedPolicy,
     StreamRole,
+    TamingSplit,
     UnsupportedNoiseStructureError,
     coarsen,
     derive_substream,
@@ -484,8 +485,10 @@ def test_structural_zeros_step_as_zero_arrays(kind, problem):
 
 def _short_from_half_time(coefficient):
     """A d = 2 problem without noise whose ``coefficient`` returns one entry
-    too few from t = 0.5 on."""
+    too few from t = 0.5 on; for ``remainder``, the problem has a taming
+    split whose remainder is the whole drift, and a complete ``drift``."""
     entries = {"drift": lambda x: (x[1], -x[0]),
+               "remainder": lambda x: (x[1], -x[0]),
                "diffusion": lambda x: ((0.0,), (0.0,)),
                "milstein_tensor": lambda x: (((0.0,),), ((0.0,),))}
 
@@ -495,23 +498,64 @@ def _short_from_half_time(coefficient):
             return whole[:1] if name == coefficient and np.all(np.asarray(t) >= 0.5) else whole
         return returned
 
-    return SdeProblem(d=2, m=1, horizon=1.0, initial_state=[1.0, 0.0],
-                      **{name: wrap(name) for name in entries},
-                      noise_structure=NoiseStructure.SCALAR, xi=0.0, beta=1.0)
+    coefficients = {name: wrap(name) for name in entries}
+    split = TamingSplit(lambda t, x: (0.0, 0.0), coefficients.pop("remainder"), (0,))
+    return SdeProblem(d=2, m=1, horizon=1.0, initial_state=[1.0, 0.0], **coefficients,
+                      noise_structure=NoiseStructure.SCALAR, xi=0.0, beta=1.0,
+                      taming_split=split if coefficient == "remainder" else None)
 
 
 @pytest.mark.parametrize("kind,coefficient", [
     (kind, coefficient) for kind in ALL_KINDS
-    for coefficient in ("drift", "diffusion", "milstein_tensor")
+    for coefficient in ("drift", "remainder", "diffusion", "milstein_tensor")
     if coefficient != "milstein_tensor" or kind in schemes._MILSTEIN_KINDS])
 def test_a_coefficient_returning_too_few_entries_raises(kind, coefficient):
     # unchecked, the step at t = 0.5 would leave the second component's row
-    # of the state buffer unwritten and step on from its old contents
+    # of the state buffer unwritten and step on from its old contents; every
+    # kind steps a split's summands, so Euler-Maruyama reads the short
+    # remainder too, and errors name a split's summands the drift
     problem = _short_from_half_time(coefficient)
+    name = "drift" if coefficient == "remainder" else coefficient
     inc, uniforms = _batch_inputs(problem, 3, 16, seed=5)
     for cuts in ([16], [5, 11]):
         with pytest.raises(InvalidParameterError,
-                           match=f"the {coefficient} returned 1 entries, not d = 2"):
+                           match=f"the {name} returned 1 entries, not d = 2"):
+            _fed_in_pieces(problem, kind, inc, uniforms, cuts)
+
+
+def _short_row_from_half_time(coefficient, short):
+    """A d = 1, m = 2 problem with constant noise whose ``coefficient``
+    returns ``short`` from t = 0.5 on."""
+    whole = {"diffusion": ((1.0, 0.5),), "milstein_tensor": (((0.0, 0.0), (0.0, 0.0)),)}
+
+    def wrap(name):
+        return lambda t, x: short if name == coefficient and t >= 0.5 else whole[name]
+
+    return SdeProblem(d=1, m=2, horizon=1.0, initial_state=[0.0],
+                      drift=lambda t, x: (0.0,), **{name: wrap(name) for name in whole},
+                      noise_structure=NoiseStructure.DIAGONAL, xi=0.0, beta=1.0)
+
+
+_SHORT_ROWS = {
+    "diffusion": ("diffusion", ((1.0,),)),
+    "tensor_row": ("milstein_tensor", (((0.0, 0.0), (0.0,)),)),
+    "tensor_rows": ("milstein_tensor", (((0.0, 0.0),),)),
+}
+
+
+@pytest.mark.parametrize("kind,case", [
+    (kind, case) for kind in ALL_KINDS for case in _SHORT_ROWS
+    if case == "diffusion" or kind in schemes._MILSTEIN_KINDS])
+def test_a_row_of_too_few_entries_raises(kind, case):
+    # unchecked, a short diffusion row drops its last dW_k term, a short
+    # tensor row moves every later L_ikl onto another iterated integral and
+    # a tensor entry short of a row drops that row's terms
+    coefficient, short = _SHORT_ROWS[case]
+    problem = _short_row_from_half_time(coefficient, short)
+    inc, uniforms = _batch_inputs(problem, 3, 16, seed=5)
+    for cuts in ([16], [5, 11]):
+        with pytest.raises(InvalidParameterError,
+                           match=f"the {coefficient} returned 1 entries, not m = 2"):
             _fed_in_pieces(problem, kind, inc, uniforms, cuts)
 
 
@@ -524,8 +568,26 @@ def test_a_diffusion_row_longer_than_m_raises(kind):
                          milstein_tensor=lambda t, x: (((0.0,),),),
                          noise_structure=NoiseStructure.SCALAR, xi=0.0, beta=1.0)
     inc, uniforms = _batch_inputs(problem, 3, 16, seed=5)
-    with pytest.raises(IndexError):
+    with pytest.raises(InvalidParameterError,
+                       match="the diffusion returned 2 entries, not m = 1"):
         _fed_in_pieces(problem, kind, inc, uniforms, [16])
+
+
+def test_euler_maruyama_steps_a_split_as_its_whole_drift():
+    # the split's summands give the bits of the drift they sum to, and
+    # Euler-Maruyama never calls the drift of a problem with a split
+    def never_called(t, x):
+        raise AssertionError("the drift of a split problem was called")
+
+    problem = make_builtin("fhn", sigma=3.0, i_amp=60.0)
+    kind = SchemeKind.EULER_MARUYAMA
+    inc, uniforms = _batch_inputs(problem, 24, 16, seed=16)
+    split = _fed_in_pieces(dataclasses.replace(problem, drift=never_called), kind, inc,
+                           uniforms, [5, 11])
+    whole = _fed_in_pieces(dataclasses.replace(problem, taming_split=None), kind, inc,
+                           uniforms, [5, 11])
+    _assert_same(split, whole)
+    assert (split[1] >= 0).any()  # overflowed paths compare too
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -669,14 +731,17 @@ def _norm(entries):
 
 
 def _kernel_drift(problem, n, t, x):
-    # b_n = wild / taming(x[norm]) + mild, from the drift rule the kernel
-    # steps for a tamed kind; one noiseless kernel step must give x + b_n dt
-    # bit for bit, so the bound holds for the drift the kernel applies
-    kind = SchemeKind.TAMED_MILSTEIN
-    wild, mild, norm, taming = schemes._drift_rule(problem, kind, n)
-    denominator = taming([x[r] for r in norm])
-    mild = [0.0] * problem.d if mild is None else mild(t, x)
-    b = [w / denominator + v for w, v in zip(wild(t, x), mild)]
+    # b_n = wild / taming(x[norm]) + mild, with wild and mild the taming
+    # split's summands over its norm indices, or the whole drift and zeros
+    # over every component; one noiseless tamed kernel step must give
+    # x + b_n dt bit for bit, so the bound holds for the drift it applies
+    kind, split = SchemeKind.TAMED_MILSTEIN, problem.taming_split
+    if split is None:
+        wild, mild, norm = problem.drift(t, x), [0.0] * problem.d, range(problem.d)
+    else:
+        wild, mild, norm = split.superlinear(t, x), split.remainder(t, x), split.norm_indices
+    denominator = schemes._taming(n, problem.xi)([x[r] for r in norm])
+    b = [w / denominator + v for w, v in zip(wild, mild)]
     dt, zeros = problem.horizon / n, np.zeros_like(t)
     out = schemes._step_batch(problem, kind, dt, n)(
         x, t, t, [zeros] * problem.m, [zeros] * problem.m ** 2, np.empty((problem.d, len(t))))
